@@ -20,15 +20,16 @@ Run: python demos/skorokhod_dead_zone.py
 
 import math
 
+import numpy as np
+
 from insidermc import (
-    BrownianDraw,
     Trader,
     estimate_mean,
     indicator_threshold,
     normal_cdf,
-    skorokhod_unbiased_sample,
     validate_params,
 )
+from insidermc.samplers import skorokhod_unbiased_values
 
 p = validate_params(1.0, 0.0, 0.5, 1.0, 1.0)
 a = indicator_threshold(p)
@@ -43,8 +44,10 @@ print(f"  bet threshold a = {a}, dead zone = ({a}, {a + sigma_t}]")
 print()
 
 print("  sample values across the zone (b_T sweeping through):")
-for b in (a - 0.5, a - 1e-9, a, a + 1e-9, a + 0.5, a + sigma_t, a + sigma_t + 1e-9, a + 1.5):
-    value = skorokhod_unbiased_sample(p, BrownianDraw(terminal_value=b)).value
+edges = np.array(
+    [a - 0.5, a - 1e-9, a, a + 1e-9, a + 0.5, a + sigma_t, a + sigma_t + 1e-9, a + 1.5]
+)
+for b, value in zip(edges.tolist(), skorokhod_unbiased_values(p, edges).tolist()):
     side = "bond" if b <= a else ("DEAD" if b <= a + sigma_t else "stock")
     print(f"    b_T = {b:+.9f}   ->   S(T) = {value:<12.6g} [{side}]")
 

@@ -35,24 +35,8 @@ from .market import (
     validate_params,
 )
 from .special import erf, erfc, inverse_normal_cdf, normal_cdf
-from .sampling import (
-    BrownianDraw,
-    RngStream,
-    brownian_increments,
-    brownian_terminal,
-    derive_seed,
-    standard_normal,
-    standard_normal_block,
-    uniform_block,
-)
-from .samplers import (
-    Trader,
-    WealthSample,
-    forward_euler_terminal,
-    forward_insider_terminal_wealth,
-    honest_terminal_wealth,
-    skorokhod_unbiased_sample,
-)
+from .sampling import RngStream, derive_seed, standard_normal_block, uniform_block
+from .samplers import Trader
 from .closedform import (
     ClosedFormReport,
     compare_closed_form,
@@ -95,12 +79,9 @@ __all__ = [
     # special functions
     "erf", "erfc", "normal_cdf", "inverse_normal_cdf",
     # sampling
-    "RngStream", "BrownianDraw", "standard_normal", "standard_normal_block",
-    "uniform_block", "brownian_terminal", "brownian_increments", "derive_seed",
+    "RngStream", "standard_normal_block", "uniform_block", "derive_seed",
     # samplers
-    "Trader", "WealthSample", "honest_terminal_wealth",
-    "forward_insider_terminal_wealth", "skorokhod_unbiased_sample",
-    "forward_euler_terminal",
+    "Trader",
     # closed forms
     "ClosedFormReport", "honest_expected_wealth", "honest_optimal_allocation",
     "skorokhod_expected_wealth", "forward_expected_wealth",

@@ -13,6 +13,7 @@ identical for any value.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -24,6 +25,7 @@ from .errors import (
     DegenerateEstimateError,
     OutOfDomainError,
     UnknownTraderError,
+    WealthOverflowError,
 )
 from .market import Allocation, MarketParams, indicator_threshold
 from .samplers import (
@@ -146,38 +148,51 @@ def _granule_spans(start: int, n: int) -> list[tuple[int, int]]:
 
 
 def _run_tasks(tasks, chunks: int):
-    if chunks == 1:
+    # No more threads than there are tasks or cores; one worker runs inline.
+    workers = min(chunks, len(tasks), os.cpu_count() or 1)
+    if workers == 1:
         return [task() for task in tasks]
-    with ThreadPoolExecutor(max_workers=chunks) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(lambda task: task(), tasks))
 
 
-def _stats_over_blocks(make_values, spans, chunks: int) -> list[_Stats]:
-    """Evaluate ``make_values(offset, count)`` over groups of granules and
-    stat each granule separately; grouping never crosses the reduction."""
-    per_task = max(1, _TASK_TARGET // GRANULE)
+def _stats_over_blocks(
+    make_values, spans, chunks: int, width: int = 1
+) -> tuple[list[_Stats], int]:
+    """Evaluate ``make_values(offset, count) -> (values, tally)`` over groups
+    of granules and stat each granule separately; grouping never crosses the
+    reduction.  ``width`` is the number of draws per sample: generation
+    tasks shrink with it to bound the block each task holds.  Returns the
+    per-granule stats and the sum of the integer tallies.
+    """
+    per_task = max(1, _TASK_TARGET // (GRANULE * width))
     groups = [spans[i : i + per_task] for i in range(0, len(spans), per_task)]
 
     def make_task(group):
         def task():
             g_start = group[0][0]
             g_total = sum(c for _, c in group)
-            values = make_values(g_start, g_total)
+            values, tally = make_values(g_start, g_total)
             out = []
             pos = 0
             for _, count in group:
                 out.append(_granule_stats(values[pos : pos + count]))
                 pos += count
-            return out
+            return out, tally
 
         return task
 
     results = _run_tasks([make_task(g) for g in groups], chunks)
-    return [s for group_stats in results for s in group_stats]
+    stats = [s for group_stats, _ in results for s in group_stats]
+    return stats, sum(tally for _, tally in results)
 
 
 def _finalize(stats: list[_Stats], seed: int) -> MCEstimate:
     n, mean, m2, zeros = _merge_tree(stats)
+    if not (math.isfinite(mean) and math.isfinite(m2)):
+        raise WealthOverflowError(
+            f"sample statistics left the double range (mean {mean!r}, M2 {m2!r})"
+        )
     stddev = math.sqrt(m2 / (n - 1))
     stderr = stddev / math.sqrt(n)
     return MCEstimate(
@@ -231,15 +246,15 @@ def estimate_mean(
 
     stream = RngStream(seed)
 
-    def make_values(offset: int, count: int) -> np.ndarray:
+    def make_values(offset: int, count: int) -> tuple[np.ndarray, int]:
         b_t = brownian_terminal_block(stream, offset, count, p.T)
         if trader in (Trader.HONEST_FIXED, Trader.HONEST_OPTIMAL):
-            return honest_values(p, alloc, b_t)
+            return honest_values(p, alloc, b_t), 0
         if trader is Trader.FORWARD_INSIDER:
-            return forward_insider_values(p, b_t)
-        return skorokhod_unbiased_values(p, b_t)
+            return forward_insider_values(p, b_t), 0
+        return skorokhod_unbiased_values(p, b_t), 0
 
-    stats = _stats_over_blocks(make_values, _granule_spans(start, n), chunks)
+    stats, _ = _stats_over_blocks(make_values, _granule_spans(start, n), chunks)
     return _finalize(stats, seed)
 
 
@@ -260,29 +275,15 @@ def estimate_euler_mean(
     if n_steps < 1:
         raise OutOfDomainError(f"n_steps must be >= 1, got {n_steps}")
     stream = RngStream(seed)
-    # Scale generation tasks down with n_steps to bound the increments matrix.
-    per_task = max(1, _TASK_TARGET // (GRANULE * n_steps))
-    spans = _granule_spans(start, n)
-    groups = [spans[i : i + per_task] for i in range(0, len(spans), per_task)]
 
-    def make_task(group):
-        def task():
-            g_start = group[0][0]
-            g_total = sum(c for _, c in group)
-            inc = brownian_increments_block(stream, g_start, g_total, p.T, n_steps)
-            values, clamped = forward_euler_values(p, inc)
-            out = []
-            pos = 0
-            for _, count in group:
-                out.append(_granule_stats(values[pos : pos + count]))
-                pos += count
-            return out, int(np.count_nonzero(clamped))
+    def make_values(offset: int, count: int) -> tuple[np.ndarray, int]:
+        inc = brownian_increments_block(stream, offset, count, p.T, n_steps)
+        values, clamped = forward_euler_values(p, inc)
+        return values, int(np.count_nonzero(clamped))
 
-        return task
-
-    results = _run_tasks([make_task(g) for g in groups], chunks)
-    stats = [s for group_stats, _ in results for s in group_stats]
-    clamp_count = sum(c for _, c in results)
+    stats, clamp_count = _stats_over_blocks(
+        make_values, _granule_spans(start, n), chunks, width=n_steps
+    )
     return EulerEstimate(
         estimate=_finalize(stats, seed), n_steps=n_steps, clamp_count=clamp_count
     )
@@ -308,26 +309,31 @@ def skorokhod_factorized_estimate(
     a = indicator_threshold(p)
     growth = (p.mu - 0.5 * p.sigma * p.sigma) * p.T
 
-    def indicator_values(offset: int, count: int) -> np.ndarray:
+    def indicator_values(offset: int, count: int) -> tuple[np.ndarray, int]:
         b_t = brownian_terminal_block(stream, offset, count, p.T)
-        return (b_t > a).astype(np.float64)
+        return (b_t > a).astype(np.float64), 0
 
-    def gbm_values(offset: int, count: int) -> np.ndarray:
+    def gbm_values(offset: int, count: int) -> tuple[np.ndarray, int]:
         b_t = brownian_terminal_block(stream, offset, count, p.T)
-        return np.exp(growth + p.sigma * b_t)
+        return np.exp(growth + p.sigma * b_t), 0
 
-    np_, p_hat, p_m2, _ = _merge_tree(
-        _stats_over_blocks(indicator_values, _granule_spans(0, n), chunks)
-    )
-    ng_, g_hat, g_m2, _ = _merge_tree(
-        _stats_over_blocks(gbm_values, _granule_spans(n, n), chunks)
-    )
+    indicator_stats, _ = _stats_over_blocks(indicator_values, _granule_spans(0, n), chunks)
+    gbm_stats, _ = _stats_over_blocks(gbm_values, _granule_spans(n, n), chunks)
+    np_, p_hat, p_m2, _ = _merge_tree(indicator_stats)
+    ng_, g_hat, g_m2, _ = _merge_tree(gbm_stats)
 
     bond = math.exp(p.rho * p.T)
     mean = p.M * ((1.0 - p_hat) * bond + p_hat * g_hat)
     var_p = p_hat * (1.0 - p_hat) / np_
     var_g = (g_m2 / (ng_ - 1)) / ng_
-    var = p.M * p.M * ((g_hat - bond) ** 2 * var_p + p_hat * p_hat * var_g)
+    try:
+        var = p.M * p.M * ((g_hat - bond) ** 2 * var_p + p_hat * p_hat * var_g)
+    except OverflowError:
+        var = math.inf
+    if not (math.isfinite(mean) and math.isfinite(var)):
+        raise WealthOverflowError(
+            f"factorized estimate left the double range (mean {mean!r}, variance {var!r})"
+        )
     stderr = math.sqrt(var)
     stddev = stderr * math.sqrt(n)
     return MCEstimate(

@@ -281,8 +281,10 @@ def _csv_from(columns: list[str], dict_rows: list[dict]) -> str:
     return buf.getvalue()
 
 
-def _metadata(seed: int, samples: int | None, timestamp: bool) -> dict:
-    meta = {"seed": seed, "tool_version": __version__}
+def _metadata(seed: int | None, samples: int | None, timestamp: bool) -> dict:
+    meta = {"tool_version": __version__}
+    if seed is not None:
+        meta["seed"] = seed
     if samples is not None:
         meta["samples"] = samples
     if timestamp:
@@ -291,7 +293,7 @@ def _metadata(seed: int, samples: int | None, timestamp: bool) -> dict:
 
 
 def _json_from(
-    dict_rows: list[dict], seed: int, samples: int | None, timestamp: bool
+    dict_rows: list[dict], seed: int | None, samples: int | None, timestamp: bool
 ) -> str:
     payload = {
         "metadata": _metadata(seed, samples, timestamp),
@@ -339,12 +341,7 @@ def closed_form_json(reports: list[ClosedFormReport], timestamp: bool = True) ->
         cells = _closed_form_cells(r)
         cells["rate_boundary"] = r.rate_boundary
         dict_rows.append(cells)
-    payload = {"metadata": {"tool_version": __version__}, "rows": dict_rows}
-    if timestamp:
-        payload["metadata"]["generated_at"] = datetime.datetime.now(
-            datetime.timezone.utc
-        ).isoformat()
-    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=True) + "\n"
+    return _json_from(dict_rows, None, None, timestamp)
 
 
 def _convergence_cells(row: ConvergenceRow) -> dict:

@@ -1,11 +1,12 @@
 """Pathwise terminal-wealth samplers for every trader model.
 
-Each sampler turns one Brownian draw into one realization of S(T); the
-sample mean over the stream must reproduce the matching closed form, which
-is what the estimator harness and the acceptance battery check.
+Each sampler maps a block of Brownian draws (terminal values b = B_T, or
+path increments for the Euler scheme) to the matching realizations of S(T);
+the sample mean over the stream must reproduce the matching closed form,
+which is what the estimator harness and the acceptance battery check.
 
 The Skorokhod model needs a word of caution.  Its solution is a Wick
-product, which has no pathwise reading, so :func:`skorokhod_unbiased_sample`
+product, which has no pathwise reading, so :func:`skorokhod_unbiased_values`
 is a translation-form estimator built from the Gaussian shift identity
 ``E[f(B_T) exp(sigma B_T - sigma^2 T / 2)] = E[f(B_T + sigma T)]`` applied
 in reverse to the stock leg:
@@ -19,17 +20,12 @@ Pr{B_T > a} times the plain GBM mean, which is the Wick factorization.  The
 two indicators are *not* complementary; for a < b <= a + sigma T the sample
 is exactly 0.  That dead zone is the pathwise face of the model's financial
 paradox, and its mass is a tracked diagnostic.
-
-Scalar operations wrap the vectorized kernels (suffix ``_values``) on
-1-element arrays, so a scalar sample is bit-identical to the matching entry
-of a block evaluation.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,15 +36,9 @@ from .market import (
     indicator_threshold,
     require_consistent_allocation,
 )
-from .sampling import BrownianDraw
 
 __all__ = [
     "Trader",
-    "WealthSample",
-    "honest_terminal_wealth",
-    "forward_insider_terminal_wealth",
-    "skorokhod_unbiased_sample",
-    "forward_euler_terminal",
     "honest_values",
     "forward_insider_values",
     "skorokhod_unbiased_values",
@@ -57,21 +47,12 @@ __all__ = [
 
 
 class Trader(enum.Enum):
-    """Which wealth model produced a sample."""
+    """Which wealth model an estimator samples."""
 
     HONEST_FIXED = "honest-fixed"
     HONEST_OPTIMAL = "honest-optimal"
     FORWARD_INSIDER = "forward-insider"
     SKOROKHOD_UNBIASED = "skorokhod-unbiased"
-
-
-@dataclass(frozen=True)
-class WealthSample:
-    """One realization of terminal wealth S(T) >= 0 and the B_T behind it."""
-
-    value: float
-    trader: Trader
-    b_t: float
 
 
 def _stock_exponents(p: MarketParams, b_t: np.ndarray) -> np.ndarray:
@@ -170,31 +151,3 @@ def forward_euler_values(
             s1[negative] = 0.0
     values = np.where(stock_on, 0.0, p.M * math.exp(p.rho * p.T)) + s1
     return values, clamped
-
-
-def honest_terminal_wealth(p: MarketParams, a: Allocation, b: BrownianDraw) -> WealthSample:
-    """One honest-trader sample at a fixed allocation."""
-    value = float(honest_values(p, a, np.array([b.terminal_value]))[0])
-    return WealthSample(value=value, trader=Trader.HONEST_FIXED, b_t=b.terminal_value)
-
-
-def forward_insider_terminal_wealth(p: MarketParams, b: BrownianDraw) -> WealthSample:
-    """One forward-model insider sample."""
-    value = float(forward_insider_values(p, np.array([b.terminal_value]))[0])
-    return WealthSample(value=value, trader=Trader.FORWARD_INSIDER, b_t=b.terminal_value)
-
-
-def skorokhod_unbiased_sample(p: MarketParams, b: BrownianDraw) -> WealthSample:
-    """One translation-form Skorokhod sample (may be exactly 0)."""
-    value = float(skorokhod_unbiased_values(p, np.array([b.terminal_value]))[0])
-    return WealthSample(value=value, trader=Trader.SKOROKHOD_UNBIASED, b_t=b.terminal_value)
-
-
-def forward_euler_terminal(p: MarketParams, b: BrownianDraw) -> WealthSample:
-    """One Euler-discretized forward-model sample from a draw with increments."""
-    if b.increments is None:
-        raise OutOfDomainError("forward_euler_terminal needs a draw with increments")
-    values, _ = forward_euler_values(p, b.increments[np.newaxis, :])
-    return WealthSample(
-        value=float(values[0]), trader=Trader.FORWARD_INSIDER, b_t=b.terminal_value
-    )

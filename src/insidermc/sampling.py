@@ -24,13 +24,9 @@ from .special import _inverse_normal_cdf_array
 
 __all__ = [
     "RngStream",
-    "BrownianDraw",
-    "standard_normal",
     "standard_normal_block",
     "uniform_block",
-    "brownian_terminal",
     "brownian_terminal_block",
-    "brownian_increments",
     "brownian_increments_block",
     "derive_seed",
 ]
@@ -55,32 +51,6 @@ class RngStream:
             raise OutOfDomainError(f"seed must be an int, got {type(self.seed).__name__}")
         if not 0 <= self.seed <= _MASK64:
             raise OutOfDomainError(f"seed must fit in 64 unsigned bits, got {self.seed!r}")
-
-
-@dataclass(frozen=True)
-class BrownianDraw:
-    """One sample of the Brownian terminal value B_T, optionally with the
-    uniform-grid increments that sum to it."""
-
-    terminal_value: float
-    increments: np.ndarray | None = None
-
-    def __post_init__(self):
-        if not math.isfinite(self.terminal_value):
-            raise NotFiniteError("terminal_value", self.terminal_value)
-        if self.increments is not None:
-            inc = np.asarray(self.increments, dtype=np.float64)
-            object.__setattr__(self, "increments", inc)
-            if inc.ndim != 1 or inc.size < 1:
-                raise OutOfDomainError("increments must be a nonempty 1-d array")
-            if abs(float(inc.sum()) - self.terminal_value) > 1e-12 * max(
-                1.0, abs(self.terminal_value)
-            ):
-                raise OutOfDomainError("increments do not sum to terminal_value")
-
-    @property
-    def n_steps(self) -> int:
-        return 0 if self.increments is None else int(self.increments.size)
 
 
 def _words(seed: int, start: int, count: int) -> np.ndarray:
@@ -113,15 +83,6 @@ def standard_normal_block(stream: RngStream, start: int, count: int) -> np.ndarr
     return _inverse_normal_cdf_array(uniform_block(stream, start, count))
 
 
-def standard_normal(stream: RngStream, index: int) -> float:
-    """The index-th standard normal draw of the stream.
-
-    Deterministic in (seed, index): repeated calls are bit-identical and
-    match the corresponding entry of any block evaluation.
-    """
-    return float(standard_normal_block(stream, index, 1)[0])
-
-
 def _require_horizon(T: float) -> float:
     T = float(T)
     if not math.isfinite(T):
@@ -135,11 +96,6 @@ def brownian_terminal_block(stream: RngStream, start: int, count: int, T: float)
     """Samples of B_T ~ N(0, T) at counters start..start+count-1."""
     T = _require_horizon(T)
     return math.sqrt(T) * standard_normal_block(stream, start, count)
-
-
-def brownian_terminal(stream: RngStream, index: int, T: float) -> BrownianDraw:
-    """One sample of B_T ~ N(0, T): sqrt(T) times the index-th normal draw."""
-    return BrownianDraw(terminal_value=float(brownian_terminal_block(stream, index, 1, T)[0]))
 
 
 def brownian_increments_block(
@@ -162,12 +118,6 @@ def brownian_increments_block(
         )
     z = standard_normal_block(stream, start * n_steps, count * n_steps)
     return math.sqrt(T / n_steps) * z.reshape(count, n_steps)
-
-
-def brownian_increments(stream: RngStream, index: int, T: float, n_steps: int) -> BrownianDraw:
-    """One Brownian path skeleton: increments plus their exact sum."""
-    inc = brownian_increments_block(stream, index, 1, T, n_steps)[0]
-    return BrownianDraw(terminal_value=float(inc.sum()), increments=inc)
 
 
 def derive_seed(seed: int, ordinal: int) -> int:

@@ -103,9 +103,9 @@ class CriterionResult:
     passed: bool
     detail: str
 
-    def line(self) -> str:
+    def line(self, total: int) -> str:
         status = "PASS" if self.passed else "FAIL"
-        return f"[{self.index:2d}/10] {status}  {self.name}: {self.detail}"
+        return f"[{self.index:2d}/{total}] {status}  {self.name}: {self.detail}"
 
 
 @dataclass(frozen=True)
@@ -118,7 +118,7 @@ class VerifySummary:
         return all(r.passed for r in self.results)
 
     def render(self) -> str:
-        lines = [r.line() for r in self.results]
+        lines = [r.line(len(self.results)) for r in self.results]
         n_ok = sum(r.passed for r in self.results)
         verdict = "PASS" if self.passed else "FAIL"
         lines.append(f"VERIFY: {verdict} ({n_ok}/{len(self.results)} criteria, seed={self.seed})")

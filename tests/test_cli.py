@@ -140,3 +140,11 @@ def test_verify_success_exit_code(monkeypatch, capsys):
 
 def test_overflow_is_validation_error():
     assert run_cli("closed-form", "--mu", "800").returncode == 2
+
+
+def test_overflowed_statistic_exits_2():
+    # Finite closed forms, but the Monte Carlo second moment overflows.
+    result = run_cli("compare", "--rho", "0", "--mu", "600", "--sigma", "3",
+                     "--samples", "8192")
+    assert result.returncode == 2
+    assert result.stdout == ""

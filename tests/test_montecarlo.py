@@ -11,6 +11,7 @@ from insidermc import (
     RngStream,
     Trader,
     UnknownTraderError,
+    WealthOverflowError,
     estimate_euler_mean,
     estimate_mean,
     forward_expected_wealth,
@@ -21,6 +22,7 @@ from insidermc import (
     validate_params,
     z_score,
 )
+import insidermc.montecarlo as montecarlo
 from insidermc.montecarlo import CI95, GRANULE
 from insidermc.samplers import forward_insider_values
 from insidermc.sampling import brownian_terminal_block
@@ -157,3 +159,56 @@ def test_euler_estimate_determinism_and_clamps():
     assert e1.n_steps == 16
     assert e1.clamp_count >= 0
     assert e1.estimate.zero_fraction == (e1.clamp_count / 50_000)
+
+
+def test_factorized_overflowed_variance_raises():
+    # Closed forms are finite here, but the GBM factor's variance overflows.
+    p = validate_params(1, 0, 600, 3, 1)
+    with pytest.raises(WealthOverflowError):
+        skorokhod_factorized_estimate(p, RngStream(0), 8192)
+
+
+def test_task_width_groups_granules_and_sums_tallies():
+    spans = montecarlo._granule_spans(0, 3 * GRANULE)
+    calls = []
+
+    def make_values(offset, count):
+        calls.append((offset, count))
+        return np.full(count, 2.0), 1
+
+    # One draw per sample: all three granules form one task.
+    stats, tally = montecarlo._stats_over_blocks(make_values, spans, 1)
+    assert calls == [(0, 3 * GRANULE)] and tally == 1 and len(stats) == 3
+    # A sample as wide as a whole task target: one granule per task.
+    calls.clear()
+    wide = montecarlo._TASK_TARGET // GRANULE
+    stats, tally = montecarlo._stats_over_blocks(make_values, spans, 1, wide)
+    assert calls == [(0, GRANULE), (GRANULE, GRANULE), (2 * GRANULE, GRANULE)]
+    assert tally == 3
+    assert stats == [(GRANULE, 2.0, 0.0, 0)] * 3
+
+
+def test_pool_capped_at_task_count(monkeypatch):
+    created = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            created.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 8)
+    # 65536 draws are one generation task: chunks=8 must run it inline.
+    inline = estimate_mean(Trader.FORWARD_INSIDER, SHOWCASE, 65536, seed=9, chunks=8)
+    assert created == []
+    assert inline == estimate_mean(Trader.FORWARD_INSIDER, SHOWCASE, 65536, seed=9)
+    assert montecarlo._run_tasks([lambda: 1, lambda: 2], 8) == [1, 2]
+    assert len(created) == 1 and created[0] <= 2

@@ -121,18 +121,25 @@ class TestSweep:
         assert all(r.ordering_pass for r in rows)
 
     def test_overflow_row_marked_invalid_not_fatal(self):
-        base = validate_params(1, 0.05, 0.1, 0.2, 1)
-        spec = SweepSpec(base=base, sweep_field="T", grid=(1.0, 8000.0),
-                         samples=4096, seed=12)
-        rows = run_sweep(spec)
-        assert rows[0].error is None
-        assert rows[1].error is not None
-        assert rows[1].regime == "invalid"
-        assert not rows[1].ordering_pass
-        assert math.isnan(rows[1].cf_honest)
-        # still serializable
-        comparison_csv(rows)
-        comparison_json(rows, 12, 4096, timestamp=False)
+        cases = [
+            # T = 8000 overflows the closed forms.
+            (validate_params(1, 0.05, 0.1, 0.2, 1), "T", (1.0, 8000.0)),
+            # mu = 600 keeps the closed forms finite, but the samples'
+            # second moment overflows: an inf stderr must not pass as z = 0.
+            (validate_params(1, 0, 0.5, 3, 1), "mu", (0.5, 600.0)),
+        ]
+        for base, field, grid in cases:
+            spec = SweepSpec(base=base, sweep_field=field, grid=grid,
+                             samples=4096, seed=12)
+            rows = run_sweep(spec)
+            assert rows[0].error is None
+            assert rows[1].error is not None
+            assert rows[1].regime == "invalid"
+            assert not rows[1].ordering_pass
+            assert math.isnan(rows[1].cf_honest)
+            # still serializable
+            comparison_csv(rows)
+            comparison_json(rows, 12, 4096, timestamp=False)
 
     def test_grid_validation(self):
         base = validate_params(1, 0.05, 0.1, 0.2, 1)

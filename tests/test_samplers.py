@@ -5,16 +5,9 @@ import pytest
 
 from insidermc import (
     Allocation,
-    BrownianDraw,
     OutOfDomainError,
-    RngStream,
-    Trader,
     WealthOverflowError,
-    forward_euler_terminal,
-    forward_insider_terminal_wealth,
-    honest_terminal_wealth,
     indicator_threshold,
-    skorokhod_unbiased_sample,
     validate_params,
 )
 from insidermc.samplers import (
@@ -23,7 +16,6 @@ from insidermc.samplers import (
     honest_values,
     skorokhod_unbiased_values,
 )
-from insidermc.sampling import brownian_terminal_block
 
 SHOWCASE = validate_params(1, 0, 0.5, 1, 1)  # threshold a = 0
 
@@ -33,29 +25,27 @@ EXP_018 = 1.1972173631218102  # e^{0.18}
 EXP_03 = 1.3498588075760032   # e^{0.3}
 
 
-def draw(b):
-    return BrownianDraw(terminal_value=float(b))
+def one(sampler, p, b, *rest):
+    """The sampler's value at the single terminal value b."""
+    (value,) = sampler(p, *rest, np.array([float(b)]))
+    return float(value)
 
 
 class TestHonest:
     def test_vanishing_exponent(self):
         # mu = sigma^2/2 and b = 0 leave the stock leg at its initial value
         p = validate_params(1, 0.05, 0.02, 0.2, 1)
-        s = honest_terminal_wealth(p, Allocation(0, 1), draw(0.0))
-        assert s.value == 1.0
-        assert s.trader is Trader.HONEST_FIXED
+        assert one(honest_values, p, 0.0, Allocation(0, 1)) == 1.0
 
     def test_bond_only_ignores_noise(self):
         p = validate_params(1, 0.05, 0.1, 0.2, 2)
-        for b in (-3.0, 0.0, 4.0):
-            s = honest_terminal_wealth(p, Allocation(1, 0), draw(b))
-            assert s.value == pytest.approx(EXP_01, abs=1e-9)
+        values = honest_values(p, Allocation(1, 0), np.array([-3.0, 0.0, 4.0]))
+        assert values == pytest.approx([EXP_01] * 3, abs=1e-9)
 
     def test_stock_leg_formula(self):
         p = validate_params(1, 0.05, 0.1, 0.2, 1)
-        s = honest_terminal_wealth(p, Allocation(0, 1), draw(0.5))
         # exp((0.1 - 0.02)*1 + 0.2*0.5) = exp(0.18)
-        assert s.value == pytest.approx(EXP_018, abs=1e-9)
+        assert one(honest_values, p, 0.5, Allocation(0, 1)) == pytest.approx(EXP_018, abs=1e-9)
 
     def test_overflow_reported(self):
         p = validate_params(1, 0.05, 0.5, 1, 1)
@@ -66,82 +56,63 @@ class TestHonest:
 class TestForwardInsider:
     def test_indicator_selects_bond_below_threshold(self):
         a = indicator_threshold(SHOWCASE)
-        s = forward_insider_terminal_wealth(SHOWCASE, draw(a - 1.0))
-        assert s.value == SHOWCASE.M * math.exp(0.0)
+        assert one(forward_insider_values, SHOWCASE, a - 1.0) == SHOWCASE.M * math.exp(0.0)
 
     def test_boundary_goes_to_bond(self):
         a = indicator_threshold(SHOWCASE)
-        s = forward_insider_terminal_wealth(SHOWCASE, draw(a))
-        assert s.value == SHOWCASE.M * math.exp(0.0)
+        assert one(forward_insider_values, SHOWCASE, a) == SHOWCASE.M * math.exp(0.0)
 
     def test_stock_branch_formula(self):
         # a = 0 and b = 0.3 > a selects the stock: exp((0.5-0.5)*1 + 0.3)
-        s = forward_insider_terminal_wealth(SHOWCASE, draw(0.3))
-        assert s.value == pytest.approx(EXP_03, abs=1e-9)
-        assert s.trader is Trader.FORWARD_INSIDER
-        assert s.b_t == 0.3
+        assert one(forward_insider_values, SHOWCASE, 0.3) == pytest.approx(EXP_03, abs=1e-9)
 
 
 class TestSkorokhodTranslation:
     def test_bond_region(self):
         a = indicator_threshold(SHOWCASE)
-        s = skorokhod_unbiased_sample(SHOWCASE, draw(a - 1.0))
-        assert s.value == SHOWCASE.M
+        assert one(skorokhod_unbiased_values, SHOWCASE, a - 1.0) == SHOWCASE.M
 
     def test_dead_zone_is_exactly_zero(self):
         # a < b <= a + sigma T: both indicators off
         a = indicator_threshold(SHOWCASE)
         sigma_t = SHOWCASE.sigma * SHOWCASE.T
-        for b in (a + 0.5 * sigma_t, a + sigma_t, a + 1e-12):
-            assert skorokhod_unbiased_sample(SHOWCASE, draw(b)).value == 0.0
+        b = np.array([a + 0.5 * sigma_t, a + sigma_t, a + 1e-12])
+        assert np.array_equal(skorokhod_unbiased_values(SHOWCASE, b), np.zeros(3))
 
     def test_shifted_stock_region(self):
         a = indicator_threshold(SHOWCASE)
         b = a + SHOWCASE.sigma * SHOWCASE.T + 1.0
-        s = skorokhod_unbiased_sample(SHOWCASE, draw(b))
-        assert s.value == pytest.approx(math.exp(0.0 + 1.0 * b), rel=1e-15)
+        value = one(skorokhod_unbiased_values, SHOWCASE, b)
+        assert value == pytest.approx(math.exp(0.0 + 1.0 * b), rel=1e-15)
 
     def test_dead_zone_boundaries_half_open(self):
         a = indicator_threshold(SHOWCASE)
         sigma_t = SHOWCASE.sigma * SHOWCASE.T
         # b = a stays on the bond; b = a + sigma_t is still dead
-        assert skorokhod_unbiased_sample(SHOWCASE, draw(a)).value == SHOWCASE.M
-        assert skorokhod_unbiased_sample(SHOWCASE, draw(a + sigma_t)).value == 0.0
-
-
-class TestScalarVectorAgreement:
-    def test_all_samplers(self):
-        p = validate_params(2, 0.03, 0.21, 0.7, 1.5)
-        alloc = Allocation(0.5, 1.5)
-        b = brownian_terminal_block(RngStream(7), 0, 257, p.T)
-        hv = honest_values(p, alloc, b)
-        fv = forward_insider_values(p, b)
-        sv = skorokhod_unbiased_values(p, b)
-        for k in (0, 100, 256):
-            d = draw(b[k])
-            assert honest_terminal_wealth(p, alloc, d).value == hv[k]
-            assert forward_insider_terminal_wealth(p, d).value == fv[k]
-            assert skorokhod_unbiased_sample(p, d).value == sv[k]
+        assert one(skorokhod_unbiased_values, SHOWCASE, a) == SHOWCASE.M
+        assert one(skorokhod_unbiased_values, SHOWCASE, a + sigma_t) == 0.0
 
 
 class TestForwardEuler:
     def test_needs_increments(self):
+        # A 1-d array of terminal values is not a (n_paths, n_steps) block.
         with pytest.raises(OutOfDomainError):
-            forward_euler_terminal(SHOWCASE, draw(0.0))
+            forward_euler_values(SHOWCASE, np.array([0.0, 0.5]))
+        with pytest.raises(OutOfDomainError):
+            forward_euler_values(SHOWCASE, np.zeros((1, 0)))
 
     def test_zero_increments_select_bond(self):
         # mu = rho makes a = sigma T / 2 > 0 >= b_T
         p = validate_params(1, 0.05, 0.05, 0.4, 1)
-        b = BrownianDraw(terminal_value=0.0, increments=np.zeros(8))
-        s = forward_euler_terminal(p, b)
-        assert s.value == p.M * math.exp(p.rho * p.T)
+        values, clamped = forward_euler_values(p, np.zeros((1, 8)))
+        assert values[0] == p.M * math.exp(p.rho * p.T)
+        assert not clamped[0]
 
     def test_single_step_product(self):
         b_t = 0.9  # above a = 0
-        b = BrownianDraw(terminal_value=b_t, increments=np.array([b_t]))
-        s = forward_euler_terminal(SHOWCASE, b)
+        values, _ = forward_euler_values(SHOWCASE, np.array([[b_t]]))
         expected = SHOWCASE.M * (1 + SHOWCASE.mu * SHOWCASE.T + SHOWCASE.sigma * b_t)
-        assert s.value == pytest.approx(expected, rel=1e-15)
+        assert values[0] == pytest.approx(expected, rel=1e-15)
 
     def test_negative_step_clamps_to_zero(self):
         p = validate_params(1, 0.0, 0.1, 1.0, 1.0)  # threshold a = 0.4

@@ -4,14 +4,10 @@ import numpy as np
 import pytest
 
 from insidermc import (
-    BrownianDraw,
     IndexOverflowError,
     OutOfDomainError,
     RngStream,
-    brownian_increments,
-    brownian_terminal,
     normal_cdf,
-    standard_normal,
     standard_normal_block,
     uniform_block,
 )
@@ -28,18 +24,16 @@ def test_seed_validation():
             RngStream(bad)
 
 
+def normal_at(stream, index):
+    return float(standard_normal_block(stream, index, 1)[0])
+
+
 def test_draws_are_deterministic():
-    a = standard_normal(STREAM, 7)
-    b = standard_normal(RngStream(42), 7)
+    a = normal_at(STREAM, 7)
+    b = normal_at(RngStream(42), 7)
     assert a == b
-    assert a != standard_normal(STREAM, 8)
-    assert a != standard_normal(RngStream(43), 7)
-
-
-def test_scalar_matches_block():
-    block = standard_normal_block(STREAM, 0, 64)
-    for k in (0, 1, 17, 63):
-        assert standard_normal(STREAM, k) == block[k]
+    assert a != normal_at(STREAM, 8)
+    assert a != normal_at(RngStream(43), 7)
 
 
 def test_chunk_independence_bitwise():
@@ -86,11 +80,10 @@ def test_kolmogorov_smirnov_full():
 
 
 def test_brownian_terminal_scaling():
-    d1 = brownian_terminal(STREAM, 5, 1.0)
-    assert d1.terminal_value == standard_normal(STREAM, 5)
-    d4 = brownian_terminal(STREAM, 5, 4.0)
-    assert d4.terminal_value == 2.0 * standard_normal(STREAM, 5)
-    assert d1.increments is None and d1.n_steps == 0
+    b1 = brownian_terminal_block(STREAM, 5, 1, 1.0)
+    assert b1.shape == (1,)
+    assert b1[0] == normal_at(STREAM, 5)
+    assert brownian_terminal_block(STREAM, 5, 1, 4.0)[0] == 2.0 * normal_at(STREAM, 5)
 
 
 def test_brownian_terminal_variance():
@@ -99,15 +92,17 @@ def test_brownian_terminal_variance():
 
 
 def test_increments_sum_to_terminal():
-    draw = brownian_increments(STREAM, 3, 2.5, 16)
-    assert draw.n_steps == 16
-    assert abs(draw.increments.sum() - draw.terminal_value) <= 1e-12 * math.sqrt(2.5)
+    # Path 3 of 16 steps sums the scaled normals at counters 48..63.
+    inc = brownian_increments_block(STREAM, 3, 1, 2.5, 16)
+    assert inc.shape == (1, 16)
+    terminal = math.sqrt(2.5 / 16) * standard_normal_block(STREAM, 48, 16).sum()
+    assert abs(inc.sum() - terminal) <= 1e-12 * math.sqrt(2.5)
 
 
 def test_increments_single_step_matches_terminal_subindex():
-    draw = brownian_increments(STREAM, 9, 1.7, 1)
+    inc = brownian_increments_block(STREAM, 9, 1, 1.7, 1)
     # n_steps = 1 consumes exactly raw counter 9
-    assert draw.increments[0] == brownian_terminal(STREAM, 9, 1.7).terminal_value
+    assert inc[0, 0] == brownian_terminal_block(STREAM, 9, 1, 1.7)[0]
 
 
 def test_increments_disjoint_counter_ranges():
@@ -125,11 +120,6 @@ def test_increments_terminal_variance():
 
 def test_index_overflow():
     with pytest.raises(IndexOverflowError):
-        brownian_increments(STREAM, 2**62, 1.0, 4)
+        brownian_increments_block(STREAM, 2**62, 1, 1.0, 4)
     with pytest.raises(IndexOverflowError):
-        standard_normal(STREAM, 2**63)
-
-
-def test_brownian_draw_invariant_enforced():
-    with pytest.raises(OutOfDomainError):
-        BrownianDraw(terminal_value=1.0, increments=np.array([0.1, 0.2]))
+        standard_normal_block(STREAM, 2**63, 1)
