@@ -58,9 +58,10 @@ __all__ = [
 GRANULE = 4096
 # Two-sided 95% normal quantile; n is always large here, no t-correction.
 CI95 = 1.959964
-# Target draw count per generation task (whole granules); larger tasks
-# amortize numpy call overhead without touching the reduction shape.
-_TASK_TARGET = 1 << 22
+# Target draw count per generation task (whole granules): 2^16 keeps each
+# float64 temporary at 512 KiB, within L2, and splits n = 10^6 into 16 tasks
+# for the workers.  The reduction shape, hence every result bit, ignores it.
+_TASK_TARGET = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -80,6 +81,8 @@ class MCEstimate:
     seed: int
     zero_fraction: float
     m2: float = 0.0
+    zero_count: int = 0  # exact, so a merge never rounds zero_fraction * n
+    start: int = 0  # first draw index; merges require adjacent ranges
 
     def z_against(self, reference: float) -> float:
         return z_score(self, reference)
@@ -187,7 +190,7 @@ def _stats_over_blocks(
     return stats, sum(tally for _, tally in results)
 
 
-def _finalize(stats: list[_Stats], seed: int) -> MCEstimate:
+def _finalize(stats: list[_Stats], seed: int, start: int) -> MCEstimate:
     n, mean, m2, zeros = _merge_tree(stats)
     if not (math.isfinite(mean) and math.isfinite(m2)):
         raise WealthOverflowError(
@@ -204,6 +207,8 @@ def _finalize(stats: list[_Stats], seed: int) -> MCEstimate:
         seed=seed,
         zero_fraction=zeros / n,
         m2=m2,
+        zero_count=zeros,
+        start=start,
     )
 
 
@@ -255,7 +260,7 @@ def estimate_mean(
         return skorokhod_unbiased_values(p, b_t), 0
 
     stats, _ = _stats_over_blocks(make_values, _granule_spans(start, n), chunks)
-    return _finalize(stats, seed)
+    return _finalize(stats, seed, start)
 
 
 def estimate_euler_mean(
@@ -285,7 +290,7 @@ def estimate_euler_mean(
         make_values, _granule_spans(start, n), chunks, width=n_steps
     )
     return EulerEstimate(
-        estimate=_finalize(stats, seed), n_steps=n_steps, clamp_count=clamp_count
+        estimate=_finalize(stats, seed, start), n_steps=n_steps, clamp_count=clamp_count
     )
 
 
@@ -344,23 +349,21 @@ def skorokhod_factorized_estimate(
         ci95_halfwidth=CI95 * stderr,
         seed=stream.seed,
         zero_fraction=0.0,
-        m2=0.0,
     )
 
 
 def merge_estimates(a: MCEstimate, b: MCEstimate) -> MCEstimate:
-    """Combine estimates over adjacent index ranges of the same stream.
+    """Combine estimates of one stream over adjacent index ranges, a then b.
 
     Reproduces the full-range estimate bitwise when both halves are whole
     granule runs (the reduction tree splits ranges at their midpoint).
     """
-    if a.seed != b.seed:
-        raise OutOfDomainError("cannot merge estimates from different seeds")
+    if a.seed != b.seed or b.start != a.start + a.n:
+        raise OutOfDomainError("merge needs one seed and adjacent ranges, a then b")
     stats = _merge_pair(
-        (a.n, a.mean, a.m2, round(a.zero_fraction * a.n)),
-        (b.n, b.mean, b.m2, round(b.zero_fraction * b.n)),
+        (a.n, a.mean, a.m2, a.zero_count), (b.n, b.mean, b.m2, b.zero_count)
     )
-    return _finalize([stats], a.seed)
+    return _finalize([stats], a.seed, a.start)
 
 
 def z_score(est: MCEstimate, reference: float) -> float:

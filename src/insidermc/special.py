@@ -3,9 +3,9 @@
 Accuracy target is 1e-12 absolute so that special-function error is
 negligible against Monte Carlo tolerances (~1e-4).  The forward functions
 delegate to scipy.special's compiled routines (documented accuracy a few
-ulps); the inverse starts from the rational approximation ``ndtri`` and
-applies one Newton refinement step against :func:`normal_cdf`, carried out
-on the smaller of (u, 1-u) so no digits are lost to cancellation.
+ulps).  The inverse is scipy's ``ndtri`` on the smaller of (u, 1-u), exactly
+antisymmetric about 0.5 and checked against a frozen 50-digit oracle table
+over u in [1e-300, 1 - 2^-53] to 1e-14 relative error.
 
 Scalar calls and the vectorized helpers used by the sampling pipeline share
 one array core, so a scalar result is bit-identical to the matching entry of
@@ -24,7 +24,6 @@ from .errors import NotFiniteError, OutOfDomainError
 __all__ = ["erf", "erfc", "normal_cdf", "inverse_normal_cdf"]
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
-_INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 def erf(x: float) -> float:
@@ -66,33 +65,19 @@ def normal_cdf(x: float) -> float:
     return 0.5 * float(_sc.erfc(-x * _INV_SQRT2))
 
 
-def _normal_cdf_array(x: np.ndarray) -> np.ndarray:
-    return 0.5 * _sc.erfc(-x * _INV_SQRT2)
-
-
 def _inverse_normal_cdf_array(u: np.ndarray) -> np.ndarray:
-    """Vectorized inverse CDF; expects every entry strictly inside (0, 1)."""
-    u = np.asarray(u, dtype=np.float64)
-    upper = u > 0.5
-    # 1 - u is exact for u in [0.5, 1], so both branches work on v in (0, 0.5].
-    v = np.where(upper, 1.0 - u, u)
-    x = _sc.ndtri(v)
-    # One Newton step against normal_cdf.  x <= 0 here, so Phi(x) is the
-    # relative-accurate erfc tail and the residual Phi(x) - v carries no
-    # cancellation.  Skip the step where the density underflows.
-    pdf = np.exp(-0.5 * x * x) * _INV_SQRT2PI
-    residual = _normal_cdf_array(x) - v
-    with np.errstate(divide="ignore", invalid="ignore"):
-        step = np.where(pdf > 0.0, residual / pdf, 0.0)
-    x = x - step
-    return np.where(upper, -x, x)
+    """Vectorized inverse CDF; expects a float64 array strictly inside (0, 1)."""
+    # 1 - u is exact for u >= 0.5, so ndtri sees min(u, 1 - u) in (0, 0.5] with
+    # full relative precision; the sign of u - 0.5 restores the upper half.
+    return np.copysign(_sc.ndtri(np.minimum(u, 1.0 - u)), u - 0.5)
 
 
 def inverse_normal_cdf(u: float) -> float:
     """Quantile x with Phi(x) = u, for u strictly in (0, 1).
 
-    Strictly increasing in u; |Phi(x) - u| <= 1e-12 over
-    u in [1e-300, 1 - 1e-16].
+    Strictly increasing in u.  Over u in [1e-300, 1 - 2^-53], checked
+    against a 50-digit oracle: relative error <= 1e-14 and
+    |Phi(x) - u| <= 1e-12.
 
     Raises
     ------

@@ -15,7 +15,8 @@ trusts the code under test to produce its own expected values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -102,6 +103,7 @@ class CriterionResult:
     name: str
     passed: bool
     detail: str
+    seconds: float = field(default=0.0, compare=False)  # wall time, never rendered
 
     def line(self, total: int) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -376,17 +378,25 @@ def _c10_special_functions() -> CriterionResult:
     )
 
 
-def run_verify(seed: int = DEFAULT_SEED, chunks: int = 1) -> VerifySummary:
-    """Run the whole acceptance battery under the given archived seed."""
-    results = [_c01_closed_form_triple()]
-    results.append(_ordering_criterion(2, "bull-ordering", "bull", seed))
-    results.append(_ordering_criterion(3, "bear-ordering", "bear", seed))
-    results.append(_ordering_criterion(4, "marginal-identities", "marginal", seed))
+def _criteria(seed: int, chunks: int):
+    yield _c01_closed_form_triple()
+    yield _ordering_criterion(2, "bull-ordering", "bull", seed)
+    yield _ordering_criterion(3, "bear-ordering", "bear", seed)
+    yield _ordering_criterion(4, "marginal-identities", "marginal", seed)
     c05, rows = _c05_mc_agreement(seed, chunks)
-    results.append(c05)
-    results.append(_c06_factorized(seed, chunks, rows))
-    results.append(_c07_dead_zone(rows))
-    results.append(_c08_euler(seed, chunks))
-    results.append(_c09_determinism(seed))
-    results.append(_c10_special_functions())
+    yield c05
+    yield _c06_factorized(seed, chunks, rows)
+    yield _c07_dead_zone(rows)
+    yield _c08_euler(seed, chunks)
+    yield _c09_determinism(seed)
+    yield _c10_special_functions()
+
+
+def run_verify(seed: int = DEFAULT_SEED, chunks: int = 1) -> VerifySummary:
+    """Run the acceptance battery under an archived seed, timing each criterion."""
+    results = []
+    t0 = time.perf_counter()
+    for result in _criteria(seed, chunks):
+        results.append(replace(result, seconds=time.perf_counter() - t0))
+        t0 = time.perf_counter()
     return VerifySummary(seed=seed, results=tuple(results))

@@ -34,7 +34,7 @@ def test_criterion(summary, index, name):
     assert result.index == index
     assert result.name == name
     line = result.line(len(summary.results))
-    print(line)
+    print(f"{line}  ({result.seconds:.2f} s)")
     assert result.passed, line
 
 
@@ -42,6 +42,7 @@ def test_battery_verdict(summary):
     print(summary.render())
     assert summary.passed
     assert len(summary.results) == 10
+    assert all(r.seconds > 0.0 for r in summary.results)
     # The rendered battery at the archived seed is frozen byte for byte.
     digest = hashlib.sha256(summary.render().encode("utf-8")).hexdigest()
     assert digest == "46251c5ae285b674d065d4767a704f9024d7b6e4d01dd0903d82ad8a8ff6c8b5"
@@ -52,6 +53,13 @@ def test_line_total_comes_from_summary():
     rendered = VerifySummary(seed=1, results=results).render()
     assert rendered.splitlines()[0] == "[ 1/3] PASS  c1: ok"
     assert rendered.splitlines()[-1] == "VERIFY: PASS (3/3 criteria, seed=1)"
+
+
+def test_seconds_stay_out_of_render_and_equality():
+    fast = CriterionResult(1, "c1", True, "ok", seconds=0.5)
+    slow = CriterionResult(1, "c1", True, "ok", seconds=50.0)
+    assert fast == slow
+    assert VerifySummary(1, (fast,)).render() == VerifySummary(1, (slow,)).render()
 
 
 def test_harness_detects_corrupted_closed_form(monkeypatch):

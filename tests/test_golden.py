@@ -69,15 +69,15 @@ GOLDEN = {
     "sweep": (
         _sweep,
         (
-            "66fbce803698eb39579fc6c2202565d88c7a71b77643bd88a89deba282c7437b",
-            "c35936a4bd8c9c411ebbb06537f79e65cc53bf2199490bb9db32d90e318abfd5",
+            "6679af254048b1602b383adca3e50d78543f8ca5ba5cba240bca6a676dfb0bbe",
+            "3a291a2b84da977cc05a7acdf757fd2984f0d070ba0e9ca10c36afd7a0bce39a",
         ),
     ),
     "convergence": (
         _convergence,
         (
-            "c3159ae0c96547a54353e5c721d0394ceeec479a557f1a0e0a9d31550ed7aa4d",
-            "2fa761d746542c3c7f295923d6086f544c4585a52ce251b12952d1b46e00148a",
+            "eadbe09213a23a13f931a6ccb0abe867261ad07bc71778ffa8feb41989248490",
+            "bba4f988bd25ef495c33a90c594a9ee41ae0fd3e28df62eeba97d27c3b8d991e",
         ),
     ),
     "closed-form": (

@@ -8,6 +8,7 @@ from insidermc import (
     BadSampleCountError,
     DegenerateEstimateError,
     MCEstimate,
+    OutOfDomainError,
     RngStream,
     Trader,
     UnknownTraderError,
@@ -53,6 +54,23 @@ def test_half_estimates_merge_bitwise():
     left = estimate_mean(Trader.FORWARD_INSIDER, SHOWCASE, n // 2, seed=5, start=0)
     right = estimate_mean(Trader.FORWARD_INSIDER, SHOWCASE, n // 2, seed=5, start=n // 2)
     assert merge_estimates(left, right) == full
+
+
+def test_merge_rejects_ranges_that_are_not_adjacent():
+    n = 2 * GRANULE
+    a = estimate_mean(Trader.SKOROKHOD_UNBIASED, SHOWCASE, n, seed=5)
+    b = estimate_mean(Trader.SKOROKHOD_UNBIASED, SHOWCASE, n, seed=5, start=n)
+    gap = estimate_mean(Trader.SKOROKHOD_UNBIASED, SHOWCASE, n, seed=5, start=n + 1)
+    with pytest.raises(OutOfDomainError):
+        merge_estimates(a, a)  # would count every draw twice
+    with pytest.raises(OutOfDomainError):
+        merge_estimates(b, a)
+    with pytest.raises(OutOfDomainError):
+        merge_estimates(a, gap)
+    merged = merge_estimates(a, b)
+    assert (merged.n, merged.start) == (2 * n, 0)
+    assert merged.zero_count == a.zero_count + b.zero_count > 0
+    assert merged == estimate_mean(Trader.SKOROKHOD_UNBIASED, SHOWCASE, 2 * n, seed=5)
 
 
 def test_single_granule_consumes_exact_index_range():
@@ -188,7 +206,9 @@ def test_task_width_groups_granules_and_sums_tallies():
     assert stats == [(GRANULE, 2.0, 0.0, 0)] * 3
 
 
-def test_pool_capped_at_task_count(monkeypatch):
+@pytest.fixture
+def recorded_pools(monkeypatch):
+    """Swap the thread pool for one that records max_workers and maps inline."""
     created = []
 
     class RecordingPool:
@@ -206,9 +226,21 @@ def test_pool_capped_at_task_count(monkeypatch):
 
     monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingPool)
     monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 8)
+    return created
+
+
+def test_pool_capped_at_task_count(recorded_pools):
     # 65536 draws are one generation task: chunks=8 must run it inline.
     inline = estimate_mean(Trader.FORWARD_INSIDER, SHOWCASE, 65536, seed=9, chunks=8)
-    assert created == []
+    assert recorded_pools == []
     assert inline == estimate_mean(Trader.FORWARD_INSIDER, SHOWCASE, 65536, seed=9)
     assert montecarlo._run_tasks([lambda: 1, lambda: 2], 8) == [1, 2]
-    assert len(created) == 1 and created[0] <= 2
+    assert len(recorded_pools) == 1 and recorded_pools[0] <= 2
+
+
+def test_two_workers_share_a_million_draws(recorded_pools):
+    # n = 10^6 spans several generation tasks, so chunks=2 gives 2 workers work.
+    serial = estimate_mean(Trader.SKOROKHOD_UNBIASED, SHOWCASE, 10**6, seed=9)
+    assert recorded_pools == []
+    assert estimate_mean(Trader.SKOROKHOD_UNBIASED, SHOWCASE, 10**6, seed=9, chunks=2) == serial
+    assert recorded_pools == [2]

@@ -3,15 +3,119 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from scipy import integrate
+from scipy import integrate, special as sc
 
 from insidermc import NotFiniteError, OutOfDomainError, erf, inverse_normal_cdf, normal_cdf
+from insidermc.sampling import RngStream, uniform_block
+from insidermc.special import _inverse_normal_cdf_array
 from insidermc.verify import ERF_ORACLE_POINTS
 
 # mpmath (50 digits) oracle constants, frozen before the implementation:
 ERF_INV_SQRT2 = 0.6826894921370859  # = P(|Z| <= 1)
 PHI_1 = 0.8413447460685429
 PHI_MINUS_1 = 0.15865525393145705
+
+# mpmath (50 digits) oracle (u, Phi^{-1}(u)) over the guaranteed domain
+# [1e-300, 1 - 2^-53], frozen: both tails, the central range, 0.5 and its
+# nearest doubles.  Each u is an exact double; for u > 0.5 the reference is
+# -Phi^{-1}(1 - u), 1 - u being exact.
+INVERSE_ORACLE_POINTS = [
+    (1e-300, -37.0470962993612),
+    (1e-290, -36.420731673207996),
+    (1e-280, -35.78342139466302),
+    (1e-270, -35.13457108169202),
+    (1e-260, -34.473530546165776),
+    (1e-250, -33.79958617269484),
+    (1e-240, -33.11195190498638),
+    (1e-230, -32.409758515589346),
+    (1e-220, -31.69204074177796),
+    (1e-210, -30.95772174491063),
+    (1e-200, -30.20559417957964),
+    (1e-190, -29.43429692247552),
+    (1e-180, -28.64228617928618),
+    (1e-170, -27.827799215194567),
+    (1e-160, -26.988808268418403),
+    (1e-150, -26.122961190593983),
+    (1e-140, -25.22750382094229),
+    (1e-130, -24.299176717508363),
+    (1e-120, -23.334075067341868),
+    (1e-110, -22.327454339592123),
+    (1e-100, -21.273453560965326),
+    (1e-90, -20.164689059718683),
+    (1e-80, -18.991635878820208),
+    (1e-70, -17.741643174195335),
+    (1e-60, -16.39727821271871),
+    (1e-50, -14.933337534788489),
+    (1e-40, -13.31092137142517),
+    (1e-30, -11.464024688443615),
+    (1e-20, -9.262340089798407),
+    (1e-18, -8.757290348782314),
+    (1e-16, -8.222082216130435),
+    (1e-14, -7.650628092935269),
+    (1e-12, -7.034483825301132),
+    (1e-10, -6.361340902404057),
+    (1e-08, -5.612001244174789),
+    (2.5e-07, -5.026312836056685),
+    (1e-06, -4.753424308822899),
+    (0.0001, -3.7190164854556804),
+    (0.0073, -2.4421519515770322),
+    (0.01, -2.326347874040841),
+    (0.025, -1.9599639845400543),
+    (0.05, -1.6448536269514726),
+    (0.1, -1.2815515655446004),
+    (0.15, -1.0364333894937896),
+    (0.1587, -0.9998150936147444),
+    (0.2, -0.8416212335729142),
+    (0.25, -0.6744897501960817),
+    (0.3, -0.5244005127080408),
+    (0.35, -0.3853204664075677),
+    (0.4, -0.2533471031357997),
+    (0.4375, -0.1573106846101707),
+    (0.45, -0.12566134685507402),
+    (0.4990234375, -0.0024478816191106775),
+    (0.4999990463256836, -2.390507006295574e-06),
+    (0.4999999990686774, -2.3344794983332983e-09),
+    (0.4999999999990905, -2.2797651350911116e-12),
+    (0.4999999999999999, -2.782916424671767e-16),
+    (0.49999999999999994, -1.3914582123358836e-16),
+    (0.5, 0.0),
+    (0.5000000000000001, 2.782916424671767e-16),
+    (0.5000000000009095, 2.2797651350911116e-12),
+    (0.5000000009313226, 2.3344794983332983e-09),
+    (0.5000009536743164, 2.390507006295574e-06),
+    (0.5009765625, 0.0024478816191106775),
+    (0.55, 0.12566134685507416),
+    (0.5625, 0.1573106846101707),
+    (0.6, 0.2533471031357997),
+    (0.65, 0.3853204664075677),
+    (0.7, 0.5244005127080407),
+    (0.75, 0.6744897501960817),
+    (0.8, 0.8416212335729144),
+    (0.8413, 0.9998150936147446),
+    (0.85, 1.0364333894937894),
+    (0.9, 1.2815515655446006),
+    (0.95, 1.6448536269514722),
+    (0.975, 1.9599639845400538),
+    (0.99, 2.3263478740408408),
+    (0.9927, 2.4421519515770336),
+    (0.99609375, 2.6600674686174597),
+    (0.9999, 3.7190164854557084),
+    (0.9999847412109375, 4.169569323349106),
+    (0.999999, 4.753424308817087),
+    (0.9999999403953552, 5.294704084854598),
+    (0.99999999, 5.612001243305505),
+    (0.9999999997671694, 6.230260137989043),
+    (0.9999999999, 6.361340889697422),
+    (0.999999999999, 7.0344869100478356),
+    (0.9999999999990905, 7.047700256664409),
+    (0.9999999999999432, 7.423939811985983),
+    (0.99999999999999, 7.650730905155643),
+    (0.9999999999999964, 7.782590617802448),
+    (0.9999999999999991, 7.956038125481531),
+    (0.9999999999999996, 8.041399959096543),
+    (0.9999999999999998, 8.125890664701906),
+    (0.9999999999999999, 8.209536151601387),
+]
 
 
 def test_erf_archived_oracle_points():
@@ -80,6 +184,36 @@ def test_inverse_reference_values():
     for bad in (0.0, 1.0, -0.1, 1.1, float("nan")):
         with pytest.raises(OutOfDomainError):
             inverse_normal_cdf(bad)
+
+
+def test_inverse_archived_oracle_points():
+    assert INVERSE_ORACLE_POINTS[0][0] == 1e-300
+    assert INVERSE_ORACLE_POINTS[-1][0] == 1.0 - 2.0**-53
+    for u, expected in INVERSE_ORACLE_POINTS:
+        x = inverse_normal_cdf(u)
+        assert abs(x - expected) <= 1e-14 * abs(expected), (u, x, expected)
+        assert abs(normal_cdf(x) - u) <= 1e-12, (u, x)
+
+
+def test_inverse_fold_is_exactly_antisymmetric():
+    u = uniform_block(RngStream(5), 0, 30_000)
+    u = u[u >= 0.5][:10_000]
+    assert u.size == 10_000
+    upper = _inverse_normal_cdf_array(u)
+    lower = _inverse_normal_cdf_array(1.0 - u)  # 1 - u is exact for u >= 0.5
+    assert np.array_equal(upper.view(np.int64), (-lower).view(np.int64))
+    center = _inverse_normal_cdf_array(np.array([0.5]))[0]
+    assert center == 0.0 and math.copysign(1.0, center) == 1.0
+
+
+def test_fused_fold_matches_select_fold_bitwise():
+    """min/copysign fold == the branchy select fold, sign of zero included."""
+    edges = [1e-300, 2.0**-54, 0.5 - 2.0**-54, 0.5, 0.5 + 2.0**-53, 1.0 - 2.0**-53]
+    u = np.concatenate([uniform_block(RngStream(3), 0, 20_000), edges])
+    upper = u > 0.5
+    x = sc.ndtri(np.where(upper, 1.0 - u, u))
+    reference = np.where(upper, -x, x)
+    assert np.array_equal(_inverse_normal_cdf_array(u).view(np.int64), reference.view(np.int64))
 
 
 def test_inverse_hits_target_probability():
