@@ -34,7 +34,7 @@ from .market import (
     indicator_threshold,
     validate_params,
 )
-from .special import erf, erfc, inverse_normal_cdf, normal_cdf
+from .special import erf, inverse_normal_cdf, normal_cdf
 from .sampling import RngStream, derive_seed, standard_normal_block, uniform_block
 from .samplers import Trader
 from .closedform import (
@@ -77,7 +77,7 @@ __all__ = [
     "MarketParams", "Allocation", "Regime", "validate_params",
     "indicator_threshold", "classify_regime",
     # special functions
-    "erf", "erfc", "normal_cdf", "inverse_normal_cdf",
+    "erf", "normal_cdf", "inverse_normal_cdf",
     # sampling
     "RngStream", "standard_normal_block", "uniform_block", "derive_seed",
     # samplers

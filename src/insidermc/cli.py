@@ -188,52 +188,31 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _dispatch(args) -> int:
-    timestamp = not getattr(args, "no_timestamp", False)
-
-    if args.command == "closed-form":
-        report = compare_closed_form(validate_params(args.M, args.rho, args.mu,
-                                                     args.sigma, args.T))
-        if args.format == "csv":
-            _emit(closed_form_csv([report]), args.out)
-        else:
-            _emit(closed_form_json([report], timestamp=timestamp), args.out)
-        return 0
-
-    if args.command == "compare":
-        p = validate_params(args.M, args.rho, args.mu, args.sigma, args.T)
-        row = run_compare(p, args.samples, args.seed, args.chunks)
-        if args.format == "csv":
-            _emit(comparison_csv([row]), args.out)
-        else:
-            _emit(comparison_json([row], args.seed, args.samples, timestamp), args.out)
-        return 0
-
-    if args.command == "sweep":
-        base = validate_params(args.M, args.rho, args.mu, args.sigma, args.T)
-        spec = SweepSpec(base=base, sweep_field=args.sweep_field, grid=args.grid,
-                         samples=args.samples, seed=args.seed, chunks=args.chunks)
-        rows = run_sweep(spec)
-        if args.format == "csv":
-            _emit(comparison_csv(rows), args.out)
-        else:
-            _emit(comparison_json(rows, args.seed, args.samples, timestamp), args.out)
-        return 0
-
-    if args.command == "convergence":
-        p = validate_params(args.M, args.rho, args.mu, args.sigma, args.T)
-        rows = run_convergence(p, list(args.steps), args.samples, args.seed, args.chunks)
-        if args.format == "csv":
-            _emit(convergence_csv(rows), args.out)
-        else:
-            _emit(convergence_json(rows, args.seed, args.samples, timestamp), args.out)
-        return 0
-
     if args.command == "verify":
         summary = run_verify(args.seed, args.chunks)
         _emit(summary.render(), args.out)
         return 0 if summary.passed else VERIFY_FAILURE
 
-    raise AssertionError(f"unhandled command {args.command!r}")  # pragma: no cover
+    p = validate_params(args.M, args.rho, args.mu, args.sigma, args.T)
+    if args.command == "closed-form":
+        rows, emitters = [compare_closed_form(p)], (closed_form_csv, closed_form_json)
+    elif args.command == "compare":
+        rows = [run_compare(p, args.samples, args.seed, args.chunks)]
+        emitters = comparison_csv, comparison_json
+    elif args.command == "sweep":
+        spec = SweepSpec(base=p, sweep_field=args.sweep_field, grid=args.grid,
+                         samples=args.samples, seed=args.seed, chunks=args.chunks)
+        rows, emitters = run_sweep(spec), (comparison_csv, comparison_json)
+    else:
+        rows = run_convergence(p, list(args.steps), args.samples, args.seed, args.chunks)
+        emitters = convergence_csv, convergence_json
+    to_csv, to_json = emitters
+    # Closed forms draw nothing, so their JSON carries no seed or sample count.
+    json_meta = () if args.command == "closed-form" else (args.seed, args.samples)
+    timestamp = not args.no_timestamp
+    _emit(to_csv(rows) if args.format == "csv" else to_json(rows, *json_meta, timestamp),
+          args.out)
+    return 0
 
 
 if __name__ == "__main__":

@@ -138,55 +138,34 @@ def _merge_tree(stats: list[_Stats]) -> _Stats:
     return _merge_pair(_merge_tree(stats[:mid]), _merge_tree(stats[mid:]))
 
 
-def _granule_spans(start: int, n: int) -> list[tuple[int, int]]:
-    """(offset, count) pairs covering [start, start+n) in GRANULE pieces."""
-    spans = []
-    offset = start
-    end = start + n
-    while offset < end:
-        count = min(GRANULE, end - offset)
-        spans.append((offset, count))
-        offset += count
-    return spans
-
-
-def _run_tasks(tasks, chunks: int):
+def _run_tasks(task, offsets, chunks: int) -> list:
     # No more threads than there are tasks or cores; one worker runs inline.
-    workers = min(chunks, len(tasks), os.cpu_count() or 1)
+    workers = min(chunks, len(offsets), os.cpu_count() or 1)
     if workers == 1:
-        return [task() for task in tasks]
+        return [task(offset) for offset in offsets]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda task: task(), tasks))
+        return list(pool.map(task, offsets))
 
 
 def _stats_over_blocks(
-    make_values, spans, chunks: int, width: int = 1
+    make_values, start: int, n: int, chunks: int, width: int = 1
 ) -> tuple[list[_Stats], int]:
-    """Evaluate ``make_values(offset, count) -> (values, tally)`` over groups
-    of granules and stat each granule separately; grouping never crosses the
-    reduction.  ``width`` is the number of draws per sample: generation
-    tasks shrink with it to bound the block each task holds.  Returns the
-    per-granule stats and the sum of the integer tallies.
+    """Evaluate ``make_values(offset, count) -> (values, tally)`` over runs of
+    whole granules covering [start, start+n) and stat each granule
+    separately; the runs never cross the reduction.  ``width`` is the number
+    of draws per sample: tasks shrink with it to bound the block each task
+    holds.  Returns the per-granule stats and the sum of the integer tallies.
     """
-    per_task = max(1, _TASK_TARGET // (GRANULE * width))
-    groups = [spans[i : i + per_task] for i in range(0, len(spans), per_task)]
+    end = start + n
+    step = GRANULE * max(1, _TASK_TARGET // (GRANULE * width))
 
-    def make_task(group):
-        def task():
-            g_start = group[0][0]
-            g_total = sum(c for _, c in group)
-            values, tally = make_values(g_start, g_total)
-            out = []
-            pos = 0
-            for _, count in group:
-                out.append(_granule_stats(values[pos : pos + count]))
-                pos += count
-            return out, tally
+    def task(offset: int) -> tuple[list[_Stats], int]:
+        values, tally = make_values(offset, min(step, end - offset))
+        granules = range(0, len(values), GRANULE)
+        return [_granule_stats(values[i : i + GRANULE]) for i in granules], tally
 
-        return task
-
-    results = _run_tasks([make_task(g) for g in groups], chunks)
-    stats = [s for group_stats, _ in results for s in group_stats]
+    results = _run_tasks(task, range(start, end, step), chunks)
+    stats = [s for task_stats, _ in results for s in task_stats]
     return stats, sum(tally for _, tally in results)
 
 
@@ -259,7 +238,7 @@ def estimate_mean(
             return forward_insider_values(p, b_t), 0
         return skorokhod_unbiased_values(p, b_t), 0
 
-    stats, _ = _stats_over_blocks(make_values, _granule_spans(start, n), chunks)
+    stats, _ = _stats_over_blocks(make_values, start, n, chunks)
     return _finalize(stats, seed, start)
 
 
@@ -286,9 +265,7 @@ def estimate_euler_mean(
         values, clamped = forward_euler_values(p, inc)
         return values, int(np.count_nonzero(clamped))
 
-    stats, clamp_count = _stats_over_blocks(
-        make_values, _granule_spans(start, n), chunks, width=n_steps
-    )
+    stats, clamp_count = _stats_over_blocks(make_values, start, n, chunks, n_steps)
     return EulerEstimate(
         estimate=_finalize(stats, seed, start), n_steps=n_steps, clamp_count=clamp_count
     )
@@ -322,8 +299,8 @@ def skorokhod_factorized_estimate(
         b_t = brownian_terminal_block(stream, offset, count, p.T)
         return np.exp(growth + p.sigma * b_t), 0
 
-    indicator_stats, _ = _stats_over_blocks(indicator_values, _granule_spans(0, n), chunks)
-    gbm_stats, _ = _stats_over_blocks(gbm_values, _granule_spans(n, n), chunks)
+    indicator_stats, _ = _stats_over_blocks(indicator_values, 0, n, chunks)
+    gbm_stats, _ = _stats_over_blocks(gbm_values, n, n, chunks)
     np_, p_hat, p_m2, _ = _merge_tree(indicator_stats)
     ng_, g_hat, g_m2, _ = _merge_tree(gbm_stats)
 

@@ -14,19 +14,13 @@ import csv
 import datetime
 import io
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 from . import __version__
 from .closedform import ClosedFormReport, compare_closed_form, forward_expected_wealth
 from .errors import OutOfDomainError, WealthOverflowError
 from .market import MarketParams, validate_params
-from .montecarlo import (
-    MCEstimate,
-    estimate_euler_mean,
-    estimate_mean,
-    z_score,
-)
+from .montecarlo import estimate_euler_mean, estimate_mean, z_score
 from .samplers import Trader
 from .sampling import derive_seed
 
@@ -73,7 +67,8 @@ class ComparisonRow:
     The ordering verdict comes from the closed forms alone; Monte Carlo
     noise never flips the reported theorem check.  ``error`` is set (and the
     stochastic fields are NaN) when the point overflowed instead of
-    evaluating.
+    evaluating.  The fields from ``regime`` to ``zero_fraction`` are named
+    and ordered as the CSV columns after ``T``.
     """
 
     params: MarketParams
@@ -120,17 +115,15 @@ class SweepSpec:
             self.point_params(g)
 
     def point_params(self, value: float) -> MarketParams:
-        raw = {
-            "M": self.base.M, "rho": self.base.rho, "mu": self.base.mu,
-            "sigma": self.base.sigma, "T": self.base.T,
-        }
+        raw = asdict(self.base)
         raw[self.sweep_field] = value
         return validate_params(**raw)
 
 
 @dataclass(frozen=True)
 class ConvergenceRow:
-    """One discretization level of the forward-Euler study."""
+    """One discretization level of the forward-Euler study; its fields are
+    the CSV columns, in order."""
 
     n_steps: int
     mc_mean: float
@@ -156,17 +149,8 @@ def run_compare(p: MarketParams, n: int, seed: int, chunks: int = 1) -> Comparis
     est_rs = estimate_mean(
         Trader.FORWARD_INSIDER, p, n, derive_seed(seed, _FORWARD), chunks
     )
-    return _assemble_row(report, est_honest, est_sk, est_rs)
-
-
-def _assemble_row(
-    report: ClosedFormReport,
-    est_honest: MCEstimate,
-    est_sk: MCEstimate,
-    est_rs: MCEstimate,
-) -> ComparisonRow:
     return ComparisonRow(
-        params=report.params,
+        params=p,
         regime=report.regime.value,
         cf_honest=report.honest_optimal,
         cf_skorokhod=report.skorokhod,
@@ -187,17 +171,10 @@ def _assemble_row(
 
 
 def _invalid_row(p: MarketParams, message: str) -> ComparisonRow:
-    nan = float("nan")
     return ComparisonRow(
         params=p,
         regime="invalid",
-        cf_honest=nan, cf_skorokhod=nan, cf_forward=nan,
-        mc_honest=nan, mc_honest_se=nan,
-        mc_sk=nan, mc_sk_se=nan,
-        mc_rs=nan, mc_rs_se=nan,
-        z_honest=nan, z_sk=nan, z_rs=nan,
-        ordering_pass=False,
-        zero_fraction=nan,
+        **{**dict.fromkeys(COMPARISON_COLUMNS[6:], float("nan")), "ordering_pass": False},
         rate_boundary=p.rate_boundary,
         error=message,
     )
@@ -256,20 +233,13 @@ def _fmt(value) -> str:
 
 
 def _comparison_cells(row: ComparisonRow) -> dict:
-    p = row.params
-    return {
-        "M": p.M, "rho": p.rho, "mu": p.mu, "sigma": p.sigma, "T": p.T,
-        "regime": row.regime,
-        "cf_honest": row.cf_honest,
-        "cf_skorokhod": row.cf_skorokhod,
-        "cf_forward": row.cf_forward,
-        "mc_honest": row.mc_honest, "mc_honest_se": row.mc_honest_se,
-        "mc_sk": row.mc_sk, "mc_sk_se": row.mc_sk_se,
-        "mc_rs": row.mc_rs, "mc_rs_se": row.mc_rs_se,
-        "z_honest": row.z_honest, "z_sk": row.z_sk, "z_rs": row.z_rs,
-        "ordering_pass": row.ordering_pass,
-        "zero_fraction": row.zero_fraction,
-    }
+    # The JSON-only keys ride along; the CSV picks its cells by column.
+    cells = asdict(row.params)
+    cells.update({c: getattr(row, c) for c in COMPARISON_COLUMNS[5:]})
+    cells["rate_boundary"] = row.rate_boundary
+    if row.error is not None:
+        cells["error"] = row.error
+    return cells
 
 
 def _csv_from(columns: list[str], dict_rows: list[dict]) -> str:
@@ -309,26 +279,20 @@ def comparison_csv(rows: list[ComparisonRow]) -> str:
 def comparison_json(
     rows: list[ComparisonRow], seed: int, samples: int, timestamp: bool = True
 ) -> str:
-    dict_rows = []
-    for r in rows:
-        cells = _comparison_cells(r)
-        cells["rate_boundary"] = r.rate_boundary
-        if r.error is not None:
-            cells["error"] = r.error
-        dict_rows.append(cells)
-    return _json_from(dict_rows, seed, samples, timestamp)
+    return _json_from([_comparison_cells(r) for r in rows], seed, samples, timestamp)
 
 
 def _closed_form_cells(report: ClosedFormReport) -> dict:
-    p = report.params
-    return {
-        "M": p.M, "rho": p.rho, "mu": p.mu, "sigma": p.sigma, "T": p.T,
-        "regime": report.regime.value,
-        "cf_honest": report.honest_optimal,
-        "cf_skorokhod": report.skorokhod,
-        "cf_forward": report.forward,
-        "ordering_pass": report.ordering_pass,
-    }
+    cells = asdict(report.params)
+    cells.update(
+        regime=report.regime.value,
+        cf_honest=report.honest_optimal,
+        cf_skorokhod=report.skorokhod,
+        cf_forward=report.forward,
+        ordering_pass=report.ordering_pass,
+        rate_boundary=report.rate_boundary,
+    )
+    return cells
 
 
 def closed_form_csv(reports: list[ClosedFormReport]) -> str:
@@ -336,30 +300,14 @@ def closed_form_csv(reports: list[ClosedFormReport]) -> str:
 
 
 def closed_form_json(reports: list[ClosedFormReport], timestamp: bool = True) -> str:
-    dict_rows = []
-    for r in reports:
-        cells = _closed_form_cells(r)
-        cells["rate_boundary"] = r.rate_boundary
-        dict_rows.append(cells)
-    return _json_from(dict_rows, None, None, timestamp)
-
-
-def _convergence_cells(row: ConvergenceRow) -> dict:
-    return {
-        "n_steps": row.n_steps,
-        "mc_mean": row.mc_mean,
-        "mc_se": row.mc_se,
-        "cf_forward": row.cf_forward,
-        "abs_bias": row.abs_bias,
-        "clamp_count": row.clamp_count,
-    }
+    return _json_from([_closed_form_cells(r) for r in reports], None, None, timestamp)
 
 
 def convergence_csv(rows: list[ConvergenceRow]) -> str:
-    return _csv_from(CONVERGENCE_COLUMNS, [_convergence_cells(r) for r in rows])
+    return _csv_from(CONVERGENCE_COLUMNS, [asdict(r) for r in rows])
 
 
 def convergence_json(
     rows: list[ConvergenceRow], seed: int, samples: int, timestamp: bool = True
 ) -> str:
-    return _json_from([_convergence_cells(r) for r in rows], seed, samples, timestamp)
+    return _json_from([asdict(r) for r in rows], seed, samples, timestamp)

@@ -121,8 +121,6 @@ def brownian_increments_block(
 
 
 def derive_seed(seed: int, ordinal: int) -> int:
-    """A decorrelated child seed for sub-task ``ordinal`` of a master seed."""
-    z = (seed + (ordinal + 1) * _GOLDEN) & _MASK64
-    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-    return (z ^ (z >> 31)) & _MASK64
+    """A decorrelated child seed for sub-task ``ordinal`` of a master seed:
+    word ``ordinal`` of the master seed's stream."""
+    return int(_words(RngStream(seed).seed, ordinal, 1)[0])

@@ -6,7 +6,23 @@ import sys
 
 import pytest
 
-from insidermc import cli
+from insidermc import (
+    SweepSpec,
+    cli,
+    compare_closed_form,
+    run_compare,
+    run_convergence,
+    run_sweep,
+    validate_params,
+)
+from insidermc.report import (
+    closed_form_csv,
+    closed_form_json,
+    comparison_csv,
+    comparison_json,
+    convergence_csv,
+    convergence_json,
+)
 
 ORACLE_TRIPLE = (1.6487212707001282, 1.324360635350064, 1.8871429788350047)
 
@@ -148,3 +164,43 @@ def test_overflowed_statistic_exits_2():
                      "--samples", "8192")
     assert result.returncode == 2
     assert result.stdout == ""
+
+
+BASE = validate_params(1, 0.05, 0.1, 0.2, 1)
+N, SEED = 8192, 7
+MARKET_FLAGS = ["--rho", "0.05", "--mu", "0.1", "--sigma", "0.2", "--no-timestamp"]
+MC_FLAGS = [*MARKET_FLAGS, "--samples", str(N), "--seed", str(SEED)]
+# command -> (argv, rows from the library, (csv emitter, json emitter))
+REPORT_COMMANDS = {
+    "closed-form": (
+        ["closed-form", *MARKET_FLAGS],
+        lambda: [compare_closed_form(BASE)],
+        (closed_form_csv, lambda rows: closed_form_json(rows, timestamp=False)),
+    ),
+    "compare": (
+        ["compare", *MC_FLAGS],
+        lambda: [run_compare(BASE, N, SEED)],
+        (comparison_csv, lambda rows: comparison_json(rows, SEED, N, timestamp=False)),
+    ),
+    "sweep": (
+        # T = 8000 overflows the closed forms: the grid ends in an invalid row.
+        ["sweep", *MC_FLAGS, "--sweep-field", "T", "--grid", "0.5,2,8000"],
+        lambda: run_sweep(SweepSpec(base=BASE, sweep_field="T", grid=(0.5, 2.0, 8000.0),
+                                    samples=N, seed=SEED)),
+        (comparison_csv, lambda rows: comparison_json(rows, SEED, N, timestamp=False)),
+    ),
+    "convergence": (
+        ["convergence", *MC_FLAGS, "--steps", "1,4,16"],
+        lambda: run_convergence(BASE, [1, 4, 16], N, SEED),
+        (convergence_csv, lambda rows: convergence_json(rows, SEED, N, timestamp=False)),
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", list(REPORT_COMMANDS))
+def test_report_command_prints_library_emitter_output(command, fmt, capsys):
+    argv, rows, (to_csv, to_json) = REPORT_COMMANDS[command]
+    assert cli.main([*argv, "--format", fmt]) == 0
+    expected = to_csv(rows()) if fmt == "csv" else to_json(rows())
+    assert capsys.readouterr().out == expected

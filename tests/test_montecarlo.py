@@ -187,7 +187,6 @@ def test_factorized_overflowed_variance_raises():
 
 
 def test_task_width_groups_granules_and_sums_tallies():
-    spans = montecarlo._granule_spans(0, 3 * GRANULE)
     calls = []
 
     def make_values(offset, count):
@@ -195,15 +194,20 @@ def test_task_width_groups_granules_and_sums_tallies():
         return np.full(count, 2.0), 1
 
     # One draw per sample: all three granules form one task.
-    stats, tally = montecarlo._stats_over_blocks(make_values, spans, 1)
+    stats, tally = montecarlo._stats_over_blocks(make_values, 0, 3 * GRANULE, 1)
     assert calls == [(0, 3 * GRANULE)] and tally == 1 and len(stats) == 3
     # A sample as wide as a whole task target: one granule per task.
     calls.clear()
     wide = montecarlo._TASK_TARGET // GRANULE
-    stats, tally = montecarlo._stats_over_blocks(make_values, spans, 1, wide)
+    stats, tally = montecarlo._stats_over_blocks(make_values, 0, 3 * GRANULE, 1, wide)
     assert calls == [(0, GRANULE), (GRANULE, GRANULE), (2 * GRANULE, GRANULE)]
     assert tally == 3
     assert stats == [(GRANULE, 2.0, 0.0, 0)] * 3
+    # A range that starts and ends off the granule grid keeps a short last granule.
+    calls.clear()
+    stats, tally = montecarlo._stats_over_blocks(make_values, 5, GRANULE + 3, 1, wide)
+    assert calls == [(5, GRANULE), (5 + GRANULE, 3)] and tally == 2
+    assert [s[0] for s in stats] == [GRANULE, 3]
 
 
 @pytest.fixture
@@ -234,7 +238,7 @@ def test_pool_capped_at_task_count(recorded_pools):
     inline = estimate_mean(Trader.FORWARD_INSIDER, SHOWCASE, 65536, seed=9, chunks=8)
     assert recorded_pools == []
     assert inline == estimate_mean(Trader.FORWARD_INSIDER, SHOWCASE, 65536, seed=9)
-    assert montecarlo._run_tasks([lambda: 1, lambda: 2], 8) == [1, 2]
+    assert montecarlo._run_tasks(lambda offset: offset, [1, 2], 8) == [1, 2]
     assert len(recorded_pools) == 1 and recorded_pools[0] <= 2
 
 

@@ -7,6 +7,7 @@ from insidermc import (
     IndexOverflowError,
     OutOfDomainError,
     RngStream,
+    derive_seed,
     normal_cdf,
     standard_normal_block,
     uniform_block,
@@ -22,6 +23,27 @@ def test_seed_validation():
     for bad in (-1, 2**64, 1.5):
         with pytest.raises(OutOfDomainError):
             RngStream(bad)
+
+
+def test_derive_seed_frozen_values():
+    # Recorded from the pure-integer splitmix64 finalizer; child seeds feed every
+    # report, so any drift here moves every estimate.
+    frozen = {
+        (0, 0): 0xE220A8397B1DCDAF,
+        (42, 0): 0xBDD732262FEB6E95,
+        (42, 1): 0x28EFE333B266F103,
+        (42, 2): 0x47526757130F9F52,
+        (7, 3): 0x953AEB70673E29CB,
+        (0xDEADBEEF, 1): 0xDE586A3141A10922,
+        (2**64 - 1, 0): 0xE4D971771B652C20,
+        (2**64 - 1, 5): 0xD31DADBDA438BB33,
+    }
+    for (seed, ordinal), child in frozen.items():
+        assert derive_seed(seed, ordinal) == child
+        assert type(derive_seed(seed, ordinal)) is int
+    for bad in (-1, 2**64):
+        with pytest.raises(OutOfDomainError):
+            derive_seed(bad, 0)
 
 
 def normal_at(stream, index):

@@ -207,7 +207,7 @@ def test_inverse_fold_is_exactly_antisymmetric():
 
 
 def test_fused_fold_matches_select_fold_bitwise():
-    """min/copysign fold == the branchy select fold, sign of zero included."""
+    """Bare ndtri == the branchy select fold, sign of zero included."""
     edges = [1e-300, 2.0**-54, 0.5 - 2.0**-54, 0.5, 0.5 + 2.0**-53, 1.0 - 2.0**-53]
     u = np.concatenate([uniform_block(RngStream(3), 0, 20_000), edges])
     upper = u > 0.5
