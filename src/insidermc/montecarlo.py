@@ -58,9 +58,12 @@ __all__ = [
 GRANULE = 4096
 # Two-sided 95% normal quantile; n is always large here, no t-correction.
 CI95 = 1.959964
-# Target draw count per generation task (whole granules): 2^16 keeps each
-# float64 temporary at 512 KiB, within L2, and splits n = 10^6 into 16 tasks
-# for the workers.  The reduction shape, hence every result bit, ignores it.
+# Target draw count per generated block: 2^16 keeps each float64 temporary
+# at 512 KiB, within L2, and splits n = 10^6 into 16 tasks for the workers.
+# A task is whole granules; when one granule of samples is wider than the
+# target (Euler, n_steps > 16) the task generates it in sub-blocks of
+# _TASK_TARGET // n_steps paths.  The reduction shape, hence every result
+# bit, ignores it.
 _TASK_TARGET = 1 << 16
 
 
@@ -254,16 +257,27 @@ def estimate_euler_mean(
 
     Each path ``i`` consumes raw draw counters ``i*n_steps .. (i+1)*n_steps-1``,
     so distinct paths and distinct step counts use disjoint index ranges.
+    Paths are generated and stepped in sub-blocks of ``_TASK_TARGET //
+    n_steps`` (at least one) paths, so no block holds more than
+    ``max(_TASK_TARGET, n_steps)`` draws; the counter-based stream makes every
+    result bit independent of that cut.
     """
     _check_counts(n, chunks)
     if n_steps < 1:
         raise OutOfDomainError(f"n_steps must be >= 1, got {n_steps}")
     stream = RngStream(seed)
+    block = max(1, _TASK_TARGET // n_steps)
 
     def make_values(offset: int, count: int) -> tuple[np.ndarray, int]:
-        inc = brownian_increments_block(stream, offset, count, p.T, n_steps)
-        values, clamped = forward_euler_values(p, inc)
-        return values, int(np.count_nonzero(clamped))
+        end = offset + count
+        parts = [
+            forward_euler_values(
+                p, brownian_increments_block(stream, i, min(block, end - i), p.T, n_steps)
+            )
+            for i in range(offset, end, block)
+        ]
+        values = np.concatenate([v for v, _ in parts])
+        return values, sum(int(np.count_nonzero(c)) for _, c in parts)
 
     stats, clamp_count = _stats_over_blocks(make_values, start, n, chunks, n_steps)
     return EulerEstimate(

@@ -204,8 +204,11 @@ def run_convergence(
     """Euler weak-convergence study: one row per step count.
 
     Level ``j`` runs on the child seed of ordinal ``j`` so levels do not
-    share draws.
+    share draws.  An empty step list raises OutOfDomainError rather than
+    yielding an empty report.
     """
+    if not steps:
+        raise OutOfDomainError("convergence needs at least one step count")
     reference = forward_expected_wealth(p)
     rows = []
     for j, n_steps in enumerate(steps):

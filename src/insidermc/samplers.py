@@ -121,13 +121,17 @@ def forward_euler_values(
     """Explicit Euler discretization of the forward-model stock leg.
 
     ``increments`` has shape (n_paths, n_steps).  The terminal value
-    b_T = sum of increments decides the anticipating initial condition,
-    then the stock leg iterates S1 <- S1 (1 + mu dt + sigma dB_k); the bond
-    leg uses the exact ODE solution.  A step driving S1 negative is a
-    coarse-grid artifact: the path is clamped at 0 and flagged, so
-    convergence studies can watch the clamp count vanish as dt -> 0.
+    b_T = sum of increments decides the anticipating initial condition; the
+    stock leg is S1 = M prod_k (1 + mu dt + sigma dB_k), formed left to right
+    by one ``multiply.accumulate`` per row, so every partial product is the
+    one an explicit step loop would form; the bond leg uses the exact ODE
+    solution.  A partial product below 0 is a coarse-grid artifact: the path
+    is clamped at 0 from that step on and flagged, so convergence studies can
+    watch the clamp count vanish as dt -> 0.
 
     Returns (values, clamped) with ``clamped`` a boolean mask per path.
+    Raises WealthOverflowError when a stock-leg product leaves the double
+    range before its path is clamped.
     """
     increments = np.asarray(increments, dtype=np.float64)
     if increments.ndim != 2 or increments.shape[1] < 1:
@@ -135,19 +139,26 @@ def forward_euler_values(
     if p.rho * p.T > EXP_MAX:
         raise WealthOverflowError(f"rho*T exceeds the double range ({EXP_MAX})")
     n_steps = increments.shape[1]
-    dt = p.T / n_steps
-    b_t = increments.sum(axis=1)
-    a = indicator_threshold(p)
-    stock_on = b_t > a
+    stock_on = increments.sum(axis=1) > indicator_threshold(p)
 
-    s1 = np.where(stock_on, p.M, 0.0)
-    clamped = np.zeros(increments.shape[0], dtype=bool)
-    growth = 1.0 + p.mu * dt
-    for k in range(n_steps):
-        s1 = s1 * (growth + p.sigma * increments[:, k])
-        negative = s1 < 0.0
-        if negative.any():
-            clamped |= negative
-            s1[negative] = 0.0
-    values = np.where(stock_on, 0.0, p.M * math.exp(p.rho * p.T)) + s1
+    with np.errstate(over="ignore", invalid="ignore"):
+        s1 = p.sigma * increments
+        s1 += 1.0 + p.mu * (p.T / n_steps)
+        s1[:, 0] *= p.M
+        np.multiply.accumulate(s1, axis=1, out=s1)
+    negative = s1 < 0.0
+    clamped = stock_on & negative.any(axis=1)
+    # inf and nan absorb every later factor, so a path overflowed iff its last
+    # product is not finite; it counts unless a clamp came strictly first.
+    overflowed = stock_on & ~np.isfinite(s1[:, -1])
+    if overflowed.any() and _overflow_precedes_clamp(s1[overflowed], negative[overflowed]):
+        raise WealthOverflowError("Euler stock-leg product exceeds the double range")
+    stock = np.where(stock_on & ~clamped, s1[:, -1], 0.0)
+    values = np.where(stock_on, 0.0, p.M * math.exp(p.rho * p.T)) + stock
     return values, clamped
+
+
+def _overflow_precedes_clamp(products: np.ndarray, negative: np.ndarray) -> bool:
+    first_bad = np.argmax(~np.isfinite(products), axis=1)
+    first_clamp = np.where(negative.any(axis=1), np.argmax(negative, axis=1), products.shape[1])
+    return bool((first_bad <= first_clamp).any())

@@ -204,3 +204,18 @@ def test_report_command_prints_library_emitter_output(command, fmt, capsys):
     assert cli.main([*argv, "--format", fmt]) == 0
     expected = to_csv(rows()) if fmt == "csv" else to_json(rows())
     assert capsys.readouterr().out == expected
+
+
+def test_empty_step_list_exits_2():
+    result = run_cli("convergence", "--steps", "", "--samples", "4096")
+    assert result.returncode == 2
+    assert result.stdout == ""
+
+
+def test_euler_overflow_exits_2_without_warning():
+    result = run_cli("convergence", "--M", "1e300", "--rho", "0", "--mu", "600",
+                     "--sigma", "3", "--steps", "16", "--samples", "8192")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "Warning" not in result.stderr
+    assert "Euler stock-leg product" in result.stderr

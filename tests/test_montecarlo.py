@@ -179,6 +179,45 @@ def test_euler_estimate_determinism_and_clamps():
     assert e1.estimate.zero_fraction == (e1.clamp_count / 50_000)
 
 
+# Recorded on the whole-granule Euler code at sigma = 2 (a clamping point)
+# and n = 4096 + 17, so the short last granule and sub-blocks that do not
+# divide a granule (3, 48 and 1000 steps) are both covered.
+EULER_POINT = validate_params(1, 0, 0.5, 2, 1)
+EULER_N = GRANULE + 17
+EULER_FROZEN = [
+    # (n_steps, mean, M2, zero_count, clamp_count)
+    (3, "0x1.233bc7d7e56ffp+1", "0x1.6b6f007d42ef1p+15", 41, 41),
+    (48, "0x1.4b986a1a05f52p+1", "0x1.3a69f4e79ccd9p+19", 2, 2),
+    (256, "0x1.34e850542eea1p+1", "0x1.7cbecc117f8a0p+18", 0, 0),
+    (1000, "0x1.0604cd42a6265p+1", "0x1.fe4e5459fae56p+17", 0, 0),
+]
+
+
+@pytest.mark.parametrize("n_steps, mean, m2, zeros, clamps", EULER_FROZEN)
+def test_euler_sub_blocks_reproduce_frozen_estimates(n_steps, mean, m2, zeros, clamps):
+    e1 = estimate_euler_mean(EULER_POINT, n_steps, EULER_N, seed=20240, chunks=1)
+    assert e1 == estimate_euler_mean(EULER_POINT, n_steps, EULER_N, seed=20240, chunks=2)
+    est = e1.estimate
+    assert (est.mean, est.m2) == (float.fromhex(mean), float.fromhex(m2))
+    assert (est.zero_count, e1.clamp_count) == (zeros, clamps)
+
+
+@pytest.mark.parametrize("n_steps", [3, 48, 256, 1000, montecarlo._TASK_TARGET + 1])
+def test_euler_blocks_stay_within_task_target(monkeypatch, n_steps):
+    asked = []
+    real = montecarlo.brownian_increments_block
+
+    def spy(stream, start, count, T, steps):
+        asked.append(count * steps)
+        return real(stream, start, count, T, steps)
+
+    monkeypatch.setattr(montecarlo, "brownian_increments_block", spy)
+    n = 2 if n_steps > montecarlo._TASK_TARGET else EULER_N
+    estimate_euler_mean(EULER_POINT, n_steps, n, seed=3)
+    assert sum(asked) == n * n_steps
+    assert max(asked) <= max(montecarlo._TASK_TARGET, n_steps)
+
+
 def test_factorized_overflowed_variance_raises():
     # Closed forms are finite here, but the GBM factor's variance overflows.
     p = validate_params(1, 0, 600, 3, 1)

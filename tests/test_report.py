@@ -174,6 +174,10 @@ class TestConvergence:
         payload = json.loads(convergence_json(rows, 5, 8192, timestamp=False))
         assert len(payload["rows"]) == 2
 
+    def test_empty_step_list_rejected(self):
+        with pytest.raises(OutOfDomainError):
+            run_convergence(validate_params(1, 0, 0.5, 1, 1), [], 8192, seed=5)
+
     def test_single_step_reported_without_assertion(self):
         (row,) = run_convergence(validate_params(1, 0, 0.5, 1, 1), [1], 8192, seed=5)
         assert row.n_steps == 1

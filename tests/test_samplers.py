@@ -1,10 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from insidermc import (
     Allocation,
+    MarketParams,
     OutOfDomainError,
     WealthOverflowError,
     indicator_threshold,
@@ -16,6 +19,7 @@ from insidermc.samplers import (
     honest_values,
     skorokhod_unbiased_values,
 )
+from insidermc.sampling import RngStream, brownian_increments_block
 
 SHOWCASE = validate_params(1, 0, 0.5, 1, 1)  # threshold a = 0
 
@@ -130,3 +134,103 @@ class TestForwardEuler:
         tol = max(3 * euler.estimate.stderr, 0.02 * reference)
         assert abs(euler.estimate.mean - reference) <= tol
         assert euler.clamp_count == 0
+
+
+def loop_euler(p: MarketParams, increments: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reference Euler kernel: one explicit step per column, clamping at 0."""
+    n_steps = increments.shape[1]
+    dt = p.T / n_steps
+    stock_on = increments.sum(axis=1) > indicator_threshold(p)
+    s1 = np.where(stock_on, p.M, 0.0)
+    clamped = np.zeros(increments.shape[0], dtype=bool)
+    growth = 1.0 + p.mu * dt
+    for k in range(n_steps):
+        s1 = s1 * (growth + p.sigma * increments[:, k])
+        negative = s1 < 0.0
+        if negative.any():
+            clamped |= negative
+            s1[negative] = 0.0
+    values = np.where(stock_on, 0.0, p.M * math.exp(p.rho * p.T)) + s1
+    return values, clamped
+
+
+# sigma is a power of two, so -growth / sigma is exact and its factor is 0.
+ORACLE_POINTS = [
+    validate_params(1, 0, 0.5, 1, 1),
+    validate_params(2.5, 0.01, 0.3, 2, 2),
+    validate_params(1, 0.05, 0.05, 0.5, 1),
+]
+
+
+@st.composite
+def euler_blocks(draw):
+    """(params, increments) mixing plain, stock-lifting, negative-factor and
+    zero-factor cells."""
+    p = draw(st.sampled_from(ORACLE_POINTS))
+    n_paths = draw(st.integers(1, 6))
+    n_steps = draw(st.integers(1, 9))
+    growth = 1.0 + p.mu * (p.T / n_steps)
+    cells = st.one_of(
+        st.floats(-3.0, 3.0),
+        st.floats(3.0, 30.0),  # lifts b_T above the threshold: stock paths
+        st.floats(1.0, 4.0).map(lambda x: -(growth + x) / p.sigma),  # factor < 0
+        st.just(-growth / p.sigma),  # factor exactly 0
+    )
+    flat = draw(st.lists(cells, min_size=n_paths * n_steps, max_size=n_paths * n_steps))
+    return p, np.array(flat).reshape(n_paths, n_steps)
+
+
+def assert_matches_loop(p, inc):
+    values, clamped = forward_euler_values(p, inc)
+    ref_values, ref_clamped = loop_euler(p, inc)
+    assert values.tobytes() == ref_values.tobytes()
+    assert np.array_equal(clamped, ref_clamped)
+
+
+@given(euler_blocks())
+def test_euler_kernel_matches_step_loop_bitwise(block):
+    assert_matches_loop(*block)
+
+
+def test_euler_oracle_inputs_cover_every_branch():
+    p = ORACLE_POINTS[1]  # a = 1.71
+    growth = 1.0 + p.mu * (p.T / 3)
+    zero, neg = -growth / p.sigma, -(growth + 1.0) / p.sigma  # factors 0 and -1
+    inc = np.array([
+        [1.0, 1.0, 1.0],    # stock, no clamp
+        [neg, 3.0, 3.0],    # stock, negative first factor: clamped
+        [zero, 3.0, 3.0],   # stock, exact-zero factor: 0, not clamped
+        [zero, neg, 9.0],   # stock, zero then negative: -0.0, not clamped
+        [3.0, 3.0, zero],   # stock, zero at the last step
+        [-1.0, 0.5, 0.0],   # bond
+        [neg, 0.0, 0.0],    # bond with a negative factor
+    ])
+    values, clamped = forward_euler_values(p, inc)
+    assert clamped.tolist() == [False, True, False, False, False, False, False]
+    assert values[1] == values[2] == values[3] == values[4] == 0.0
+    assert values[5] == values[6] == p.M * math.exp(p.rho * p.T)
+    assert_matches_loop(p, inc)
+    assert_matches_loop(p, inc[:, :1])  # n_steps = 1
+
+
+def test_euler_overflow_raises_without_warning():
+    p = validate_params(1e300, 0, 600, 3, 1)
+    inc = brownian_increments_block(RngStream(0), 0, 8192, p.T, 16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(WealthOverflowError):
+            forward_euler_values(p, inc)
+
+
+def test_euler_overflow_after_clamp_is_not_an_overflow():
+    # The loop pins the path at 0 at its first step; the later huge factor
+    # overflows only the discarded product.
+    p = validate_params(1e300, 0, 0, 1, 1)  # a = 0.5
+    inc = np.array([[-3.0, 1e10, 1e300]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values, clamped = forward_euler_values(p, inc)
+    assert clamped[0] and values[0] == 0.0
+    # Overflowing before the clamp is an overflow.
+    with pytest.raises(WealthOverflowError):
+        forward_euler_values(p, np.array([[1e300, -1e300, 2.0]]))
