@@ -30,12 +30,11 @@ from .market import (
     Allocation,
     MarketParams,
     Regime,
-    classify_regime,
     indicator_threshold,
     validate_params,
 )
 from .special import erf, inverse_normal_cdf, normal_cdf
-from .sampling import RngStream, derive_seed, standard_normal_block, uniform_block
+from .sampling import RngStream, derive_seed, standard_normal_block
 from .samplers import Trader
 from .closedform import (
     ClosedFormReport,
@@ -75,11 +74,11 @@ __all__ = [
     "DegenerateEstimateError",
     # market
     "MarketParams", "Allocation", "Regime", "validate_params",
-    "indicator_threshold", "classify_regime",
+    "indicator_threshold",
     # special functions
     "erf", "normal_cdf", "inverse_normal_cdf",
     # sampling
-    "RngStream", "standard_normal_block", "uniform_block", "derive_seed",
+    "RngStream", "standard_normal_block", "derive_seed",
     # samplers
     "Trader",
     # closed forms

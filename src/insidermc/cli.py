@@ -57,16 +57,18 @@ def _parse_steps(text: str) -> tuple[int, ...]:
     return tuple(int(v) for v in text.split(",") if v.strip())
 
 
-_CONFIG_CONVERTERS = {
-    "M": float, "rho": float, "mu": float, "sigma": float, "T": float,
-    "samples": int, "seed": parse_seed, "chunks": int,
-    "format": str, "out": str,
-    "sweep_field": str, "grid": _parse_grid, "steps": _parse_steps,
-}
+def _convert(action: argparse.Action, text: str):
+    # What argparse does to the flag's own value: its type, then its choices.
+    value = action.type(text) if action.type else text
+    if action.choices is not None and value not in action.choices:
+        choices = ", ".join(map(repr, action.choices))
+        raise ValueError(f"invalid choice {value!r} (choose from {choices})")
+    return value
 
 
-def load_config(path: str) -> dict:
-    """Parse a flat ``key = value`` file; '#' starts a comment."""
+def load_config(path: str, actions: dict[str, argparse.Action]) -> dict:
+    """Parse a flat ``key = value`` file; '#' starts a comment.  A key names
+    the dest of a value flag in ``actions``, which converts its value."""
     values = {}
     with open(path, encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, 1):
@@ -77,10 +79,10 @@ def load_config(path: str) -> dict:
                 raise ParameterError(f"{path}:{lineno}: expected 'key = value'")
             key, _, value = line.partition("=")
             key = key.strip().replace("-", "_")
-            if key not in _CONFIG_CONVERTERS:
+            if key not in actions:
                 raise ParameterError(f"{path}:{lineno}: unknown config key {key!r}")
             try:
-                values[key] = _CONFIG_CONVERTERS[key](value.strip())
+                values[key] = _convert(actions[key], value.strip())
             except ValueError as exc:
                 raise ParameterError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     return values
@@ -162,7 +164,14 @@ def _apply_config(parser: _Parser, argv: list[str]) -> None:
     probe.add_argument("--config")
     known, _ = probe.parse_known_args(argv)
     if known.config:
-        config = load_config(known.config)
+        # Every value flag but --config; a dest is one flag in every subcommand.
+        actions = {
+            a.dest: a
+            for command_parser in parser.command_parsers.values()
+            for a in command_parser._actions
+            if a.nargs != 0 and a.dest != "config"
+        }
+        config = load_config(known.config, actions)
         for command_parser in parser.command_parsers.values():
             known_dests = {a.dest for a in command_parser._actions}
             command_parser.set_defaults(
@@ -182,7 +191,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         return _dispatch(args)
-    except (ParameterError, WealthOverflowError) as exc:
+    except (ParameterError, WealthOverflowError, OSError) as exc:
         print(f"insidermc: {exc}", file=sys.stderr)
         return VALIDATION_ERROR
 

@@ -27,7 +27,7 @@ from .errors import (
     UnknownTraderError,
     WealthOverflowError,
 )
-from .market import Allocation, MarketParams, indicator_threshold
+from .market import MarketParams, indicator_threshold
 from .samplers import (
     Trader,
     forward_euler_values,
@@ -86,9 +86,6 @@ class MCEstimate:
     m2: float = 0.0
     zero_count: int = 0  # exact, so a merge never rounds zero_fraction * n
     start: int = 0  # first draw index; merges require adjacent ranges
-
-    def z_against(self, reference: float) -> float:
-        return z_score(self, reference)
 
 
 @dataclass(frozen=True)
@@ -207,12 +204,10 @@ def estimate_mean(
     n: int,
     seed: int,
     chunks: int = 1,
-    allocation: Allocation | None = None,
     start: int = 0,
 ) -> MCEstimate:
     """Mean terminal wealth of ``trader`` over draw indices start..start+n-1.
 
-    ``allocation`` is required for HONEST_FIXED and ignored otherwise.
     The result is bitwise independent of ``chunks``.
     """
     _check_counts(n, chunks)
@@ -220,22 +215,15 @@ def estimate_mean(
         trader = Trader(trader)
     except ValueError as exc:
         raise UnknownTraderError(f"unknown trader tag {trader!r}") from exc
-    if trader is Trader.HONEST_FIXED:
-        if allocation is None:
-            raise OutOfDomainError("HONEST_FIXED needs an explicit allocation")
-        alloc = allocation
-    elif trader is Trader.HONEST_OPTIMAL:
+    if trader is Trader.HONEST_OPTIMAL:
         alloc = honest_optimal_allocation(p)
-    elif trader in (Trader.FORWARD_INSIDER, Trader.SKOROKHOD_UNBIASED):
-        alloc = None
-    else:  # pragma: no cover - enum is closed
-        raise UnknownTraderError(f"no sampler for trader {trader!r}")
-
     stream = RngStream(seed)
 
+    # Samplers are looked up by module name per block, never bound once, so
+    # a wrapper patched onto this module's attributes sees every call.
     def make_values(offset: int, count: int) -> tuple[np.ndarray, int]:
         b_t = brownian_terminal_block(stream, offset, count, p.T)
-        if trader in (Trader.HONEST_FIXED, Trader.HONEST_OPTIMAL):
+        if trader is Trader.HONEST_OPTIMAL:
             return honest_values(p, alloc, b_t), 0
         if trader is Trader.FORWARD_INSIDER:
             return forward_insider_values(p, b_t), 0

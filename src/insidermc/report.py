@@ -20,7 +20,7 @@ from . import __version__
 from .closedform import ClosedFormReport, compare_closed_form, forward_expected_wealth
 from .errors import OutOfDomainError, WealthOverflowError
 from .market import MarketParams, validate_params
-from .montecarlo import estimate_euler_mean, estimate_mean, z_score
+from .montecarlo import MCEstimate, estimate_euler_mean, estimate_mean, z_score
 from .samplers import Trader
 from .sampling import derive_seed
 
@@ -28,6 +28,8 @@ __all__ = [
     "ComparisonRow",
     "SweepSpec",
     "ConvergenceRow",
+    "TRADERS",
+    "estimate_traders",
     "run_compare",
     "run_sweep",
     "run_convergence",
@@ -56,8 +58,9 @@ CONVERGENCE_COLUMNS = [
     "n_steps", "mc_mean", "mc_se", "cf_forward", "abs_bias", "clamp_count",
 ]
 
-# Ordinals for deriving per-estimator child seeds from a row's master seed.
-_HONEST, _SKOROKHOD, _FORWARD = 0, 1, 2
+# The three traders of a comparison; trader k runs on child seed ordinal
+# first + k of the master seed (see estimate_traders).
+TRADERS = (Trader.HONEST_OPTIMAL, Trader.SKOROKHOD_UNBIASED, Trader.FORWARD_INSIDER)
 
 
 @dataclass(frozen=True)
@@ -133,22 +136,23 @@ class ConvergenceRow:
     clamp_count: int
 
 
-def run_compare(p: MarketParams, n: int, seed: int, chunks: int = 1) -> ComparisonRow:
-    """Closed forms plus the three estimators at one parameter point.
+def estimate_traders(
+    p: MarketParams, n: int, seed: int, chunks: int = 1, first: int = 0
+) -> tuple[MCEstimate, MCEstimate, MCEstimate]:
+    """The honest, Skorokhod and forward estimates, in ``TRADERS`` order, on
+    the child seeds of ordinals first, first+1, first+2 of ``seed``, so their
+    draws are decorrelated."""
+    return tuple(
+        estimate_mean(trader, p, n, derive_seed(seed, first + k), chunks)
+        for k, trader in enumerate(TRADERS)
+    )
 
-    The honest, Skorokhod and forward estimators run on child seeds derived
-    from ``seed`` (ordinals 0, 1, 2) so their draws are decorrelated.
-    """
+
+def run_compare(p: MarketParams, n: int, seed: int, chunks: int = 1) -> ComparisonRow:
+    """Closed forms plus the three estimators at one parameter point
+    (``estimate_traders`` with ordinals 0, 1, 2)."""
     report = compare_closed_form(p)
-    est_honest = estimate_mean(
-        Trader.HONEST_OPTIMAL, p, n, derive_seed(seed, _HONEST), chunks
-    )
-    est_sk = estimate_mean(
-        Trader.SKOROKHOD_UNBIASED, p, n, derive_seed(seed, _SKOROKHOD), chunks
-    )
-    est_rs = estimate_mean(
-        Trader.FORWARD_INSIDER, p, n, derive_seed(seed, _FORWARD), chunks
-    )
+    est_honest, est_sk, est_rs = estimate_traders(p, n, seed, chunks)
     return ComparisonRow(
         params=p,
         regime=report.regime.value,

@@ -49,33 +49,34 @@ __all__ = [
 class Trader(enum.Enum):
     """Which wealth model an estimator samples."""
 
-    HONEST_FIXED = "honest-fixed"
     HONEST_OPTIMAL = "honest-optimal"
     FORWARD_INSIDER = "forward-insider"
     SKOROKHOD_UNBIASED = "skorokhod-unbiased"
 
 
-def _stock_exponents(p: MarketParams, b_t: np.ndarray) -> np.ndarray:
-    return (p.mu - 0.5 * p.sigma * p.sigma) * p.T + p.sigma * b_t
+def _bond_value(p: MarketParams, m0: float) -> float:
+    """The bond leg m0 e^{rho T}, the one home of the rho*T range guard."""
+    if p.rho * p.T > EXP_MAX:
+        raise WealthOverflowError(f"rho*T exceeds the double range ({EXP_MAX})")
+    return m0 * math.exp(p.rho * p.T)
 
 
-def _check_overflow(exponents: np.ndarray, what: str) -> None:
-    if exponents.size and float(exponents.max()) > EXP_MAX:
-        raise WealthOverflowError(f"{what} exponent exceeds the double range ({EXP_MAX})")
+def _stock_values(p: MarketParams, m1: float, b_t: np.ndarray) -> np.ndarray:
+    """The stock leg m1 exp((mu - sigma^2/2) T + sigma b), exponent guarded."""
+    expo = (p.mu - 0.5 * p.sigma * p.sigma) * p.T + p.sigma * b_t
+    if expo.size and float(expo.max()) > EXP_MAX:
+        raise WealthOverflowError(f"stock exponent exceeds the double range ({EXP_MAX})")
+    return m1 * np.exp(expo)
 
 
 def honest_values(p: MarketParams, a: Allocation, b_t: np.ndarray) -> np.ndarray:
     """Vectorized honest terminal wealth m0 e^{rho T} + m1 exp((mu - sigma^2/2)T + sigma b)."""
     require_consistent_allocation(p, a)
-    if p.rho * p.T > EXP_MAX:
-        raise WealthOverflowError(f"rho*T exceeds the double range ({EXP_MAX})")
+    bond = _bond_value(p, a.m0)
     b_t = np.asarray(b_t, dtype=np.float64)
-    bond = a.m0 * math.exp(p.rho * p.T)
     if a.m1 == 0.0:
         return np.full(b_t.shape, bond)
-    expo = _stock_exponents(p, b_t)
-    _check_overflow(expo, "stock")
-    return bond + a.m1 * np.exp(expo)
+    return bond + _stock_values(p, a.m1, b_t)
 
 
 def forward_insider_values(p: MarketParams, b_t: np.ndarray) -> np.ndarray:
@@ -84,16 +85,12 @@ def forward_insider_values(p: MarketParams, b_t: np.ndarray) -> np.ndarray:
     All of M rides the stock when b > a, the bond otherwise; the boundary
     b == a goes to the bond.
     """
-    if p.rho * p.T > EXP_MAX:
-        raise WealthOverflowError(f"rho*T exceeds the double range ({EXP_MAX})")
+    bond = _bond_value(p, p.M)
     b_t = np.asarray(b_t, dtype=np.float64)
-    a = indicator_threshold(p)
-    values = np.full(b_t.shape, p.M * math.exp(p.rho * p.T))
-    stock = b_t > a
+    values = np.full(b_t.shape, bond)
+    stock = b_t > indicator_threshold(p)
     if stock.any():
-        expo = _stock_exponents(p, b_t[stock])
-        _check_overflow(expo, "stock")
-        values[stock] = p.M * np.exp(expo)
+        values[stock] = _stock_values(p, p.M, b_t[stock])
     return values
 
 
@@ -102,16 +99,13 @@ def skorokhod_unbiased_values(p: MarketParams, b_t: np.ndarray) -> np.ndarray:
 
     Exactly 0 on the dead zone a < b <= a + sigma T.
     """
-    if p.rho * p.T > EXP_MAX:
-        raise WealthOverflowError(f"rho*T exceeds the double range ({EXP_MAX})")
+    bond = _bond_value(p, p.M)
     b_t = np.asarray(b_t, dtype=np.float64)
     a = indicator_threshold(p)
-    values = np.where(b_t <= a, p.M * math.exp(p.rho * p.T), 0.0)
+    values = np.where(b_t <= a, bond, 0.0)
     stock = b_t - p.sigma * p.T > a
     if stock.any():
-        expo = _stock_exponents(p, b_t[stock])
-        _check_overflow(expo, "stock")
-        values[stock] = p.M * np.exp(expo)
+        values[stock] = _stock_values(p, p.M, b_t[stock])
     return values
 
 
@@ -136,8 +130,7 @@ def forward_euler_values(
     increments = np.asarray(increments, dtype=np.float64)
     if increments.ndim != 2 or increments.shape[1] < 1:
         raise OutOfDomainError("increments must have shape (n_paths, n_steps >= 1)")
-    if p.rho * p.T > EXP_MAX:
-        raise WealthOverflowError(f"rho*T exceeds the double range ({EXP_MAX})")
+    bond = _bond_value(p, p.M)
     n_steps = increments.shape[1]
     stock_on = increments.sum(axis=1) > indicator_threshold(p)
 
@@ -154,7 +147,7 @@ def forward_euler_values(
     if overflowed.any() and _overflow_precedes_clamp(s1[overflowed], negative[overflowed]):
         raise WealthOverflowError("Euler stock-leg product exceeds the double range")
     stock = np.where(stock_on & ~clamped, s1[:, -1], 0.0)
-    values = np.where(stock_on, 0.0, p.M * math.exp(p.rho * p.T)) + stock
+    values = np.where(stock_on, 0.0, bond) + stock
     return values, clamped
 
 

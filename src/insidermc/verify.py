@@ -10,6 +10,15 @@ check; the pytest acceptance module asserts the same results.
 Oracle constants below were computed with 50-digit arithmetic (mpmath)
 before the library was written and are frozen here; the battery never
 trusts the code under test to produce its own expected values.
+
+Criterion 8 (Euler weak convergence) is seed-sensitive.  At 10^6 paths a
+level's standard error (about 1.9e-3) exceeds the true bias at 256 steps
+(about 6.8e-4), so "monotone biases with a 16->256 ratio above 4" is close
+to a coin flip.  The archived seed 42 passes (256-step error 8.07e-05,
+ratio 97.5), but with correct code seeds 3, 6, 7, 8 and 10 of seeds 1-10
+fail it; at seed 3 the biases read 9.92e-03 -> 4.57e-04 -> 2.70e-03,
+ratio 3.7.  A c08 failure at another seed is not by itself evidence of a
+defect.  The criterion keeps its seed, sample count and bounds.
 """
 
 from __future__ import annotations
@@ -20,17 +29,16 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .closedform import (
-    compare_closed_form,
-    forward_expected_wealth,
-    honest_expected_wealth,
-    honest_optimal_allocation,
-    skorokhod_expected_wealth,
-)
+from .closedform import compare_closed_form
 from .market import MarketParams, validate_params
-from .montecarlo import estimate_euler_mean, estimate_mean, skorokhod_factorized_estimate
-from .report import comparison_csv, comparison_json, run_compare, run_convergence
-from .samplers import Trader
+from .montecarlo import estimate_euler_mean, skorokhod_factorized_estimate, z_score
+from .report import (
+    comparison_csv,
+    comparison_json,
+    estimate_traders,
+    run_compare,
+    run_convergence,
+)
 from .sampling import RngStream, derive_seed, uniform_block
 from .special import erf, inverse_normal_cdf, normal_cdf
 
@@ -212,32 +220,9 @@ def _grid_estimates(seed: int, chunks: int, ordinal_base: int):
     rows = []
     for i, raw in enumerate(GRID):
         p = validate_params(*raw)
-        alloc = honest_optimal_allocation(p)
-        cf = (
-            honest_expected_wealth(p, alloc),
-            skorokhod_expected_wealth(p),
-            forward_expected_wealth(p),
-        )
-        est = (
-            estimate_mean(
-                Trader.HONEST_OPTIMAL, p, _N_MC, derive_seed(seed, ordinal_base + 3 * i), chunks
-            ),
-            estimate_mean(
-                Trader.SKOROKHOD_UNBIASED,
-                p,
-                _N_MC,
-                derive_seed(seed, ordinal_base + 3 * i + 1),
-                chunks,
-            ),
-            estimate_mean(
-                Trader.FORWARD_INSIDER,
-                p,
-                _N_MC,
-                derive_seed(seed, ordinal_base + 3 * i + 2),
-                chunks,
-            ),
-        )
-        rows.append((p, cf, est))
+        report = compare_closed_form(p)
+        cf = (report.honest_optimal, report.skorokhod, report.forward)
+        rows.append((p, cf, estimate_traders(p, _N_MC, seed, chunks, ordinal_base + 3 * i)))
     return rows
 
 
@@ -246,7 +231,7 @@ def _count_exceedances(rows) -> tuple[int, float]:
     exceed = 0
     for _, cf, est in rows:
         for reference, estimate in zip(cf, est):
-            z = abs(estimate.z_against(reference))
+            z = abs(z_score(estimate, reference))
             worst = max(worst, z)
             exceed += z > 3.0
     return exceed, worst

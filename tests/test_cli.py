@@ -129,6 +129,23 @@ def test_config_rejects_unknown_key(tmp_path):
     assert run_cli("compare", "--config", str(config)).returncode == 2
 
 
+def test_config_value_outside_choices_exits_2(tmp_path):
+    config = tmp_path / "xml.conf"
+    config.write_text("samples = 64\nformat = xml\n")
+    result = run_cli("compare", "--config", str(config))
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert f"{config}:2:" in result.stderr and "xml" in result.stderr
+
+
+def test_unwritable_out_exits_2(tmp_path):
+    out = tmp_path / "missing" / "x.csv"
+    result = run_cli("closed-form", "--out", str(out))
+    assert result.returncode == 2
+    assert result.stderr.startswith("insidermc: ")
+    assert "Traceback" not in result.stderr
+
+
 def test_verify_failure_exits_3(monkeypatch, capsys):
     from insidermc.verify import CriterionResult, VerifySummary
 

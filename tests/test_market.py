@@ -10,11 +10,10 @@ from insidermc import (
     NonPositiveError,
     NotFiniteError,
     Regime,
-    classify_regime,
     indicator_threshold,
     validate_params,
 )
-from insidermc.market import require_consistent_allocation
+from insidermc.market import classify_regime, require_consistent_allocation
 from insidermc.errors import AllocationMismatchError
 
 NAN = float("nan")

@@ -35,8 +35,9 @@ BEAR = validate_params(1, 0.1, 0.05, 0.2, 2)
 def test_sample_count_and_trader_validation():
     with pytest.raises(BadSampleCountError):
         estimate_mean(Trader.FORWARD_INSIDER, SHOWCASE, 1, seed=1)
-    with pytest.raises(UnknownTraderError):
-        estimate_mean("martingale", SHOWCASE, 100, seed=1)
+    for tag in ("martingale", "honest-fixed"):
+        with pytest.raises(UnknownTraderError):
+            estimate_mean(tag, SHOWCASE, 100, seed=1)
     with pytest.raises(BadSampleCountError):
         skorokhod_factorized_estimate(SHOWCASE, RngStream(1), 1)
 
@@ -91,22 +92,14 @@ def test_estimate_invariants():
 
 
 def test_deterministic_honest_bond():
-    est = estimate_mean(
-        Trader.HONEST_FIXED, BEAR, 10_000, seed=1, allocation=Allocation(1, 0)
-    )
+    # BEAR's optimal allocation is all bond, (M, 0) = (1, 0).
+    est = estimate_mean(Trader.HONEST_OPTIMAL, BEAR, 10_000, seed=1)
     assert est.sample_stddev == 0.0
     assert est.mean == BEAR.M * math.exp(BEAR.rho * BEAR.T)
     # exact-match branch of the z-score
     assert z_score(est, honest_expected_wealth(BEAR, Allocation(1, 0))) == 0.0
     with pytest.raises(DegenerateEstimateError):
         z_score(est, est.mean + 1e-9)
-
-
-def test_honest_fixed_requires_allocation():
-    from insidermc import OutOfDomainError
-
-    with pytest.raises(OutOfDomainError):
-        estimate_mean(Trader.HONEST_FIXED, SHOWCASE, 100, seed=1)
 
 
 def test_z_score_arithmetic():

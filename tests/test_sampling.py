@@ -10,9 +10,12 @@ from insidermc import (
     derive_seed,
     normal_cdf,
     standard_normal_block,
+)
+from insidermc.sampling import (
+    brownian_increments_block,
+    brownian_terminal_block,
     uniform_block,
 )
-from insidermc.sampling import brownian_increments_block, brownian_terminal_block
 
 STREAM = RngStream(42)
 
