@@ -96,16 +96,20 @@ def _add_market_flags(parser):
     parser.add_argument("--T", type=float, default=1.0, help="horizon")
 
 
-def _add_common_flags(parser, with_samples=True):
+def _add_common_flags(parser, draws=True, report=True):
+    # Each command takes only the flags it reads: closed-form draws nothing,
+    # verify writes no report format.
     parser.add_argument("--config", help="flat key = value config file")
-    parser.add_argument("--seed", type=parse_seed, default=DEFAULT_SEED,
-                        help="64-bit seed, decimal or 0x-hex")
-    parser.add_argument("--chunks", type=int, default=1, help="worker count")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--out", default="-", help="output file, '-' for stdout")
-    parser.add_argument("--no-timestamp", action="store_true",
-                        help="omit the timestamp from JSON metadata")
-    if with_samples:
+    if draws:
+        parser.add_argument("--seed", type=parse_seed, default=DEFAULT_SEED,
+                            help="64-bit seed, decimal or 0x-hex")
+        parser.add_argument("--chunks", type=int, default=1, help="worker count")
+    if report:
+        parser.add_argument("--format", choices=("csv", "json"), default="csv")
+        parser.add_argument("--no-timestamp", action="store_true",
+                            help="omit the timestamp from JSON metadata")
+    if draws and report:
         parser.add_argument("--samples", type=int, default=100_000,
                             help="Monte Carlo sample count")
 
@@ -120,7 +124,7 @@ def build_parser() -> _Parser:
     p = command_parsers["closed-form"] = sub.add_parser(
         "closed-form", help="closed-form expectations only")
     _add_market_flags(p)
-    _add_common_flags(p, with_samples=False)
+    _add_common_flags(p, draws=False)
 
     p = command_parsers["compare"] = sub.add_parser(
         "compare", help="closed forms vs the three estimators")
@@ -145,7 +149,7 @@ def build_parser() -> _Parser:
 
     p = command_parsers["verify"] = sub.add_parser(
         "verify", help="run the acceptance battery")
-    _add_common_flags(p, with_samples=False)
+    _add_common_flags(p, report=False)
 
     parser.command_parsers = command_parsers
     return parser
@@ -164,7 +168,8 @@ def _apply_config(parser: _Parser, argv: list[str]) -> None:
     probe.add_argument("--config")
     known, _ = probe.parse_known_args(argv)
     if known.config:
-        # Every value flag but --config; a dest is one flag in every subcommand.
+        # Every value flag of any subcommand but --config, so one file can
+        # serve them all; a dest is the same flag wherever it appears.
         actions = {
             a.dest: a
             for command_parser in parser.command_parsers.values()

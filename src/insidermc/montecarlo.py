@@ -13,6 +13,7 @@ identical for any value.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -58,12 +59,8 @@ __all__ = [
 GRANULE = 4096
 # Two-sided 95% normal quantile; n is always large here, no t-correction.
 CI95 = 1.959964
-# Target draw count per generated block: 2^16 keeps each float64 temporary
-# at 512 KiB, within L2, and splits n = 10^6 into 16 tasks for the workers.
-# A task is whole granules; when one granule of samples is wider than the
-# target (Euler, n_steps > 16) the task generates it in sub-blocks of
-# _TASK_TARGET // n_steps paths.  The reduction shape, hence every result
-# bit, ignores it.
+# Draws per generated block (see _stats_over_blocks): 2^16 keeps each float64
+# temporary at 512 KiB, within L2, and splits n = 10^6 into 16 tasks.
 _TASK_TARGET = 1 << 16
 
 
@@ -73,7 +70,9 @@ class MCEstimate:
 
     ``m2`` is the merged sum of squared deviations backing ``sample_stddev``;
     it is kept so estimates can be merged without re-deriving it from the
-    rounded standard deviation.
+    rounded standard deviation.  ``estimand`` names what was estimated,
+    ``(trader, params)`` plus ``n_steps`` for Euler; ``None`` (the factorized
+    estimate, or one built by hand) is never merged.
     """
 
     n: int
@@ -86,6 +85,7 @@ class MCEstimate:
     m2: float = 0.0
     zero_count: int = 0  # exact, so a merge never rounds zero_fraction * n
     start: int = 0  # first draw index; merges require adjacent ranges
+    estimand: tuple | None = None
 
 
 @dataclass(frozen=True)
@@ -150,26 +150,35 @@ def _run_tasks(task, offsets, chunks: int) -> list:
 def _stats_over_blocks(
     make_values, start: int, n: int, chunks: int, width: int = 1
 ) -> tuple[list[_Stats], int]:
-    """Evaluate ``make_values(offset, count) -> (values, tally)`` over runs of
-    whole granules covering [start, start+n) and stat each granule
-    separately; the runs never cross the reduction.  ``width`` is the number
-    of draws per sample: tasks shrink with it to bound the block each task
-    holds.  Returns the per-granule stats and the sum of the integer tallies.
+    """Evaluate ``make_values(offset, count) -> (values, tally)`` over
+    [start, start+n) and stat each granule of 4096 samples separately.
+    ``width`` is the number of draws per sample.  Blocks are
+    ``max(1, _TASK_TARGET // width)`` samples, so none holds more than
+    ``max(_TASK_TARGET, width)`` draws; a task is the whole granules of one
+    block, or one granule generated block by block.  The counter-based
+    streams make every result bit independent of the cut.  Returns the
+    per-granule stats and the sum of the integer tallies.
     """
     end = start + n
-    step = GRANULE * max(1, _TASK_TARGET // (GRANULE * width))
+    block = max(1, _TASK_TARGET // width)
+    step = GRANULE * max(1, block // GRANULE)
 
     def task(offset: int) -> tuple[list[_Stats], int]:
-        values, tally = make_values(offset, min(step, end - offset))
+        stop = min(offset + step, end)
+        parts = [make_values(i, min(block, stop - i)) for i in range(offset, stop, block)]
+        values = parts[0][0] if len(parts) == 1 else np.concatenate([v for v, _ in parts])
         granules = range(0, len(values), GRANULE)
-        return [_granule_stats(values[i : i + GRANULE]) for i in granules], tally
+        stats = [_granule_stats(values[i : i + GRANULE]) for i in granules]
+        return stats, sum(tally for _, tally in parts)
 
     results = _run_tasks(task, range(start, end, step), chunks)
     stats = [s for task_stats, _ in results for s in task_stats]
     return stats, sum(tally for _, tally in results)
 
 
-def _finalize(stats: list[_Stats], seed: int, start: int) -> MCEstimate:
+def _finalize(
+    stats: list[_Stats], seed: int, start: int, estimand: tuple | None = None
+) -> MCEstimate:
     n, mean, m2, zeros = _merge_tree(stats)
     if not (math.isfinite(mean) and math.isfinite(m2)):
         raise WealthOverflowError(
@@ -188,6 +197,7 @@ def _finalize(stats: list[_Stats], seed: int, start: int) -> MCEstimate:
         m2=m2,
         zero_count=zeros,
         start=start,
+        estimand=estimand,
     )
 
 
@@ -230,7 +240,7 @@ def estimate_mean(
         return skorokhod_unbiased_values(p, b_t), 0
 
     stats, _ = _stats_over_blocks(make_values, start, n, chunks)
-    return _finalize(stats, seed, start)
+    return _finalize(stats, seed, start, (trader, p))
 
 
 def estimate_euler_mean(
@@ -245,32 +255,22 @@ def estimate_euler_mean(
 
     Each path ``i`` consumes raw draw counters ``i*n_steps .. (i+1)*n_steps-1``,
     so distinct paths and distinct step counts use disjoint index ranges.
-    Paths are generated and stepped in sub-blocks of ``_TASK_TARGET //
-    n_steps`` (at least one) paths, so no block holds more than
-    ``max(_TASK_TARGET, n_steps)`` draws; the counter-based stream makes every
-    result bit independent of that cut.
+    The harness generates and steps paths in blocks of width ``n_steps``.
     """
     _check_counts(n, chunks)
-    if n_steps < 1:
-        raise OutOfDomainError(f"n_steps must be >= 1, got {n_steps}")
+    if not isinstance(n_steps, numbers.Integral) or n_steps < 1:
+        raise OutOfDomainError(f"n_steps must be an integer >= 1, got {n_steps!r}")
+    n_steps = int(n_steps)
     stream = RngStream(seed)
-    block = max(1, _TASK_TARGET // n_steps)
 
     def make_values(offset: int, count: int) -> tuple[np.ndarray, int]:
-        end = offset + count
-        parts = [
-            forward_euler_values(
-                p, brownian_increments_block(stream, i, min(block, end - i), p.T, n_steps)
-            )
-            for i in range(offset, end, block)
-        ]
-        values = np.concatenate([v for v, _ in parts])
-        return values, sum(int(np.count_nonzero(c)) for _, c in parts)
+        increments = brownian_increments_block(stream, offset, count, p.T, n_steps)
+        values, clamped = forward_euler_values(p, increments)
+        return values, int(np.count_nonzero(clamped))
 
     stats, clamp_count = _stats_over_blocks(make_values, start, n, chunks, n_steps)
-    return EulerEstimate(
-        estimate=_finalize(stats, seed, start), n_steps=n_steps, clamp_count=clamp_count
-    )
+    estimate = _finalize(stats, seed, start, (Trader.FORWARD_INSIDER, p, n_steps))
+    return EulerEstimate(estimate=estimate, n_steps=n_steps, clamp_count=clamp_count)
 
 
 def skorokhod_factorized_estimate(
@@ -301,15 +301,14 @@ def skorokhod_factorized_estimate(
         b_t = brownian_terminal_block(stream, offset, count, p.T)
         return np.exp(growth + p.sigma * b_t), 0
 
-    indicator_stats, _ = _stats_over_blocks(indicator_values, 0, n, chunks)
-    gbm_stats, _ = _stats_over_blocks(gbm_values, n, n, chunks)
-    np_, p_hat, p_m2, _ = _merge_tree(indicator_stats)
-    ng_, g_hat, g_m2, _ = _merge_tree(gbm_stats)
+    prob = _finalize(_stats_over_blocks(indicator_values, 0, n, chunks)[0], stream.seed, 0)
+    gbm = _finalize(_stats_over_blocks(gbm_values, n, n, chunks)[0], stream.seed, n)
+    p_hat, g_hat = prob.mean, gbm.mean
 
     bond = math.exp(p.rho * p.T)
     mean = p.M * ((1.0 - p_hat) * bond + p_hat * g_hat)
-    var_p = p_hat * (1.0 - p_hat) / np_
-    var_g = (g_m2 / (ng_ - 1)) / ng_
+    var_p = p_hat * (1.0 - p_hat) / n
+    var_g = (gbm.m2 / (n - 1)) / n
     try:
         var = p.M * p.M * ((g_hat - bond) ** 2 * var_p + p_hat * p_hat * var_g)
     except OverflowError:
@@ -332,17 +331,20 @@ def skorokhod_factorized_estimate(
 
 
 def merge_estimates(a: MCEstimate, b: MCEstimate) -> MCEstimate:
-    """Combine estimates of one stream over adjacent index ranges, a then b.
+    """Combine estimates of one estimand and one stream over adjacent index
+    ranges, a then b.
 
     Reproduces the full-range estimate bitwise when both halves are whole
     granule runs (the reduction tree splits ranges at their midpoint).
     """
+    if a.estimand is None or a.estimand != b.estimand:
+        raise OutOfDomainError("merge needs two estimates of one recorded estimand")
     if a.seed != b.seed or b.start != a.start + a.n:
         raise OutOfDomainError("merge needs one seed and adjacent ranges, a then b")
     stats = _merge_pair(
         (a.n, a.mean, a.m2, a.zero_count), (b.n, b.mean, b.m2, b.zero_count)
     )
-    return _finalize([stats], a.seed, a.start)
+    return _finalize([stats], a.seed, a.start, a.estimand)
 
 
 def z_score(est: MCEstimate, reference: float) -> float:

@@ -216,11 +216,11 @@ def run_convergence(
     reference = forward_expected_wealth(p)
     rows = []
     for j, n_steps in enumerate(steps):
-        euler = estimate_euler_mean(p, int(n_steps), n, derive_seed(seed, j), chunks)
+        euler = estimate_euler_mean(p, n_steps, n, derive_seed(seed, j), chunks)
         est = euler.estimate
         rows.append(
             ConvergenceRow(
-                n_steps=int(n_steps),
+                n_steps=euler.n_steps,
                 mc_mean=est.mean,
                 mc_se=est.stderr,
                 cf_forward=reference,

@@ -60,6 +60,19 @@ def test_usage_error_exits_1():
     assert run_cli("compare", "--bogus-flag", "1").returncode == 1
     assert run_cli().returncode == 1
     assert run_cli("not-a-command").returncode == 1
+    # Flags a command would not read are not accepted.
+    for argv in (["closed-form", "--seed", "1"], ["closed-form", "--chunks", "2"],
+                 ["verify", "--format", "json"], ["verify", "--no-timestamp"]):
+        assert run_cli(*argv).returncode == 1
+
+
+def test_package_runs_as_module():
+    by_package, by_cli = (
+        subprocess.run([sys.executable, "-m", module, "closed-form"], capture_output=True)
+        for module in ("insidermc", "insidermc.cli")
+    )
+    assert by_package.returncode == by_cli.returncode == 0
+    assert by_package.stdout == by_cli.stdout
 
 
 def test_compare_byte_identical_across_workers(tmp_path):
@@ -121,6 +134,10 @@ def test_config_file_defaults_and_flag_override(tmp_path):
     assert float(parsed["sigma"]) == 0.8  # flag wins
     assert float(parsed["mu"]) == 0.05  # config applies
     assert parsed["regime"] == "marginal"
+    # One file serves every command: closed-form ignores samples and seed.
+    result = run_cli("closed-form", "--config", str(config))
+    assert result.returncode == 0
+    assert float(next(csv.DictReader(io.StringIO(result.stdout)))["mu"]) == 0.05
 
 
 def test_config_rejects_unknown_key(tmp_path):

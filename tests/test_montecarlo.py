@@ -68,6 +68,22 @@ def test_merge_rejects_ranges_that_are_not_adjacent():
         merge_estimates(b, a)
     with pytest.raises(OutOfDomainError):
         merge_estimates(a, gap)
+    # Adjacent ranges of one seed, but not one estimand.
+    honest = estimate_mean(Trader.HONEST_OPTIMAL, SHOWCASE, n, seed=5)
+    forward = estimate_mean(Trader.FORWARD_INSIDER, SHOWCASE, n, seed=5, start=n)
+    with pytest.raises(OutOfDomainError):
+        merge_estimates(honest, forward)
+    euler16 = estimate_euler_mean(SHOWCASE, 16, n, seed=5).estimate
+    euler64 = estimate_euler_mean(SHOWCASE, 64, n, seed=5, start=n).estimate
+    with pytest.raises(OutOfDomainError):
+        merge_estimates(euler16, euler64)
+    factorized = skorokhod_factorized_estimate(SHOWCASE, RngStream(5), n)
+    with pytest.raises(OutOfDomainError):
+        merge_estimates(factorized, b)  # its m2 is not a sample M2
+    euler16b = estimate_euler_mean(SHOWCASE, 16, n, seed=5, start=n).estimate
+    assert merge_estimates(euler16, euler16b) == (
+        estimate_euler_mean(SHOWCASE, 16, 2 * n, seed=5).estimate
+    )
     merged = merge_estimates(a, b)
     assert (merged.n, merged.start) == (2 * n, 0)
     assert merged.zero_count == a.zero_count + b.zero_count > 0
@@ -240,6 +256,21 @@ def test_task_width_groups_granules_and_sums_tallies():
     stats, tally = montecarlo._stats_over_blocks(make_values, 5, GRANULE + 3, 1, wide)
     assert calls == [(5, GRANULE), (5 + GRANULE, 3)] and tally == 2
     assert [s[0] for s in stats] == [GRANULE, 3]
+    # Four blocks per granule: still one stat per granule, every tally summed.
+    calls.clear()
+    stats, tally = montecarlo._stats_over_blocks(make_values, 0, 3 * GRANULE, 1, 4 * wide)
+    quarter = GRANULE // 4
+    assert calls == [(i * quarter, quarter) for i in range(12)] and tally == 12
+    assert stats == [(GRANULE, 2.0, 0.0, 0)] * 3
+    # 1365-sample blocks do not divide a granule: each granule ends in a 1-sample block.
+    calls.clear()
+    stats, tally = montecarlo._stats_over_blocks(make_values, 0, 2 * GRANULE, 1, 48)
+    block = montecarlo._TASK_TARGET // 48
+    assert calls == [
+        (g + i * block, block if i < 3 else 1) for g in (0, GRANULE) for i in range(4)
+    ]
+    assert tally == 8
+    assert stats == [(GRANULE, 2.0, 0.0, 0)] * 2
 
 
 @pytest.fixture

@@ -3,6 +3,7 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 
 from insidermc import (
@@ -163,7 +164,9 @@ class TestSweep:
 
 class TestConvergence:
     def test_rows_and_serialization(self):
-        rows = run_convergence(validate_params(1, 0, 0.5, 1, 1), [1, 16], 8192, seed=5)
+        # A numpy step count is reported as a plain int (JSON needs one).
+        steps = [1, np.int64(16)]
+        rows = run_convergence(validate_params(1, 0, 0.5, 1, 1), steps, 8192, seed=5)
         assert [r.n_steps for r in rows] == [1, 16]
         for r in rows:
             assert r.abs_bias == abs(r.mc_mean - r.cf_forward)
@@ -175,8 +178,9 @@ class TestConvergence:
         assert len(payload["rows"]) == 2
 
     def test_empty_step_list_rejected(self):
-        with pytest.raises(OutOfDomainError):
-            run_convergence(validate_params(1, 0, 0.5, 1, 1), [], 8192, seed=5)
+        for steps in ([], [2.5]):
+            with pytest.raises(OutOfDomainError):
+                run_convergence(validate_params(1, 0, 0.5, 1, 1), steps, 8192, seed=5)
 
     def test_single_step_reported_without_assertion(self):
         (row,) = run_convergence(validate_params(1, 0, 0.5, 1, 1), [1], 8192, seed=5)
