@@ -47,7 +47,6 @@ from .closedform import (
     skorokhod_expected_wealth_erf_form,
 )
 from .montecarlo import (
-    EulerEstimate,
     MCEstimate,
     estimate_euler_mean,
     estimate_mean,
@@ -87,7 +86,7 @@ __all__ = [
     "skorokhod_expected_wealth_erf_form", "forward_expected_wealth_erf_form",
     "compare_closed_form",
     # monte carlo
-    "MCEstimate", "EulerEstimate", "estimate_mean", "estimate_euler_mean",
+    "MCEstimate", "estimate_mean", "estimate_euler_mean",
     "skorokhod_factorized_estimate", "merge_estimates", "z_score",
     # reports
     "ComparisonRow", "SweepSpec", "ConvergenceRow", "run_compare", "run_sweep",

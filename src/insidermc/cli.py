@@ -41,20 +41,38 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
 
 
+# The type functions below raise ArgumentTypeError, whose message argparse
+# prints as is; for a ValueError it would print the function's name instead.
+
+
 def parse_seed(text: str) -> int:
     text = text.strip()
-    value = int(text, 16) if text.lower().startswith("0x") else int(text)
+    try:
+        value = int(text, 16) if text.lower().startswith("0x") else int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"seed must be a decimal or 0x-hex integer, got {text!r}"
+        ) from None
     if not 0 <= value < 2**64:
-        raise ValueError("seed must fit in 64 unsigned bits")
+        raise argparse.ArgumentTypeError(f"seed must fit in 64 unsigned bits, got {text!r}")
     return value
 
 
+def _split(text: str, convert, what: str) -> tuple:
+    try:
+        return tuple(convert(v) for v in text.split(",") if v.strip())
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated {what}, got {text!r}"
+        ) from None
+
+
 def _parse_grid(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in text.split(",") if v.strip())
+    return _split(text, float, "numbers")
 
 
 def _parse_steps(text: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in text.split(",") if v.strip())
+    return _split(text, int, "integers")
 
 
 def _convert(action: argparse.Action, text: str):
@@ -83,7 +101,7 @@ def load_config(path: str, actions: dict[str, argparse.Action]) -> dict:
                 raise ParameterError(f"{path}:{lineno}: unknown config key {key!r}")
             try:
                 values[key] = _convert(actions[key], value.strip())
-            except ValueError as exc:
+            except (ValueError, argparse.ArgumentTypeError) as exc:
                 raise ParameterError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     return values
 

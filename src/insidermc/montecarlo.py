@@ -44,7 +44,6 @@ from .sampling import (
 
 __all__ = [
     "MCEstimate",
-    "EulerEstimate",
     "estimate_mean",
     "estimate_euler_mean",
     "skorokhod_factorized_estimate",
@@ -72,7 +71,8 @@ class MCEstimate:
     it is kept so estimates can be merged without re-deriving it from the
     rounded standard deviation.  ``estimand`` names what was estimated,
     ``(trader, params)`` plus ``n_steps`` for Euler; ``None`` (the factorized
-    estimate, or one built by hand) is never merged.
+    estimate, or one built by hand) is never merged.  ``clamp_count`` is the
+    number of Euler paths whose stock leg was clamped at zero (0 elsewhere).
     """
 
     n: int
@@ -86,15 +86,7 @@ class MCEstimate:
     zero_count: int = 0  # exact, so a merge never rounds zero_fraction * n
     start: int = 0  # first draw index; merges require adjacent ranges
     estimand: tuple | None = None
-
-
-@dataclass(frozen=True)
-class EulerEstimate:
-    """Mean estimate of the Euler-discretized forward model plus diagnostics."""
-
-    estimate: MCEstimate
-    n_steps: int
-    clamp_count: int
+    clamp_count: int = 0
 
 
 # (count, mean, M2, zero_count) per granule.
@@ -177,7 +169,11 @@ def _stats_over_blocks(
 
 
 def _finalize(
-    stats: list[_Stats], seed: int, start: int, estimand: tuple | None = None
+    stats: list[_Stats],
+    seed: int,
+    start: int,
+    estimand: tuple | None = None,
+    clamp_count: int = 0,
 ) -> MCEstimate:
     n, mean, m2, zeros = _merge_tree(stats)
     if not (math.isfinite(mean) and math.isfinite(m2)):
@@ -198,14 +194,18 @@ def _finalize(
         zero_count=zeros,
         start=start,
         estimand=estimand,
+        clamp_count=clamp_count,
     )
 
 
-def _check_counts(n: int, chunks: int) -> None:
-    if n < 2:
-        raise BadSampleCountError(f"need n >= 2 samples, got {n}")
-    if chunks < 1:
-        raise OutOfDomainError(f"chunks must be >= 1, got {chunks}")
+def _check_counts(n: int, chunks: int, start: int = 0) -> None:
+    # Python or numpy integers only; integral floats are refused too.
+    if not isinstance(n, numbers.Integral) or n < 2:
+        raise BadSampleCountError(f"need an integer n >= 2 samples, got {n!r}")
+    if not isinstance(chunks, numbers.Integral) or chunks < 1:
+        raise OutOfDomainError(f"chunks must be an integer >= 1, got {chunks!r}")
+    if not isinstance(start, numbers.Integral):
+        raise OutOfDomainError(f"start must be an integer draw index, got {start!r}")
 
 
 def estimate_mean(
@@ -220,7 +220,7 @@ def estimate_mean(
 
     The result is bitwise independent of ``chunks``.
     """
-    _check_counts(n, chunks)
+    _check_counts(n, chunks, start)
     try:
         trader = Trader(trader)
     except ValueError as exc:
@@ -250,14 +250,14 @@ def estimate_euler_mean(
     seed: int,
     chunks: int = 1,
     start: int = 0,
-) -> EulerEstimate:
+) -> MCEstimate:
     """Mean of the Euler-discretized forward model over n paths.
 
     Each path ``i`` consumes raw draw counters ``i*n_steps .. (i+1)*n_steps-1``,
     so distinct paths and distinct step counts use disjoint index ranges.
     The harness generates and steps paths in blocks of width ``n_steps``.
     """
-    _check_counts(n, chunks)
+    _check_counts(n, chunks, start)
     if not isinstance(n_steps, numbers.Integral) or n_steps < 1:
         raise OutOfDomainError(f"n_steps must be an integer >= 1, got {n_steps!r}")
     n_steps = int(n_steps)
@@ -268,9 +268,8 @@ def estimate_euler_mean(
         values, clamped = forward_euler_values(p, increments)
         return values, int(np.count_nonzero(clamped))
 
-    stats, clamp_count = _stats_over_blocks(make_values, start, n, chunks, n_steps)
-    estimate = _finalize(stats, seed, start, (Trader.FORWARD_INSIDER, p, n_steps))
-    return EulerEstimate(estimate=estimate, n_steps=n_steps, clamp_count=clamp_count)
+    stats, clamps = _stats_over_blocks(make_values, start, n, chunks, n_steps)
+    return _finalize(stats, seed, start, (Trader.FORWARD_INSIDER, p, n_steps), clamps)
 
 
 def skorokhod_factorized_estimate(
@@ -344,7 +343,7 @@ def merge_estimates(a: MCEstimate, b: MCEstimate) -> MCEstimate:
     stats = _merge_pair(
         (a.n, a.mean, a.m2, a.zero_count), (b.n, b.mean, b.m2, b.zero_count)
     )
-    return _finalize([stats], a.seed, a.start, a.estimand)
+    return _finalize([stats], a.seed, a.start, a.estimand, a.clamp_count + b.clamp_count)
 
 
 def z_score(est: MCEstimate, reference: float) -> float:

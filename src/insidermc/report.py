@@ -20,7 +20,7 @@ from . import __version__
 from .closedform import ClosedFormReport, compare_closed_form, forward_expected_wealth
 from .errors import OutOfDomainError, WealthOverflowError
 from .market import MarketParams, validate_params
-from .montecarlo import MCEstimate, estimate_euler_mean, estimate_mean, z_score
+from .montecarlo import estimate_euler_mean, estimate_mean, z_score
 from .samplers import Trader
 from .sampling import derive_seed
 
@@ -28,8 +28,6 @@ __all__ = [
     "ComparisonRow",
     "SweepSpec",
     "ConvergenceRow",
-    "TRADERS",
-    "estimate_traders",
     "run_compare",
     "run_sweep",
     "run_convergence",
@@ -57,11 +55,6 @@ CLOSED_FORM_COLUMNS = [
 CONVERGENCE_COLUMNS = [
     "n_steps", "mc_mean", "mc_se", "cf_forward", "abs_bias", "clamp_count",
 ]
-
-# The three traders of a comparison; trader k runs on child seed ordinal
-# first + k of the master seed (see estimate_traders).
-TRADERS = (Trader.HONEST_OPTIMAL, Trader.SKOROKHOD_UNBIASED, Trader.FORWARD_INSIDER)
-
 
 @dataclass(frozen=True)
 class ComparisonRow:
@@ -136,23 +129,18 @@ class ConvergenceRow:
     clamp_count: int
 
 
-def estimate_traders(
+def run_compare(
     p: MarketParams, n: int, seed: int, chunks: int = 1, first: int = 0
-) -> tuple[MCEstimate, MCEstimate, MCEstimate]:
-    """The honest, Skorokhod and forward estimates, in ``TRADERS`` order, on
-    the child seeds of ordinals first, first+1, first+2 of ``seed``, so their
-    draws are decorrelated."""
-    return tuple(
-        estimate_mean(trader, p, n, derive_seed(seed, first + k), chunks)
-        for k, trader in enumerate(TRADERS)
-    )
-
-
-def run_compare(p: MarketParams, n: int, seed: int, chunks: int = 1) -> ComparisonRow:
-    """Closed forms plus the three estimators at one parameter point
-    (``estimate_traders`` with ordinals 0, 1, 2)."""
+) -> ComparisonRow:
+    """Closed forms plus the honest, Skorokhod and forward estimators at one
+    parameter point, on the child seeds of ordinals first, first+1, first+2
+    of ``seed``, so their draws are decorrelated."""
     report = compare_closed_form(p)
-    est_honest, est_sk, est_rs = estimate_traders(p, n, seed, chunks)
+    traders = (Trader.HONEST_OPTIMAL, Trader.SKOROKHOD_UNBIASED, Trader.FORWARD_INSIDER)
+    est_honest, est_sk, est_rs = (
+        estimate_mean(trader, p, n, derive_seed(seed, first + k), chunks)
+        for k, trader in enumerate(traders)
+    )
     return ComparisonRow(
         params=p,
         regime=report.regime.value,
@@ -216,16 +204,15 @@ def run_convergence(
     reference = forward_expected_wealth(p)
     rows = []
     for j, n_steps in enumerate(steps):
-        euler = estimate_euler_mean(p, n_steps, n, derive_seed(seed, j), chunks)
-        est = euler.estimate
+        est = estimate_euler_mean(p, n_steps, n, derive_seed(seed, j), chunks)
         rows.append(
             ConvergenceRow(
-                n_steps=euler.n_steps,
+                n_steps=int(n_steps),  # a plain int once the estimator accepted it
                 mc_mean=est.mean,
                 mc_se=est.stderr,
                 cf_forward=reference,
                 abs_bias=abs(est.mean - reference),
-                clamp_count=euler.clamp_count,
+                clamp_count=est.clamp_count,
             )
         )
     return rows

@@ -1,8 +1,10 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -26,12 +28,21 @@ from insidermc.report import (
 
 ORACLE_TRIPLE = (1.6487212707001282, 1.324360635350064, 1.8871429788350047)
 
+# Child interpreters import the package from this checkout's src directory,
+# installed or not.
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))),
+}
+
 
 def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "insidermc.cli", *args],
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
 
 
@@ -64,11 +75,24 @@ def test_usage_error_exits_1():
     for argv in (["closed-form", "--seed", "1"], ["closed-form", "--chunks", "2"],
                  ["verify", "--format", "json"], ["verify", "--no-timestamp"]):
         assert run_cli(*argv).returncode == 1
+    # A bad flag value is named by what it should be, not by the parser's
+    # type function.
+    for argv, message in (
+        (["convergence", "--steps", "2.5"], "expected comma-separated integers, got '2.5'"),
+        (["sweep", "--grid", "0.1,x"], "expected comma-separated numbers, got '0.1,x'"),
+        (["compare", "--seed", "-1"], "seed must fit in 64 unsigned bits"),
+        (["compare", "--seed", "zz"], "seed must be a decimal or 0x-hex integer"),
+    ):
+        result = run_cli(*argv)
+        assert result.returncode == 1
+        assert message in result.stderr
+        assert "invalid" not in result.stderr
 
 
 def test_package_runs_as_module():
     by_package, by_cli = (
-        subprocess.run([sys.executable, "-m", module, "closed-form"], capture_output=True)
+        subprocess.run([sys.executable, "-m", module, "closed-form"], capture_output=True,
+                       env=CHILD_ENV)
         for module in ("insidermc", "insidermc.cli")
     )
     assert by_package.returncode == by_cli.returncode == 0
@@ -153,6 +177,17 @@ def test_config_value_outside_choices_exits_2(tmp_path):
     assert result.returncode == 2
     assert result.stdout == ""
     assert f"{config}:2:" in result.stderr and "xml" in result.stderr
+    # Values the flag's type function refuses are validation errors too.
+    for line, message in (
+        ("seed = -1", "bad value for seed: seed must fit in 64 unsigned bits"),
+        ("steps = 2.5", "bad value for steps: expected comma-separated integers"),
+        ("grid = 0.1,x", "bad value for grid: expected comma-separated numbers"),
+    ):
+        config.write_text(f"samples = 64\n{line}\n")
+        result = run_cli("convergence", "--config", str(config))
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert f"{config}:2: {message}" in result.stderr
 
 
 def test_unwritable_out_exits_2(tmp_path):

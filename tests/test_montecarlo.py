@@ -40,6 +40,25 @@ def test_sample_count_and_trader_validation():
             estimate_mean(tag, SHOWCASE, 100, seed=1)
     with pytest.raises(BadSampleCountError):
         skorokhod_factorized_estimate(SHOWCASE, RngStream(1), 1)
+    # Counts and the first index must be integers, not merely integral floats.
+    with pytest.raises(BadSampleCountError):
+        estimate_mean(Trader.FORWARD_INSIDER, SHOWCASE, 1e5, seed=1)
+    with pytest.raises(BadSampleCountError):
+        estimate_euler_mean(SHOWCASE, 4, 4096.0, seed=1)
+    with pytest.raises(BadSampleCountError):
+        skorokhod_factorized_estimate(SHOWCASE, RngStream(1), 4096.0)
+    for kwargs in ({"chunks": 2.5}, {"chunks": 2.0}, {"start": 0.5}, {"start": 4096.0}):
+        with pytest.raises(OutOfDomainError):
+            estimate_mean(Trader.FORWARD_INSIDER, SHOWCASE, 4096, seed=1, **kwargs)
+        with pytest.raises(OutOfDomainError):
+            estimate_euler_mean(SHOWCASE, 4, 4096, seed=1, **kwargs)
+    with pytest.raises(OutOfDomainError):
+        skorokhod_factorized_estimate(SHOWCASE, RngStream(1), 4096, chunks=2.5)
+    # numpy integers are integers.
+    assert estimate_mean(
+        Trader.FORWARD_INSIDER, SHOWCASE, np.int64(4096), seed=1, chunks=np.int64(2),
+        start=np.int64(0),
+    ) == estimate_mean(Trader.FORWARD_INSIDER, SHOWCASE, 4096, seed=1)
 
 
 def test_chunks_do_not_change_bits():
@@ -73,16 +92,16 @@ def test_merge_rejects_ranges_that_are_not_adjacent():
     forward = estimate_mean(Trader.FORWARD_INSIDER, SHOWCASE, n, seed=5, start=n)
     with pytest.raises(OutOfDomainError):
         merge_estimates(honest, forward)
-    euler16 = estimate_euler_mean(SHOWCASE, 16, n, seed=5).estimate
-    euler64 = estimate_euler_mean(SHOWCASE, 64, n, seed=5, start=n).estimate
+    euler16 = estimate_euler_mean(SHOWCASE, 16, n, seed=5)
+    euler64 = estimate_euler_mean(SHOWCASE, 64, n, seed=5, start=n)
     with pytest.raises(OutOfDomainError):
         merge_estimates(euler16, euler64)
     factorized = skorokhod_factorized_estimate(SHOWCASE, RngStream(5), n)
     with pytest.raises(OutOfDomainError):
         merge_estimates(factorized, b)  # its m2 is not a sample M2
-    euler16b = estimate_euler_mean(SHOWCASE, 16, n, seed=5, start=n).estimate
+    euler16b = estimate_euler_mean(SHOWCASE, 16, n, seed=5, start=n)
     assert merge_estimates(euler16, euler16b) == (
-        estimate_euler_mean(SHOWCASE, 16, 2 * n, seed=5).estimate
+        estimate_euler_mean(SHOWCASE, 16, 2 * n, seed=5)
     )
     merged = merge_estimates(a, b)
     assert (merged.n, merged.start) == (2 * n, 0)
@@ -183,9 +202,9 @@ def test_euler_estimate_determinism_and_clamps():
     e1 = estimate_euler_mean(SHOWCASE, 16, 50_000, seed=51, chunks=1)
     e8 = estimate_euler_mean(SHOWCASE, 16, 50_000, seed=51, chunks=8)
     assert e1 == e8
-    assert e1.n_steps == 16
+    assert e1.estimand[2] == 16
     assert e1.clamp_count >= 0
-    assert e1.estimate.zero_fraction == (e1.clamp_count / 50_000)
+    assert e1.zero_fraction == (e1.clamp_count / 50_000)
 
 
 # Recorded on the whole-granule Euler code at sigma = 2 (a clamping point)
@@ -204,11 +223,21 @@ EULER_FROZEN = [
 
 @pytest.mark.parametrize("n_steps, mean, m2, zeros, clamps", EULER_FROZEN)
 def test_euler_sub_blocks_reproduce_frozen_estimates(n_steps, mean, m2, zeros, clamps):
-    e1 = estimate_euler_mean(EULER_POINT, n_steps, EULER_N, seed=20240, chunks=1)
-    assert e1 == estimate_euler_mean(EULER_POINT, n_steps, EULER_N, seed=20240, chunks=2)
-    est = e1.estimate
+    est = estimate_euler_mean(EULER_POINT, n_steps, EULER_N, seed=20240, chunks=1)
+    assert est == estimate_euler_mean(EULER_POINT, n_steps, EULER_N, seed=20240, chunks=2)
     assert (est.mean, est.m2) == (float.fromhex(mean), float.fromhex(m2))
-    assert (est.zero_count, e1.clamp_count) == (zeros, clamps)
+    assert (est.zero_count, est.clamp_count) == (zeros, clamps)
+
+
+def test_merged_euler_halves_sum_clamp_counts():
+    # sigma = 2 clamps a few paths per granule, so both halves count some.
+    n = 2 * GRANULE
+    left = estimate_euler_mean(EULER_POINT, 3, n, seed=20240)
+    right = estimate_euler_mean(EULER_POINT, 3, n, seed=20240, start=n)
+    assert left.clamp_count > 0 and right.clamp_count > 0
+    merged = merge_estimates(left, right)
+    assert merged.clamp_count == left.clamp_count + right.clamp_count
+    assert merged == estimate_euler_mean(EULER_POINT, 3, 2 * n, seed=20240)
 
 
 @pytest.mark.parametrize("n_steps", [3, 48, 256, 1000, montecarlo._TASK_TARGET + 1])

@@ -9,6 +9,9 @@ import pytest
 from insidermc import (
     OutOfDomainError,
     SweepSpec,
+    Trader,
+    derive_seed,
+    estimate_mean,
     run_compare,
     run_convergence,
     run_sweep,
@@ -37,6 +40,26 @@ def test_compare_row_contents(row):
     assert abs(row.z_honest) <= 4 and abs(row.z_sk) <= 4 and abs(row.z_rs) <= 4
     assert row.zero_fraction >= 0.0
     assert row.error is None
+
+
+def test_compare_runs_traders_on_consecutive_child_ordinals():
+    # Honest, Skorokhod, forward on child ordinals first, first+1, first+2:
+    # the verify battery's grid rows and its render digest rest on this.
+    n, seed = 4096, 11
+    traders = (Trader.HONEST_OPTIMAL, Trader.SKOROKHOD_UNBIASED, Trader.FORWARD_INSIDER)
+    for first in (0, 5):
+        row = run_compare(BASE, n, seed, 1, first)
+        honest, sk, rs = (
+            estimate_mean(trader, BASE, n, derive_seed(seed, first + k))
+            for k, trader in enumerate(traders)
+        )
+        assert (row.mc_honest, row.mc_honest_se) == (honest.mean, honest.stderr)
+        assert (row.mc_sk, row.mc_sk_se) == (sk.mean, sk.stderr)
+        assert (row.mc_rs, row.mc_rs_se) == (rs.mean, rs.stderr)
+        assert row.zero_fraction == sk.zero_fraction
+        assert row.z_sk == (sk.mean - row.cf_skorokhod) / sk.stderr
+    assert run_compare(BASE, n, seed) == run_compare(BASE, n, seed, first=0)
+    assert run_compare(BASE, n, seed, first=5).mc_honest != run_compare(BASE, n, seed).mc_honest
 
 
 def test_csv_schema_and_round_trip(row):

@@ -131,8 +131,8 @@ class TestForwardEuler:
 
         euler = estimate_euler_mean(SHOWCASE, 256, 100_000, seed=2024_08)
         reference = forward_expected_wealth(SHOWCASE)
-        tol = max(3 * euler.estimate.stderr, 0.02 * reference)
-        assert abs(euler.estimate.mean - reference) <= tol
+        tol = max(3 * euler.stderr, 0.02 * reference)
+        assert abs(euler.mean - reference) <= tol
         assert euler.clamp_count == 0
 
 
