@@ -13,7 +13,7 @@ demonstrates by halving the bias roughly 4x per 16x step refinement.  The
 clamp count (paths pinned at zero after a coarse-grid negative factor) is a
 discretization artifact that dies out as dt -> 0.
 
-Run: python demos/euler_convergence.py            (~20 s: 3 x 10^6 paths)
+Run: python demos/euler_convergence.py            (~15 s: 3 x 10^6 paths)
      python demos/euler_convergence.py --quick    (2 x 10^5 paths)
 """
 

@@ -11,6 +11,7 @@ flags override it.  Seeds are accepted in decimal or 0x-prefixed hex.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .errors import ParameterError, WealthOverflowError
@@ -122,7 +123,8 @@ def _add_common_flags(parser, draws=True, report=True):
     if draws:
         parser.add_argument("--seed", type=parse_seed, default=DEFAULT_SEED,
                             help="64-bit seed, decimal or 0x-hex")
-        parser.add_argument("--chunks", type=int, default=1, help="worker count")
+        parser.add_argument("--chunks", type=int, default=os.cpu_count() or 1,
+                            help="worker count (default: every core)")
     if report:
         parser.add_argument("--format", choices=("csv", "json"), default="csv")
         parser.add_argument("--no-timestamp", action="store_true",

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import numbers
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -38,6 +39,7 @@ from .samplers import (
 )
 from .sampling import (
     RngStream,
+    Workspace,
     brownian_increments_block,
     brownian_terminal_block,
 )
@@ -58,8 +60,11 @@ __all__ = [
 GRANULE = 4096
 # Two-sided 95% normal quantile; n is always large here, no t-correction.
 CI95 = 1.959964
-# Draws per generated block (see _stats_over_blocks): 2^16 keeps each float64
-# temporary at 512 KiB, within L2, and splits n = 10^6 into 16 tasks.
+# Draws per generated block (see _stats_over_blocks): 2^16 keeps each
+# workspace array at 512 KiB, within L2, and splits n = 10^6 into 16 tasks.
+# Smaller blocks would not pay: with one reused workspace per worker nothing
+# faults at 2^16, and at 2^14 two workers hand the GIL over so often between
+# the cheap word operations that they ran slower than one.
 _TASK_TARGET = 1 << 16
 
 
@@ -142,26 +147,41 @@ def _run_tasks(task, offsets, chunks: int) -> list:
 def _stats_over_blocks(
     make_values, start: int, n: int, chunks: int, width: int = 1
 ) -> tuple[list[_Stats], int]:
-    """Evaluate ``make_values(offset, count) -> (values, tally)`` over
-    [start, start+n) and stat each granule of 4096 samples separately.
+    """Evaluate ``make_values(offset, count, workspace) -> (values, tally)``
+    over [start, start+n) and stat each granule of 4096 samples separately.
     ``width`` is the number of draws per sample.  Blocks are
     ``max(1, _TASK_TARGET // width)`` samples, so none holds more than
     ``max(_TASK_TARGET, width)`` draws; a task is the whole granules of one
     block, or one granule generated block by block.  The counter-based
-    streams make every result bit independent of the cut.  Returns the
-    per-granule stats and the sum of the integer tallies.
+    streams make every result bit independent of the cut.
+
+    Each worker thread makes one :class:`~insidermc.sampling.Workspace` of
+    one block's draws and passes it to every block it generates in this
+    call, so the Gaussian layer reuses memory that is already mapped instead
+    of faulting fresh temporaries in per block.  A block's values may live
+    in the workspace; they are statted or copied before the next block.
+    Returns the per-granule stats and the sum of the integer tallies.
     """
     end = start + n
     block = max(1, _TASK_TARGET // width)
     step = GRANULE * max(1, block // GRANULE)
+    local = threading.local()
 
     def task(offset: int) -> tuple[list[_Stats], int]:
+        workspace = getattr(local, "workspace", None)
+        if workspace is None:
+            workspace = local.workspace = Workspace(max(_TASK_TARGET, width))
         stop = min(offset + step, end)
-        parts = [make_values(i, min(block, stop - i)) for i in range(offset, stop, block)]
-        values = parts[0][0] if len(parts) == 1 else np.concatenate([v for v, _ in parts])
+        if stop - offset <= block:
+            values, tally = make_values(offset, stop - offset, workspace)
+        else:
+            values, tally = np.empty(stop - offset), 0
+            for i in range(offset, stop, block):
+                part, part_tally = make_values(i, min(block, stop - i), workspace)
+                values[i - offset : i - offset + len(part)] = part
+                tally += part_tally
         granules = range(0, len(values), GRANULE)
-        stats = [_granule_stats(values[i : i + GRANULE]) for i in granules]
-        return stats, sum(tally for _, tally in parts)
+        return [_granule_stats(values[i : i + GRANULE]) for i in granules], tally
 
     results = _run_tasks(task, range(start, end, step), chunks)
     stats = [s for task_stats, _ in results for s in task_stats]
@@ -231,8 +251,8 @@ def estimate_mean(
 
     # Samplers are looked up by module name per block, never bound once, so
     # a wrapper patched onto this module's attributes sees every call.
-    def make_values(offset: int, count: int) -> tuple[np.ndarray, int]:
-        b_t = brownian_terminal_block(stream, offset, count, p.T)
+    def make_values(offset: int, count: int, workspace: Workspace) -> tuple[np.ndarray, int]:
+        b_t = brownian_terminal_block(stream, offset, count, p.T, out=workspace)
         if trader is Trader.HONEST_OPTIMAL:
             return honest_values(p, alloc, b_t), 0
         if trader is Trader.FORWARD_INSIDER:
@@ -263,8 +283,10 @@ def estimate_euler_mean(
     n_steps = int(n_steps)
     stream = RngStream(seed)
 
-    def make_values(offset: int, count: int) -> tuple[np.ndarray, int]:
-        increments = brownian_increments_block(stream, offset, count, p.T, n_steps)
+    def make_values(offset: int, count: int, workspace: Workspace) -> tuple[np.ndarray, int]:
+        increments = brownian_increments_block(
+            stream, offset, count, p.T, n_steps, out=workspace
+        )
         values, clamped = forward_euler_values(p, increments)
         return values, int(np.count_nonzero(clamped))
 
@@ -292,13 +314,15 @@ def skorokhod_factorized_estimate(
     a = indicator_threshold(p)
     growth = (p.mu - 0.5 * p.sigma * p.sigma) * p.T
 
-    def indicator_values(offset: int, count: int) -> tuple[np.ndarray, int]:
-        b_t = brownian_terminal_block(stream, offset, count, p.T)
+    def indicator_values(offset: int, count: int, workspace: Workspace) -> tuple[np.ndarray, int]:
+        b_t = brownian_terminal_block(stream, offset, count, p.T, out=workspace)
         return (b_t > a).astype(np.float64), 0
 
-    def gbm_values(offset: int, count: int) -> tuple[np.ndarray, int]:
-        b_t = brownian_terminal_block(stream, offset, count, p.T)
-        return np.exp(growth + p.sigma * b_t), 0
+    def gbm_values(offset: int, count: int, workspace: Workspace) -> tuple[np.ndarray, int]:
+        b_t = brownian_terminal_block(stream, offset, count, p.T, out=workspace)
+        b_t *= p.sigma
+        b_t += growth
+        return np.exp(b_t, out=b_t), 0
 
     prob = _finalize(_stats_over_blocks(indicator_values, 0, n, chunks)[0], stream.seed, 0)
     gbm = _finalize(_stats_over_blocks(gbm_values, n, n, chunks)[0], stream.seed, n)

@@ -62,11 +62,18 @@ def _bond_value(p: MarketParams, m0: float) -> float:
 
 
 def _stock_values(p: MarketParams, m1: float, b_t: np.ndarray) -> np.ndarray:
-    """The stock leg m1 exp((mu - sigma^2/2) T + sigma b), exponent guarded."""
-    expo = (p.mu - 0.5 * p.sigma * p.sigma) * p.T + p.sigma * b_t
+    """The stock leg m1 exp((mu - sigma^2/2) T + sigma b), exponent guarded.
+
+    Computed in one fresh array; each in-place step only swaps the operands
+    of an IEEE add or multiply, so the bits are those of the plain formula.
+    """
+    expo = np.multiply(b_t, p.sigma, out=np.empty_like(b_t))
+    expo += (p.mu - 0.5 * p.sigma * p.sigma) * p.T
     if expo.size and float(expo.max()) > EXP_MAX:
         raise WealthOverflowError(f"stock exponent exceeds the double range ({EXP_MAX})")
-    return m1 * np.exp(expo)
+    np.exp(expo, out=expo)
+    expo *= m1
+    return expo
 
 
 def honest_values(p: MarketParams, a: Allocation, b_t: np.ndarray) -> np.ndarray:
@@ -76,7 +83,9 @@ def honest_values(p: MarketParams, a: Allocation, b_t: np.ndarray) -> np.ndarray
     b_t = np.asarray(b_t, dtype=np.float64)
     if a.m1 == 0.0:
         return np.full(b_t.shape, bond)
-    return bond + _stock_values(p, a.m1, b_t)
+    values = _stock_values(p, a.m1, b_t)
+    values += bond
+    return values
 
 
 def forward_insider_values(p: MarketParams, b_t: np.ndarray) -> np.ndarray:

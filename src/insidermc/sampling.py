@@ -10,6 +10,12 @@ applied to ``seed + (k+1) * GOLDEN`` (a Weyl sequence), mapped to a uniform
 strictly inside (0, 1), then pushed through :func:`~insidermc.special.
 inverse_normal_cdf`.  One word per normal keeps the (seed, index) -> value
 map stateless and platform-stable.
+
+Every step (words, uniforms, normals, Brownian scaling) runs in place in one
+:class:`Workspace`, and a block function returns a view of its memory.  A
+caller that generates many blocks passes its own workspace as ``out`` and
+reuses it; without ``out`` each call makes a fresh one, so the result is a
+new array.  Either way the bits are the same.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from .special import _inverse_normal_cdf_array
 
 __all__ = [
     "RngStream",
+    "Workspace",
     "standard_normal_block",
     "uniform_block",
     "brownian_terminal_block",
@@ -53,14 +60,37 @@ class RngStream:
             raise OutOfDomainError(f"seed must fit in 64 unsigned bits, got {self.seed!r}")
 
 
-def _words(seed: int, start: int, count: int) -> np.ndarray:
-    """splitmix64 finalizer over the Weyl sequence seed + (k+1)*GOLDEN."""
-    idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        z = np.uint64(seed) + idx * np.uint64(_GOLDEN)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        z = z ^ (z >> np.uint64(31))
+class Workspace:
+    """Reusable memory for blocks of up to ``size`` draws.
+
+    ``words`` holds a block's words and then, in place, its uniforms,
+    normals and Brownian values; ``scratch`` takes the shifted terms of the
+    splitmix64 rounds and ``ramp`` is the constant 0..size-1.  One workspace
+    serves one thread at a time, and each block overwrites the last.
+    """
+
+    __slots__ = ("words", "scratch", "ramp")
+
+    def __init__(self, size: int):
+        self.words = np.empty(size, dtype=np.uint64)
+        self.scratch = np.empty(size, dtype=np.uint64)
+        self.ramp = np.arange(size, dtype=np.uint64)
+
+
+def _words(seed: int, start: int, count: int, out: Workspace) -> np.ndarray:
+    """splitmix64 finalizer over the Weyl sequence seed + (k+1)*GOLDEN,
+    computed in ``out.words``."""
+    if count > out.words.size:
+        raise OutOfDomainError(f"block of {count} draws exceeds the workspace ({out.words.size})")
+    # uint64 arithmetic wraps mod 2^64 exactly, so any grouping gives the same words.
+    z, t = out.words[:count], out.scratch[:count]
+    np.multiply(out.ramp[:count], np.uint64(_GOLDEN), out=z)
+    z += np.uint64((seed + (start + 1) * _GOLDEN) & _MASK64)
+    for shift, mix in ((30, _MIX1), (27, _MIX2), (31, None)):
+        np.right_shift(z, np.uint64(shift), out=t)
+        z ^= t
+        if mix is not None:
+            z *= np.uint64(mix)
     return z
 
 
@@ -71,16 +101,29 @@ def _check_range(start: int, count: int) -> None:
         raise IndexOverflowError(f"draw index {start + count - 1} exceeds 2**63 - 1")
 
 
-def uniform_block(stream: RngStream, start: int, count: int) -> np.ndarray:
+def uniform_block(
+    stream: RngStream, start: int, count: int, out: Workspace | None = None
+) -> np.ndarray:
     """Uniforms strictly inside (0, 1) at counters start..start+count-1."""
     _check_range(start, count)
-    w = _words(stream.seed, start, count)
-    return ((w >> np.uint64(11)).astype(np.float64) + 0.5) * _TO_UNIT
+    if out is None:
+        out = Workspace(count)
+    w = _words(stream.seed, start, count, out)
+    # Shift into the scratch: a float64 result cast over its own uint64
+    # input would make numpy copy the input first.
+    t = out.scratch[:count]
+    np.right_shift(w, np.uint64(11), out=t)
+    u = np.add(t, 0.5, out=w.view(np.float64))
+    u *= _TO_UNIT
+    return u
 
 
-def standard_normal_block(stream: RngStream, start: int, count: int) -> np.ndarray:
+def standard_normal_block(
+    stream: RngStream, start: int, count: int, out: Workspace | None = None
+) -> np.ndarray:
     """Standard normal draws at counters start..start+count-1."""
-    return _inverse_normal_cdf_array(uniform_block(stream, start, count))
+    u = uniform_block(stream, start, count, out)
+    return _inverse_normal_cdf_array(u, out=u)
 
 
 def _require_horizon(T: float) -> float:
@@ -92,14 +135,23 @@ def _require_horizon(T: float) -> float:
     return T
 
 
-def brownian_terminal_block(stream: RngStream, start: int, count: int, T: float) -> np.ndarray:
+def brownian_terminal_block(
+    stream: RngStream, start: int, count: int, T: float, out: Workspace | None = None
+) -> np.ndarray:
     """Samples of B_T ~ N(0, T) at counters start..start+count-1."""
     T = _require_horizon(T)
-    return math.sqrt(T) * standard_normal_block(stream, start, count)
+    z = standard_normal_block(stream, start, count, out)
+    z *= math.sqrt(T)  # IEEE multiplication commutes: the bits of sqrt(T) * z
+    return z
 
 
 def brownian_increments_block(
-    stream: RngStream, start: int, count: int, T: float, n_steps: int
+    stream: RngStream,
+    start: int,
+    count: int,
+    T: float,
+    n_steps: int,
+    out: Workspace | None = None,
 ) -> np.ndarray:
     """Brownian increments over a uniform n_steps grid on [0, T].
 
@@ -111,11 +163,12 @@ def brownian_increments_block(
     if n_steps < 1:
         raise OutOfDomainError(f"n_steps must be >= 1, got {n_steps}")
     # standard_normal_block range-checks the flattened counters.
-    z = standard_normal_block(stream, start * n_steps, count * n_steps)
-    return math.sqrt(T / n_steps) * z.reshape(count, n_steps)
+    z = standard_normal_block(stream, start * n_steps, count * n_steps, out)
+    z *= math.sqrt(T / n_steps)
+    return z.reshape(count, n_steps)
 
 
 def derive_seed(seed: int, ordinal: int) -> int:
     """A decorrelated child seed for sub-task ``ordinal`` of a master seed:
     word ``ordinal`` of the master seed's stream."""
-    return int(_words(RngStream(seed).seed, ordinal, 1)[0])
+    return int(_words(RngStream(seed).seed, ordinal, 1, Workspace(1))[0])

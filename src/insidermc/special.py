@@ -52,9 +52,10 @@ def normal_cdf(x: float) -> float:
     return 0.5 * float(_sc.erfc(-x * _INV_SQRT2))
 
 
-def _inverse_normal_cdf_array(u: np.ndarray) -> np.ndarray:
-    """Vectorized inverse CDF; expects a float64 array strictly inside (0, 1)."""
-    return _sc.ndtri(u)
+def _inverse_normal_cdf_array(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Vectorized inverse CDF; expects a float64 array strictly inside (0, 1).
+    ``out`` may be ``u`` itself."""
+    return _sc.ndtri(u, out=out)
 
 
 def inverse_normal_cdf(u: float) -> float:

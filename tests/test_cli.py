@@ -1,4 +1,5 @@
 import csv
+import inspect
 import io
 import json
 import os
@@ -17,6 +18,7 @@ from insidermc import (
     run_sweep,
     validate_params,
 )
+from insidermc import verify
 from insidermc.report import (
     closed_form_csv,
     closed_form_json,
@@ -65,6 +67,15 @@ def test_validation_error_exits_2():
 def test_bad_sample_count_exits_2():
     result = run_cli("compare", "--samples", "1")
     assert result.returncode == 2
+
+
+def test_chunks_default_to_every_core():
+    parser = cli.build_parser()
+    for command in ("compare", "sweep", "convergence", "verify"):
+        assert parser.parse_args([command]).chunks == (os.cpu_count() or 1)
+    assert parser.parse_args(["compare", "--chunks", "1"]).chunks == 1
+    default = inspect.signature(verify.run_verify).parameters["chunks"].default
+    assert default == (os.cpu_count() or 1)
 
 
 def test_usage_error_exits_1():

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -26,7 +28,7 @@ from insidermc import (
 import insidermc.montecarlo as montecarlo
 from insidermc.montecarlo import CI95, GRANULE
 from insidermc.samplers import forward_insider_values
-from insidermc.sampling import brownian_terminal_block
+from insidermc.sampling import Workspace, brownian_terminal_block
 
 SHOWCASE = validate_params(1, 0, 0.5, 1, 1)
 BEAR = validate_params(1, 0.1, 0.05, 0.2, 2)
@@ -245,9 +247,9 @@ def test_euler_blocks_stay_within_task_target(monkeypatch, n_steps):
     asked = []
     real = montecarlo.brownian_increments_block
 
-    def spy(stream, start, count, T, steps):
+    def spy(stream, start, count, T, steps, out=None):
         asked.append(count * steps)
-        return real(stream, start, count, T, steps)
+        return real(stream, start, count, T, steps, out=out)
 
     monkeypatch.setattr(montecarlo, "brownian_increments_block", spy)
     n = 2 if n_steps > montecarlo._TASK_TARGET else EULER_N
@@ -266,7 +268,7 @@ def test_factorized_overflowed_variance_raises():
 def test_task_width_groups_granules_and_sums_tallies():
     calls = []
 
-    def make_values(offset, count):
+    def make_values(offset, count, workspace):
         calls.append((offset, count))
         return np.full(count, 2.0), 1
 
@@ -300,6 +302,58 @@ def test_task_width_groups_granules_and_sums_tallies():
     ]
     assert tally == 8
     assert stats == [(GRANULE, 2.0, 0.0, 0)] * 2
+
+
+def _record_workspaces(monkeypatch, name):
+    seen = []
+    real = getattr(montecarlo, name)
+
+    def spy(*args, out=None):
+        seen.append((threading.get_ident(), out))
+        return real(*args, out=out)
+
+    monkeypatch.setattr(montecarlo, name, spy)
+    return seen
+
+
+@pytest.mark.parametrize("width", [1, 3, 256])
+def test_one_workspace_serves_every_block_of_a_call(monkeypatch, width):
+    if width == 1:
+        seen = _record_workspaces(monkeypatch, "brownian_terminal_block")
+        def run(n):
+            return estimate_mean(Trader.HONEST_OPTIMAL, SHOWCASE, n, seed=4)
+    else:
+        seen = _record_workspaces(monkeypatch, "brownian_increments_block")
+        def run(n):
+            return estimate_euler_mean(EULER_POINT, width, n, seed=4)
+    run(3 * montecarlo._TASK_TARGET // width + 7)  # four blocks
+    assert len(seen) == 4
+    workspace = seen[0][1]
+    assert isinstance(workspace, Workspace)
+    assert all(out is workspace for _, out in seen)
+    assert workspace.words.size == max(montecarlo._TASK_TARGET, width)
+    # The next call makes its own.
+    seen.clear()
+    run(GRANULE)
+    assert seen[0][1] is not workspace
+
+
+def test_workspaces_are_never_shared_between_threads(monkeypatch):
+    serial = estimate_mean(Trader.FORWARD_INSIDER, SHOWCASE, 10**6, seed=4)
+    seen = _record_workspaces(monkeypatch, "brownian_terminal_block")
+    # More workers than cores, switching threads as often as the interpreter can.
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pooled = estimate_mean(Trader.FORWARD_INSIDER, SHOWCASE, 10**6, seed=4, chunks=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert pooled == serial
+    owner = {}
+    for thread, out in seen:
+        assert owner.setdefault(id(out), thread) == thread
+    assert len(owner) <= 8 and len(seen) == 16
 
 
 @pytest.fixture

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from insidermc import (
     IndexOverflowError,
@@ -12,6 +13,7 @@ from insidermc import (
     standard_normal_block,
 )
 from insidermc.sampling import (
+    Workspace,
     brownian_increments_block,
     brownian_terminal_block,
     uniform_block,
@@ -148,3 +150,60 @@ def test_index_overflow():
         brownian_increments_block(STREAM, 2**62, 1, 1.0, 4)
     with pytest.raises(IndexOverflowError):
         standard_normal_block(STREAM, 2**63, 1)
+
+
+def reference_normals(seed, start, count):
+    """splitmix64 words -> uniforms -> ndtri, one fresh array per step."""
+    idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    z = np.uint64(seed) + idx * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z = z ^ (z >> np.uint64(31))
+    u = ((z >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    return u, ndtri(u)
+
+
+BLOCKS = {
+    "uniform": (
+        lambda start, count, out=None: uniform_block(STREAM, start, count, out),
+        lambda start, count: reference_normals(42, start, count)[0],
+    ),
+    "normal": (
+        lambda start, count, out=None: standard_normal_block(STREAM, start, count, out),
+        lambda start, count: reference_normals(42, start, count)[1],
+    ),
+    "terminal": (
+        lambda start, count, out=None: brownian_terminal_block(STREAM, start, count, 2.7, out),
+        lambda start, count: math.sqrt(2.7) * reference_normals(42, start, count)[1],
+    ),
+    "increments": (
+        lambda start, count, out=None: brownian_increments_block(
+            STREAM, start, count, 0.9, 3, out
+        ),
+        lambda start, count: math.sqrt(0.9 / 3)
+        * reference_normals(42, 3 * start, 3 * count)[1].reshape(count, 3),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BLOCKS))
+def test_workspace_path_is_bitwise_the_allocating_path(name):
+    block, reference = BLOCKS[name]
+    workspace = Workspace(3 * 4097)
+    workspace.words.fill(0xDEADBEEF)
+    workspace.scratch.fill(0xFFFFFFFFFFFFFFFF)
+    # Counts 0, 1 and odd, each in the buffer the previous block left dirty.
+    for start, count in ((0, 0), (5, 1), (2**40, 4097), (77, 3), (2**20, 1023)):
+        fresh = block(start, count)
+        reused = block(start, count, workspace)
+        assert reused.shape == fresh.shape and reused.dtype == fresh.dtype
+        assert reused.tobytes() == fresh.tobytes() == reference(start, count).tobytes()
+        assert count == 0 or np.shares_memory(reused, workspace.words)
+        assert not np.shares_memory(fresh, workspace.words)
+
+
+def test_workspace_refuses_a_block_it_cannot_hold():
+    with pytest.raises(OutOfDomainError):
+        standard_normal_block(STREAM, 0, 9, Workspace(8))
+    with pytest.raises(OutOfDomainError):
+        brownian_increments_block(STREAM, 0, 3, 1.0, 3, Workspace(8))
