@@ -32,6 +32,8 @@ from .errors import (
 from .market import MarketParams, indicator_threshold
 from .samplers import (
     Trader,
+    _bond_value,
+    _stock_values,
     forward_euler_values,
     forward_insider_values,
     honest_values,
@@ -52,14 +54,11 @@ __all__ = [
     "merge_estimates",
     "z_score",
     "GRANULE",
-    "CI95",
 ]
 
 # Granule size of the reduction tree; fixed so results never depend on the
 # chunks execution parameter.
 GRANULE = 4096
-# Two-sided 95% normal quantile; n is always large here, no t-correction.
-CI95 = 1.959964
 # Draws per generated block (see _stats_over_blocks): 2^16 keeps each
 # workspace array at 512 KiB, within L2, and splits n = 10^6 into 16 tasks.
 # Smaller blocks would not pay: with one reused workspace per worker nothing
@@ -84,7 +83,6 @@ class MCEstimate:
     mean: float
     sample_stddev: float
     stderr: float
-    ci95_halfwidth: float
     seed: int
     zero_fraction: float
     m2: float = 0.0
@@ -207,7 +205,6 @@ def _finalize(
         mean=mean,
         sample_stddev=stddev,
         stderr=stderr,
-        ci95_halfwidth=CI95 * stderr,
         seed=seed,
         zero_fraction=zeros / n,
         m2=m2,
@@ -312,7 +309,7 @@ def skorokhod_factorized_estimate(
     """
     _check_counts(n, chunks)
     a = indicator_threshold(p)
-    growth = (p.mu - 0.5 * p.sigma * p.sigma) * p.T
+    bond = _bond_value(p, 1.0)
 
     def indicator_values(offset: int, count: int, workspace: Workspace) -> tuple[np.ndarray, int]:
         b_t = brownian_terminal_block(stream, offset, count, p.T, out=workspace)
@@ -320,15 +317,11 @@ def skorokhod_factorized_estimate(
 
     def gbm_values(offset: int, count: int, workspace: Workspace) -> tuple[np.ndarray, int]:
         b_t = brownian_terminal_block(stream, offset, count, p.T, out=workspace)
-        b_t *= p.sigma
-        b_t += growth
-        return np.exp(b_t, out=b_t), 0
+        return _stock_values(p, 1.0, b_t), 0
 
     prob = _finalize(_stats_over_blocks(indicator_values, 0, n, chunks)[0], stream.seed, 0)
     gbm = _finalize(_stats_over_blocks(gbm_values, n, n, chunks)[0], stream.seed, n)
     p_hat, g_hat = prob.mean, gbm.mean
-
-    bond = math.exp(p.rho * p.T)
     mean = p.M * ((1.0 - p_hat) * bond + p_hat * g_hat)
     var_p = p_hat * (1.0 - p_hat) / n
     var_g = (gbm.m2 / (n - 1)) / n
@@ -347,7 +340,6 @@ def skorokhod_factorized_estimate(
         mean=mean,
         sample_stddev=stddev,
         stderr=stderr,
-        ci95_halfwidth=CI95 * stderr,
         seed=stream.seed,
         zero_fraction=0.0,
     )

@@ -16,10 +16,11 @@ in reverse to the stock leg:
 
 Its expectation over b ~ N(0, T) equals the Skorokhod closed form (certified
 against it, not asserted): the shifted indicator turns back into
-Pr{B_T > a} times the plain GBM mean, which is the Wick factorization.  The
-two indicators are *not* complementary; for a < b <= a + sigma T the sample
-is exactly 0.  That dead zone is the pathwise face of the model's financial
-paradox, and its mass is a tracked diagnostic.
+Pr{B_T > a} times the plain GBM mean, which is the Wick factorization.  So
+it is the forward sample with its stock event shifted from {b > a} to
+{b - sigma T > a}: one kernel serves both, with shift 0 and sigma T.  The
+shift is the dead zone a < b <= a + sigma T, where the sample is exactly 0,
+the pathwise face of the model's financial paradox; its mass is tracked.
 """
 
 from __future__ import annotations
@@ -55,25 +56,26 @@ class Trader(enum.Enum):
 
 
 def _bond_value(p: MarketParams, m0: float) -> float:
-    """The bond leg m0 e^{rho T}, the one home of the rho*T range guard."""
-    if p.rho * p.T > EXP_MAX:
-        raise WealthOverflowError(f"rho*T exceeds the double range ({EXP_MAX})")
-    return m0 * math.exp(p.rho * p.T)
+    """The bond leg m0 e^{rho T}, the one home of the bond's range guard."""
+    bond = m0 * math.exp(p.rho * p.T) if p.rho * p.T <= EXP_MAX else math.inf
+    if math.isinf(bond):
+        raise WealthOverflowError(f"bond leg {m0!r} e^(rho*T) exceeds the double range")
+    return bond
 
 
 def _stock_values(p: MarketParams, m1: float, b_t: np.ndarray) -> np.ndarray:
     """The stock leg m1 exp((mu - sigma^2/2) T + sigma b), exponent guarded.
 
-    Computed in one fresh array; each in-place step only swaps the operands
-    of an IEEE add or multiply, so the bits are those of the plain formula.
+    Computed in place over the caller's own array; each step only swaps the
+    operands of an IEEE add or multiply, so the bits are the plain formula's.
     """
-    expo = np.multiply(b_t, p.sigma, out=np.empty_like(b_t))
-    expo += (p.mu - 0.5 * p.sigma * p.sigma) * p.T
-    if expo.size and float(expo.max()) > EXP_MAX:
+    b_t *= p.sigma
+    b_t += (p.mu - 0.5 * p.sigma * p.sigma) * p.T
+    if b_t.size and float(b_t.max()) > EXP_MAX:
         raise WealthOverflowError(f"stock exponent exceeds the double range ({EXP_MAX})")
-    np.exp(expo, out=expo)
-    expo *= m1
-    return expo
+    np.exp(b_t, out=b_t)
+    b_t *= m1
+    return b_t
 
 
 def honest_values(p: MarketParams, a: Allocation, b_t: np.ndarray) -> np.ndarray:
@@ -83,8 +85,22 @@ def honest_values(p: MarketParams, a: Allocation, b_t: np.ndarray) -> np.ndarray
     b_t = np.asarray(b_t, dtype=np.float64)
     if a.m1 == 0.0:
         return np.full(b_t.shape, bond)
-    values = _stock_values(p, a.m1, b_t)
+    values = _stock_values(p, a.m1, b_t.copy())
     values += bond
+    return values
+
+
+def _insider_values(p: MarketParams, b_t: np.ndarray, shift: float) -> np.ndarray:
+    """M on the bond where b <= a, on the stock where b - shift > a, exactly
+    0 between; built in the array that first holds b - shift, never in b_t."""
+    bond = _bond_value(p, p.M)
+    b_t = np.asarray(b_t, dtype=np.float64)
+    a = indicator_threshold(p)
+    values = np.subtract(b_t, shift)
+    stock = values > a
+    np.multiply(b_t <= a, bond, out=values)
+    if stock.any():
+        values[stock] = _stock_values(p, p.M, b_t[stock])
     return values
 
 
@@ -92,30 +108,16 @@ def forward_insider_values(p: MarketParams, b_t: np.ndarray) -> np.ndarray:
     """Vectorized forward-model insider wealth.
 
     All of M rides the stock when b > a, the bond otherwise; the boundary
-    b == a goes to the bond.
+    b == a goes to the bond: the insider kernel with no shift.
     """
-    bond = _bond_value(p, p.M)
-    b_t = np.asarray(b_t, dtype=np.float64)
-    values = np.full(b_t.shape, bond)
-    stock = b_t > indicator_threshold(p)
-    if stock.any():
-        values[stock] = _stock_values(p, p.M, b_t[stock])
-    return values
+    return _insider_values(p, b_t, 0.0)
 
 
 def skorokhod_unbiased_values(p: MarketParams, b_t: np.ndarray) -> np.ndarray:
-    """Vectorized translation-form Skorokhod sample (see module docstring).
-
-    Exactly 0 on the dead zone a < b <= a + sigma T.
+    """Vectorized translation-form Skorokhod sample (see module docstring):
+    the insider kernel shifted by sigma T, exactly 0 on a < b <= a + sigma T.
     """
-    bond = _bond_value(p, p.M)
-    b_t = np.asarray(b_t, dtype=np.float64)
-    a = indicator_threshold(p)
-    values = np.where(b_t <= a, bond, 0.0)
-    stock = b_t - p.sigma * p.T > a
-    if stock.any():
-        values[stock] = _stock_values(p, p.M, b_t[stock])
-    return values
+    return _insider_values(p, b_t, p.sigma * p.T)
 
 
 def forward_euler_values(

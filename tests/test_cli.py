@@ -78,14 +78,22 @@ def test_chunks_default_to_every_core():
     assert default == (os.cpu_count() or 1)
 
 
-def test_usage_error_exits_1():
+def main_exit(capsys, *argv):
+    """(exit code, stderr) of ``cli.main(argv)`` when it exits in argparse."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    return exc.value.code, capsys.readouterr().err
+
+
+def test_usage_error_exits_1(capsys):
+    # One child interpreter keeps the module's own exit path covered.
     assert run_cli("compare", "--bogus-flag", "1").returncode == 1
-    assert run_cli().returncode == 1
-    assert run_cli("not-a-command").returncode == 1
+    assert main_exit(capsys)[0] == 1
+    assert main_exit(capsys, "not-a-command")[0] == 1
     # Flags a command would not read are not accepted.
     for argv in (["closed-form", "--seed", "1"], ["closed-form", "--chunks", "2"],
                  ["verify", "--format", "json"], ["verify", "--no-timestamp"]):
-        assert run_cli(*argv).returncode == 1
+        assert main_exit(capsys, *argv)[0] == 1
     # A bad flag value is named by what it should be, not by the parser's
     # type function.
     for argv, message in (
@@ -94,10 +102,10 @@ def test_usage_error_exits_1():
         (["compare", "--seed", "-1"], "seed must fit in 64 unsigned bits"),
         (["compare", "--seed", "zz"], "seed must be a decimal or 0x-hex integer"),
     ):
-        result = run_cli(*argv)
-        assert result.returncode == 1
-        assert message in result.stderr
-        assert "invalid" not in result.stderr
+        code, stderr = main_exit(capsys, *argv)
+        assert code == 1
+        assert message in stderr
+        assert "invalid" not in stderr
 
 
 def test_package_runs_as_module():

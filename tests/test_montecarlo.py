@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from insidermc import (
     z_score,
 )
 import insidermc.montecarlo as montecarlo
-from insidermc.montecarlo import CI95, GRANULE
+from insidermc.montecarlo import GRANULE
 from insidermc.samplers import forward_insider_values
 from insidermc.sampling import Workspace, brownian_terminal_block
 
@@ -123,7 +124,6 @@ def test_single_granule_consumes_exact_index_range():
 def test_estimate_invariants():
     est = estimate_mean(Trader.FORWARD_INSIDER, SHOWCASE, 50_000, seed=11)
     assert est.stderr * math.sqrt(est.n) == pytest.approx(est.sample_stddev, rel=1e-12)
-    assert est.ci95_halfwidth / est.stderr == pytest.approx(CI95, rel=1e-9)
     assert est.n == 50_000
     assert est.seed == 11
 
@@ -141,8 +141,7 @@ def test_deterministic_honest_bond():
 
 def test_z_score_arithmetic():
     est = MCEstimate(
-        n=100, mean=1.01, sample_stddev=0.05, stderr=0.005,
-        ci95_halfwidth=CI95 * 0.005, seed=0, zero_fraction=0.0,
+        n=100, mean=1.01, sample_stddev=0.05, stderr=0.005, seed=0, zero_fraction=0.0,
     )
     assert z_score(est, 1.00) == pytest.approx(2.0, rel=1e-9)
     assert z_score(est, est.mean) == 0.0
@@ -263,6 +262,30 @@ def test_factorized_overflowed_variance_raises():
     p = validate_params(1, 0, 600, 3, 1)
     with pytest.raises(WealthOverflowError):
         skorokhod_factorized_estimate(p, RngStream(0), 8192)
+
+
+def test_factorized_bond_overflow_raises_before_drawing(monkeypatch):
+    # e^{rho T} is out of range: the bond factor fails before either leg draws.
+    drawn = []
+    stats_over_blocks = montecarlo._stats_over_blocks
+
+    def spy(*args, **kwargs):
+        drawn.append(args)
+        return stats_over_blocks(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "_stats_over_blocks", spy)
+    with pytest.raises(WealthOverflowError, match="rho"):
+        skorokhod_factorized_estimate(validate_params(1, 800, 0, 1, 1), RngStream(1), 4096)
+    assert drawn == []
+
+
+def test_factorized_stock_exponent_overflow_raises_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(WealthOverflowError, match="stock exponent"):
+            skorokhod_factorized_estimate(
+                validate_params(1, 0, 800, 1, 1), RngStream(1), 4096
+            )
 
 
 def test_task_width_groups_granules_and_sums_tallies():

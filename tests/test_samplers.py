@@ -19,7 +19,8 @@ from insidermc.samplers import (
     honest_values,
     skorokhod_unbiased_values,
 )
-from insidermc.sampling import RngStream, brownian_increments_block
+from insidermc.sampling import RngStream, brownian_increments_block, brownian_terminal_block
+from insidermc.verify import GRID
 
 SHOWCASE = validate_params(1, 0, 0.5, 1, 1)  # threshold a = 0
 
@@ -95,6 +96,81 @@ class TestSkorokhodTranslation:
         # b = a stays on the bond; b = a + sigma_t is still dead
         assert one(skorokhod_unbiased_values, SHOWCASE, a) == SHOWCASE.M
         assert one(skorokhod_unbiased_values, SHOWCASE, a + sigma_t) == 0.0
+
+
+def reference_stock(p: MarketParams, b: np.ndarray) -> np.ndarray:
+    """The stock leg M exp((mu - sigma^2/2) T + sigma b), one array per step."""
+    expo = b * p.sigma + (p.mu - 0.5 * p.sigma * p.sigma) * p.T
+    return np.exp(expo) * p.M
+
+
+def reference_forward(p: MarketParams, b_t: np.ndarray) -> np.ndarray:
+    """Reference forward sampler: bond everywhere, then the stock leg
+    gathered where b > a."""
+    values = np.full(b_t.shape, p.M * math.exp(p.rho * p.T))
+    stock = b_t > indicator_threshold(p)
+    values[stock] = reference_stock(p, b_t[stock])
+    return values
+
+
+def reference_skorokhod(p: MarketParams, b_t: np.ndarray) -> np.ndarray:
+    """Reference Skorokhod sampler: bond where b <= a, 0 elsewhere, then
+    the stock leg where b - sigma T > a."""
+    a = indicator_threshold(p)
+    values = np.where(b_t <= a, p.M * math.exp(p.rho * p.T), 0.0)
+    stock = b_t - p.sigma * p.T > a
+    values[stock] = reference_stock(p, b_t[stock])
+    return values
+
+
+def edge_values(p: MarketParams) -> np.ndarray:
+    """a and a + sigma T, each with its neighbouring doubles on both sides."""
+    a = indicator_threshold(p)
+    edges = [a, a + p.sigma * p.T]
+    return np.array([
+        x for e in edges for x in (np.nextafter(e, -np.inf), e, np.nextafter(e, np.inf))
+    ])
+
+
+INSIDER_SAMPLERS = [
+    (forward_insider_values, reference_forward),
+    (skorokhod_unbiased_values, reference_skorokhod),
+]
+
+
+@pytest.mark.parametrize("sampler, reference", INSIDER_SAMPLERS)
+@pytest.mark.parametrize("raw", GRID)
+def test_insider_kernel_is_bitwise_the_reference(sampler, reference, raw):
+    p = validate_params(*raw)
+    blocks = [
+        brownian_terminal_block(RngStream(17), 0, 3 * 4096 + 5, p.T),
+        np.empty(0),
+        edge_values(p),
+    ]
+    for b_t in blocks:
+        before = b_t.copy()
+        values = sampler(p, b_t)
+        assert values.tobytes() == reference(p, before).tobytes()
+        assert b_t.tobytes() == before.tobytes()  # the input is never written
+
+
+def test_honest_leaves_its_input_unchanged():
+    p = validate_params(*GRID[0])
+    b_t = brownian_terminal_block(RngStream(3), 0, 4096, p.T)
+    before = b_t.copy()
+    honest_values(p, Allocation(0.25, 0.75), b_t)
+    assert b_t.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("sampler", [forward_insider_values, skorokhod_unbiased_values])
+def test_overflowing_bond_leg_raises(sampler):
+    # rho T is in range, but M e^{rho T} is not: the dead zone would read
+    # 0 * inf = nan.
+    p = validate_params(1e308, 10, 0, 1, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(WealthOverflowError):
+            sampler(p, np.array([-1.0, 4.0, 20.0]))
 
 
 class TestForwardEuler:
