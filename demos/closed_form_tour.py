@@ -5,7 +5,7 @@ Walks the three trader models across the bull, bear and marginal regimes and
 prints the expected terminal wealth in each interpretation of the insider's
 anticipating wealth equation:
 
-  honest     buy-and-hold on the better rate:  m0 e^{rho T} + m1 e^{mu T}
+  honest     buy-and-hold, all-in on the better rate:  M e^{max(rho, mu) T}
   Skorokhod  Wick-product solution: the bet probability decouples from the
              stock growth, so information earns nothing
   forward    Russo-Vallois solution: classical Ito form, the bet-growth

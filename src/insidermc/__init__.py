@@ -14,7 +14,6 @@ comparison/sweep/convergence reports.
 __version__ = "0.1.0"
 
 from .errors import (
-    AllocationMismatchError,
     BadSampleCountError,
     DegenerateEstimateError,
     IndexOverflowError,
@@ -27,7 +26,6 @@ from .errors import (
     WealthOverflowError,
 )
 from .market import (
-    Allocation,
     MarketParams,
     Regime,
     indicator_threshold,
@@ -42,7 +40,6 @@ from .closedform import (
     forward_expected_wealth,
     forward_expected_wealth_erf_form,
     honest_expected_wealth,
-    honest_optimal_allocation,
     skorokhod_expected_wealth,
     skorokhod_expected_wealth_erf_form,
 )
@@ -68,12 +65,10 @@ __all__ = [
     "__version__",
     # errors
     "ParameterError", "NonPositiveError", "NegativeRateError", "NotFiniteError",
-    "OutOfDomainError", "AllocationMismatchError", "BadSampleCountError",
-    "UnknownTraderError", "WealthOverflowError", "IndexOverflowError",
-    "DegenerateEstimateError",
+    "OutOfDomainError", "BadSampleCountError", "UnknownTraderError",
+    "WealthOverflowError", "IndexOverflowError", "DegenerateEstimateError",
     # market
-    "MarketParams", "Allocation", "Regime", "validate_params",
-    "indicator_threshold",
+    "MarketParams", "Regime", "validate_params", "indicator_threshold",
     # special functions
     "erf", "normal_cdf", "inverse_normal_cdf",
     # sampling
@@ -81,8 +76,7 @@ __all__ = [
     # samplers
     "Trader",
     # closed forms
-    "ClosedFormReport", "honest_expected_wealth", "honest_optimal_allocation",
-    "skorokhod_expected_wealth", "forward_expected_wealth",
+    "ClosedFormReport", "honest_expected_wealth", "forward_expected_wealth",
     "skorokhod_expected_wealth_erf_form", "forward_expected_wealth_erf_form",
     "compare_closed_form",
     # monte carlo

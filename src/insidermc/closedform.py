@@ -4,15 +4,17 @@ ordering checks.
 
 With ``a = indicator_threshold(p)`` and ``Phi`` the standard normal CDF:
 
-    honest      E[S(T)] = m0 e^{rho T} + m1 e^{mu T}
+    honest      E[S(T)] = M e^{max(rho, mu) T}
     Skorokhod   E[S(T)] = M Phi(a/sqrt(T)) e^{rho T} + M Phi(-a/sqrt(T)) e^{mu T}
     forward     E[S(T)] = M Phi(a/sqrt(T)) e^{rho T}
                           + M Phi(sigma sqrt(T) - a/sqrt(T)) e^{mu T}
 
-The Skorokhod solution carries a Wick product whose expectation factorizes,
-which is why its stock leg is only the bet probability times the plain GBM
-mean; the forward (Russo-Vallois) solution keeps the classical Ito form, so
-its stock leg keeps the covariance between the bet and the stock growth.
+The honest optimum is all of M on the asset with the larger rate: the
+insider's bet with a threshold that ignores B_T.  The Skorokhod solution
+carries a Wick product whose expectation factorizes, which is why its stock
+leg is only the bet probability times the plain GBM mean; the forward
+(Russo-Vallois) solution keeps the classical Ito form, so its stock leg keeps
+the covariance between the bet and the stock growth.
 
 Internally everything is evaluated in the Phi parametrization (probabilities
 in [0, 1], no cancellation in (1 - erf)/2); the equivalent erf forms are
@@ -27,20 +29,12 @@ from dataclasses import dataclass
 from scipy import special as _sc
 
 from .errors import EXP_MAX, WealthOverflowError
-from .market import (
-    Allocation,
-    MarketParams,
-    Regime,
-    classify_regime,
-    indicator_threshold,
-    require_consistent_allocation,
-)
+from .market import MarketParams, Regime, classify_regime, indicator_threshold
 from .special import erf, normal_cdf
 
 __all__ = [
     "ClosedFormReport",
     "honest_expected_wealth",
-    "honest_optimal_allocation",
     "skorokhod_expected_wealth",
     "forward_expected_wealth",
     "skorokhod_expected_wealth_erf_form",
@@ -61,24 +55,25 @@ def _check_exp_range(p: MarketParams) -> None:
             f"rho*T = {p.rho * p.T!r} or mu*T = {p.mu * p.T!r} exceeds the "
             f"double exponential range ({EXP_MAX})"
         )
+    if math.isinf(p.M * math.exp(max(p.rho, p.mu) * p.T)):
+        raise WealthOverflowError(f"M e^(max(rho, mu) T) exceeds the double range (M = {p.M!r})")
 
 
-def honest_expected_wealth(p: MarketParams, a: Allocation) -> float:
-    """E[S(T)] = m0 e^{rho T} + m1 e^{mu T} for a buy-and-hold honest trader."""
-    require_consistent_allocation(p, a)
-    _check_exp_range(p)
-    return a.m0 * math.exp(p.rho * p.T) + a.m1 * math.exp(p.mu * p.T)
+def _finite(wealth: float) -> float:
+    """An expectation that passes the range check can still round its sum
+    of two legs up to inf; that is an overflow, never a value."""
+    if math.isinf(wealth):
+        raise WealthOverflowError("expected wealth exceeds the double range")
+    return wealth
 
 
-def honest_optimal_allocation(p: MarketParams) -> Allocation:
-    """The expectation-maximizing split: all-in on the larger rate.
+def honest_expected_wealth(p: MarketParams) -> float:
+    """E[S(T)] = M e^{max(rho, mu) T}: all of M on the asset with the larger rate.
 
-    Bull -> (0, M); bear -> (M, 0).  In the marginal regime every split has
-    the same expectation and the bond convention (M, 0) is used.
+    In the marginal regime every split has the same expectation.
     """
-    if classify_regime(p) is Regime.BULL:
-        return Allocation(m0=0.0, m1=p.M)
-    return Allocation(m0=p.M, m1=0.0)
+    _check_exp_range(p)
+    return p.M * math.exp(max(p.rho, p.mu) * p.T)
 
 
 def _threshold_scaled(p: MarketParams) -> float:
@@ -90,9 +85,9 @@ def skorokhod_expected_wealth(p: MarketParams) -> float:
     """Insider expectation under the Skorokhod (Wick) interpretation."""
     _check_exp_range(p)
     at = _threshold_scaled(p)
-    return p.M * (
+    return _finite(p.M * (
         normal_cdf(at) * math.exp(p.rho * p.T) + normal_cdf(-at) * math.exp(p.mu * p.T)
-    )
+    ))
 
 
 def forward_expected_wealth(p: MarketParams) -> float:
@@ -100,9 +95,9 @@ def forward_expected_wealth(p: MarketParams) -> float:
     _check_exp_range(p)
     at = _threshold_scaled(p)
     s = p.sigma * math.sqrt(p.T)
-    return p.M * (
+    return _finite(p.M * (
         normal_cdf(at) * math.exp(p.rho * p.T) + normal_cdf(s - at) * math.exp(p.mu * p.T)
-    )
+    ))
 
 
 def skorokhod_expected_wealth_erf_form(p: MarketParams) -> float:
@@ -114,9 +109,9 @@ def skorokhod_expected_wealth_erf_form(p: MarketParams) -> float:
     _check_exp_range(p)
     arg = (p.sigma**2 + 2 * p.rho - 2 * p.mu) * math.sqrt(p.T) / (_TWO_SQRT2 * p.sigma)
     e = erf(arg)
-    return 0.5 * p.M * (
+    return _finite(0.5 * p.M * (
         (1.0 + e) * math.exp(p.rho * p.T) + (1.0 - e) * math.exp(p.mu * p.T)
-    )
+    ))
 
 
 def forward_expected_wealth_erf_form(p: MarketParams) -> float:
@@ -128,10 +123,10 @@ def forward_expected_wealth_erf_form(p: MarketParams) -> float:
     _check_exp_range(p)
     arg_bond = (p.sigma**2 + 2 * p.rho - 2 * p.mu) * math.sqrt(p.T) / (_TWO_SQRT2 * p.sigma)
     arg_stock = (p.sigma**2 - 2 * p.rho + 2 * p.mu) * math.sqrt(p.T) / (_TWO_SQRT2 * p.sigma)
-    return 0.5 * p.M * (
+    return _finite(0.5 * p.M * (
         (1.0 + erf(arg_bond)) * math.exp(p.rho * p.T)
         + (1.0 + erf(arg_stock)) * math.exp(p.mu * p.T)
-    )
+    ))
 
 
 def _log_normal_cdf(x: float) -> float:
@@ -144,7 +139,7 @@ def _log_normal_cdf(x: float) -> float:
 
 @dataclass(frozen=True)
 class ClosedFormReport:
-    """The three expectations at the regime-optimal honest allocation plus
+    """The three expectations, the honest one all-in on the larger rate, plus
     the ordering verdict for the classified regime.
 
     ``sk_ok`` is E[S^sk] < E[S^i] (bull/bear) or |E[S^sk] - E[S^i]| within
@@ -156,7 +151,6 @@ class ClosedFormReport:
 
     params: MarketParams
     regime: Regime
-    allocation: Allocation
     honest_optimal: float
     skorokhod: float
     forward: float
@@ -172,8 +166,7 @@ class ClosedFormReport:
 def compare_closed_form(p: MarketParams) -> ClosedFormReport:
     """Evaluate all three expectations and the regime's ordering flags."""
     regime = classify_regime(p)
-    alloc = honest_optimal_allocation(p)
-    honest = honest_expected_wealth(p, alloc)
+    honest = honest_expected_wealth(p)
     sk = skorokhod_expected_wealth(p)
     rs = forward_expected_wealth(p)
 
@@ -197,7 +190,6 @@ def compare_closed_form(p: MarketParams) -> ClosedFormReport:
     return ClosedFormReport(
         params=p,
         regime=regime,
-        allocation=alloc,
         honest_optimal=honest,
         skorokhod=sk,
         forward=rs,

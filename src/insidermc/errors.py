@@ -41,10 +41,6 @@ class OutOfDomainError(ParameterError):
     """Argument outside the mathematical domain of the operation."""
 
 
-class AllocationMismatchError(ParameterError):
-    """Bond plus stock wealth does not reproduce the total wealth."""
-
-
 class BadSampleCountError(ParameterError):
     """Monte Carlo estimators need at least two samples."""
 

@@ -5,10 +5,11 @@ The market is the classical bond/stock pair on a horizon ``[0, T]``:
     dS0 = rho * S0 * dt                      (riskless bond)
     dS1 = mu * S1 * dt + sigma * S1 * dB_t   (stock, geometric Brownian motion)
 
-A trader splits an initial wealth ``M`` into a bond leg ``M0`` and a stock
-leg ``M1``.  An insider who already knows the terminal stock price puts
-everything on whichever unit-price asset ends higher, and that event reduces
-to a threshold on the Brownian terminal value::
+A trader puts an initial wealth ``M`` on the bond or on the stock.  The
+honest optimum is all-in on the asset with the larger rate; an insider who
+already knows the terminal stock price puts everything on whichever
+unit-price asset ends higher, and that event reduces to a threshold on the
+Brownian terminal value::
 
     {S1_bar(T) > S0_bar(T)}  =  {B_T > a},   a = (rho - mu + sigma^2/2) * T / sigma
 
@@ -22,25 +23,15 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import (
-    AllocationMismatchError,
-    NegativeRateError,
-    NonPositiveError,
-    NotFiniteError,
-)
+from .errors import NegativeRateError, NonPositiveError, NotFiniteError
 
 __all__ = [
     "MarketParams",
-    "Allocation",
     "Regime",
     "validate_params",
     "indicator_threshold",
     "classify_regime",
-    "require_consistent_allocation",
 ]
-
-# Relative tolerance for M0 + M1 == M.
-_ALLOC_RTOL = 1e-12
 
 
 def _require_finite(field: str, value: float) -> float:
@@ -98,22 +89,6 @@ class MarketParams:
         return self.rho == 0.0 or self.mu == 0.0
 
 
-@dataclass(frozen=True)
-class Allocation:
-    """An honest trader's split of the initial wealth: bond ``m0``, stock ``m1``."""
-
-    m0: float
-    m1: float
-
-    def __post_init__(self):
-        for field in ("m0", "m1"):
-            object.__setattr__(self, field, _require_finite(field, getattr(self, field)))
-        if self.m0 < 0:
-            raise NegativeRateError("m0", self.m0)
-        if self.m1 < 0:
-            raise NegativeRateError("m1", self.m1)
-
-
 class Regime(enum.Enum):
     """Which asset has the larger rate.  Classified by exact comparison:
     the marginal identities are exact identities of the formulas, and an
@@ -157,10 +132,3 @@ def classify_regime(p: MarketParams) -> Regime:
         return Regime.BEAR
     return Regime.MARGINAL
 
-
-def require_consistent_allocation(p: MarketParams, a: Allocation) -> None:
-    """Check m0 + m1 == M within relative tolerance 1e-12."""
-    if abs((a.m0 + a.m1) - p.M) > _ALLOC_RTOL * p.M:
-        raise AllocationMismatchError(
-            f"m0 + m1 = {a.m0 + a.m1!r} does not match M = {p.M!r}"
-        )

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closedform import honest_optimal_allocation
 from .errors import (
     BadSampleCountError,
     DegenerateEstimateError,
@@ -242,8 +241,6 @@ def estimate_mean(
         trader = Trader(trader)
     except ValueError as exc:
         raise UnknownTraderError(f"unknown trader tag {trader!r}") from exc
-    if trader is Trader.HONEST_OPTIMAL:
-        alloc = honest_optimal_allocation(p)
     stream = RngStream(seed)
 
     # Samplers are looked up by module name per block, never bound once, so
@@ -251,7 +248,7 @@ def estimate_mean(
     def make_values(offset: int, count: int, workspace: Workspace) -> tuple[np.ndarray, int]:
         b_t = brownian_terminal_block(stream, offset, count, p.T, out=workspace)
         if trader is Trader.HONEST_OPTIMAL:
-            return honest_values(p, alloc, b_t), 0
+            return honest_values(p, b_t), 0
         if trader is Trader.FORWARD_INSIDER:
             return forward_insider_values(p, b_t), 0
         return skorokhod_unbiased_values(p, b_t), 0

@@ -5,6 +5,12 @@ path increments for the Euler scheme) to the matching realizations of S(T);
 the sample mean over the stream must reproduce the matching closed form,
 which is what the estimator harness and the acceptance battery check.
 
+All three traders are one kernel: M on the bond where b <= a, M on the
+stock where b - shift > a, exactly 0 between.  The insider bets at the
+threshold a = :func:`~insidermc.market.indicator_threshold`; the honest
+trader ignores b_T, which is the same bet at a = -inf (bull: all-in on the
+stock) or a = +inf (bear and marginal: all-in on the bond).
+
 The Skorokhod model needs a word of caution.  Its solution is a Wick
 product, which has no pathwise reading, so :func:`skorokhod_unbiased_values`
 is a translation-form estimator built from the Gaussian shift identity
@@ -18,9 +24,10 @@ Its expectation over b ~ N(0, T) equals the Skorokhod closed form (certified
 against it, not asserted): the shifted indicator turns back into
 Pr{B_T > a} times the plain GBM mean, which is the Wick factorization.  So
 it is the forward sample with its stock event shifted from {b > a} to
-{b - sigma T > a}: one kernel serves both, with shift 0 and sigma T.  The
-shift is the dead zone a < b <= a + sigma T, where the sample is exactly 0,
-the pathwise face of the model's financial paradox; its mass is tracked.
+{b - sigma T > a}: the kernel with shift sigma T, where the forward and
+honest samplers use shift 0.  The shift is the dead zone
+a < b <= a + sigma T, where the sample is exactly 0, the pathwise face of
+the model's financial paradox; its mass is tracked.
 """
 
 from __future__ import annotations
@@ -31,12 +38,7 @@ import math
 import numpy as np
 
 from .errors import EXP_MAX, OutOfDomainError, WealthOverflowError
-from .market import (
-    Allocation,
-    MarketParams,
-    indicator_threshold,
-    require_consistent_allocation,
-)
+from .market import MarketParams, Regime, classify_regime, indicator_threshold
 
 __all__ = [
     "Trader",
@@ -64,7 +66,8 @@ def _bond_value(p: MarketParams, m0: float) -> float:
 
 
 def _stock_values(p: MarketParams, m1: float, b_t: np.ndarray) -> np.ndarray:
-    """The stock leg m1 exp((mu - sigma^2/2) T + sigma b), exponent guarded.
+    """The stock leg m1 exp((mu - sigma^2/2) T + sigma b), exponent and
+    amount guarded.
 
     Computed in place over the caller's own array; each step only swaps the
     operands of an IEEE add or multiply, so the bits are the plain formula's.
@@ -74,34 +77,35 @@ def _stock_values(p: MarketParams, m1: float, b_t: np.ndarray) -> np.ndarray:
     if b_t.size and float(b_t.max()) > EXP_MAX:
         raise WealthOverflowError(f"stock exponent exceeds the double range ({EXP_MAX})")
     np.exp(b_t, out=b_t)
-    b_t *= m1
+    try:
+        with np.errstate(over="raise"):
+            b_t *= m1
+    except FloatingPointError:
+        raise WealthOverflowError(f"stock leg of {m1!r} exceeds the double range") from None
     return b_t
 
 
-def honest_values(p: MarketParams, a: Allocation, b_t: np.ndarray) -> np.ndarray:
-    """Vectorized honest terminal wealth m0 e^{rho T} + m1 exp((mu - sigma^2/2)T + sigma b)."""
-    require_consistent_allocation(p, a)
-    bond = _bond_value(p, a.m0)
-    b_t = np.asarray(b_t, dtype=np.float64)
-    if a.m1 == 0.0:
-        return np.full(b_t.shape, bond)
-    values = _stock_values(p, a.m1, b_t.copy())
-    values += bond
-    return values
-
-
-def _insider_values(p: MarketParams, b_t: np.ndarray, shift: float) -> np.ndarray:
+def _insider_values(p: MarketParams, b_t: np.ndarray, a: float, shift: float) -> np.ndarray:
     """M on the bond where b <= a, on the stock where b - shift > a, exactly
     0 between; built in the array that first holds b - shift, never in b_t."""
     bond = _bond_value(p, p.M)
     b_t = np.asarray(b_t, dtype=np.float64)
-    a = indicator_threshold(p)
     values = np.subtract(b_t, shift)
     stock = values > a
+    if stock.all():  # every honest bull block: skip the gather and scatter
+        np.copyto(values, b_t)
+        return _stock_values(p, p.M, values)
     np.multiply(b_t <= a, bond, out=values)
     if stock.any():
         values[stock] = _stock_values(p, p.M, b_t[stock])
     return values
+
+
+def honest_values(p: MarketParams, b_t: np.ndarray) -> np.ndarray:
+    """Vectorized honest terminal wealth: all of M on the asset with the
+    larger rate, the insider kernel at a = -inf (bull) or +inf (otherwise)."""
+    a = -math.inf if classify_regime(p) is Regime.BULL else math.inf
+    return _insider_values(p, b_t, a, 0.0)
 
 
 def forward_insider_values(p: MarketParams, b_t: np.ndarray) -> np.ndarray:
@@ -110,14 +114,14 @@ def forward_insider_values(p: MarketParams, b_t: np.ndarray) -> np.ndarray:
     All of M rides the stock when b > a, the bond otherwise; the boundary
     b == a goes to the bond: the insider kernel with no shift.
     """
-    return _insider_values(p, b_t, 0.0)
+    return _insider_values(p, b_t, indicator_threshold(p), 0.0)
 
 
 def skorokhod_unbiased_values(p: MarketParams, b_t: np.ndarray) -> np.ndarray:
     """Vectorized translation-form Skorokhod sample (see module docstring):
     the insider kernel shifted by sigma T, exactly 0 on a < b <= a + sigma T.
     """
-    return _insider_values(p, b_t, p.sigma * p.T)
+    return _insider_values(p, b_t, indicator_threshold(p), p.sigma * p.T)
 
 
 def forward_euler_values(

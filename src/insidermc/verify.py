@@ -110,6 +110,10 @@ class CriterionResult:
     detail: str
     seconds: float = field(default=0.0, compare=False)  # wall time, never rendered
 
+    def __post_init__(self):
+        # A numpy comparison yields numpy.bool, which json.dumps refuses.
+        object.__setattr__(self, "passed", bool(self.passed))
+
     def line(self, total: int) -> str:
         status = "PASS" if self.passed else "FAIL"
         return f"[{self.index:2d}/{total}] {status}  {self.name}: {self.detail}"

@@ -2,10 +2,14 @@
 asserts every criterion, printing its pass/fail line.  The same battery backs
 the ``insidermc verify`` subcommand (exit 3 on any failure)."""
 
+import dataclasses
 import hashlib
+import json
+from types import SimpleNamespace
 
 import pytest
 
+from insidermc import verify
 from insidermc.verify import DEFAULT_SEED, CriterionResult, VerifySummary, run_verify
 
 
@@ -60,6 +64,23 @@ def test_seconds_stay_out_of_render_and_equality():
     slow = CriterionResult(1, "c1", True, "ok", seconds=50.0)
     assert fast == slow
     assert VerifySummary(1, (fast,)).render() == VerifySummary(1, (slow,)).render()
+
+
+def test_cheap_criteria_are_plain_json_records():
+    # c10's round trip runs over np.arange, so its verdict starts life as a
+    # numpy.bool, which json.dumps refuses.
+    rows = [SimpleNamespace(zero_fraction=verify.ORACLE_DEAD_ZONE)]
+    results = [
+        verify._c01_closed_form_triple(),
+        verify._ordering_criterion(2, "bull-ordering", "bull", DEFAULT_SEED),
+        verify._ordering_criterion(3, "bear-ordering", "bear", DEFAULT_SEED),
+        verify._ordering_criterion(4, "marginal-identities", "marginal", DEFAULT_SEED),
+        verify._c07_dead_zone(rows),
+        verify._c10_special_functions(),
+    ]
+    for result in results:
+        assert type(result.passed) is bool, result.name
+        assert json.loads(json.dumps(dataclasses.asdict(result)))["passed"] is True
 
 
 def test_harness_detects_corrupted_closed_form(monkeypatch):

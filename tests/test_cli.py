@@ -246,6 +246,14 @@ def test_overflow_is_validation_error():
     assert run_cli("closed-form", "--mu", "800").returncode == 2
 
 
+def test_infinite_closed_form_exits_2(capsys):
+    # Every exponent is in range, but M e^{mu T} = 1e308 e is not a double.
+    assert cli.main(["closed-form", "--M", "1e308", "--mu", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "exceeds the double range" in captured.err
+
+
 def test_overflowed_statistic_exits_2():
     # Finite closed forms, but the Monte Carlo second moment overflows.
     result = run_cli("compare", "--rho", "0", "--mu", "600", "--sigma", "3",

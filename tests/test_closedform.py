@@ -4,14 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from insidermc import (
-    Allocation,
     Regime,
     WealthOverflowError,
     compare_closed_form,
     forward_expected_wealth,
     forward_expected_wealth_erf_form,
     honest_expected_wealth,
-    honest_optimal_allocation,
     indicator_threshold,
     normal_cdf,
     skorokhod_expected_wealth,
@@ -22,7 +20,6 @@ from insidermc.sampling import RngStream, uniform_block
 
 # mpmath (50 digits) oracle constants, frozen before the implementation:
 EXP_HALF = 1.6487212707001282            # e^{0.5}
-HONEST_MIX = 5.418054946978991            # 2 e^{0.05} + 3 e^{0.1}
 SK_SHOWCASE = 1.324360635350064           # (1 + e^{0.5}) / 2
 RS_SHOWCASE = 1.8871429788350047          # 0.5 + Phi(1) e^{0.5}
 RS_MARGINAL_UNIT = 1.3829249225480262     # 1 + erf(1 / (2 sqrt(2)))
@@ -33,38 +30,32 @@ SHOWCASE = validate_params(1, 0, 0.5, 1, 1)
 class TestHonest:
     def test_t_to_zero_limit(self):
         p = validate_params(5, 0.05, 0.1, 0.2, 1e-300)
-        assert honest_expected_wealth(p, Allocation(2, 3)) == pytest.approx(5.0, abs=1e-12)
+        assert honest_expected_wealth(p) == pytest.approx(5.0, abs=1e-12)
 
     def test_stock_only(self):
-        assert honest_expected_wealth(SHOWCASE, Allocation(0, 1)) == pytest.approx(
-            EXP_HALF, abs=1e-9
-        )
-
-    def test_mixed_allocation(self):
-        p = validate_params(5, 0.05, 0.1, 0.2, 1)
-        assert honest_expected_wealth(p, Allocation(2, 3)) == pytest.approx(
-            HONEST_MIX, abs=1e-9
-        )
+        assert honest_expected_wealth(SHOWCASE) == pytest.approx(EXP_HALF, abs=1e-9)
 
     def test_overflow_error(self):
         p = validate_params(1, 0.05, 800, 0.2, 1)
         with pytest.raises(WealthOverflowError):
-            honest_expected_wealth(p, Allocation(1, 0))
+            honest_expected_wealth(p)
 
 
 class TestOptimalAllocation:
+    """The honest optimum is all of M on the asset with the larger rate."""
+
     def test_bull_all_stock(self):
-        assert honest_optimal_allocation(validate_params(1, 0.05, 0.1, 0.2, 1)) == Allocation(0, 1)
+        p = validate_params(2, 0.05, 0.1, 0.2, 3)
+        assert honest_expected_wealth(p) == 2 * math.exp(0.1 * 3)
 
     def test_bear_all_bond(self):
-        assert honest_optimal_allocation(validate_params(1, 0.1, 0.05, 0.2, 1)) == Allocation(1, 0)
+        p = validate_params(2, 0.1, 0.05, 0.2, 3)
+        assert honest_expected_wealth(p) == 2 * math.exp(0.1 * 3)
 
     def test_marginal_convention_and_indifference(self):
+        # Every split has the same expectation; the bond and the stock agree.
         p = validate_params(1, 0.07, 0.07, 0.2, 1)
-        assert honest_optimal_allocation(p) == Allocation(1, 0)
-        all_bond = honest_expected_wealth(p, Allocation(1, 0))
-        all_stock = honest_expected_wealth(p, Allocation(0, 1))
-        assert all_bond == pytest.approx(all_stock, rel=1e-15)
+        assert honest_expected_wealth(p) == math.exp(p.rho * p.T) == math.exp(p.mu * p.T)
 
 
 class TestInsiderExpectations:
@@ -183,6 +174,35 @@ class TestCompare:
         r = compare_closed_form(validate_params(1, 0.05, 0.1, 0.2, 1e-300))
         for v in (r.honest_optimal, r.skorokhod, r.forward):
             assert v == pytest.approx(1.0, abs=1e-9)
+
+
+class TestWealthRange:
+    """A closed form that rounds to inf raises; it never passes as a value."""
+
+    # M e^{mu T} = 1e308 e is beyond the largest double, 1.797e308.
+    HUGE = validate_params(1e308, 0, 1, 1, 1)
+
+    def test_infinite_wealth_raises(self):
+        for closed_form in (
+            honest_expected_wealth,
+            skorokhod_expected_wealth,
+            forward_expected_wealth,
+            skorokhod_expected_wealth_erf_form,
+            forward_expected_wealth_erf_form,
+            compare_closed_form,
+        ):
+            with pytest.raises(WealthOverflowError, match="double range"):
+                closed_form(self.HUGE)
+
+    def test_infinite_sum_of_finite_legs_raises(self):
+        # Marginal: both legs are 1e308 e^{0.1} < 1.797e308 each, but the
+        # forward expectation of nearly twice that is not a double.
+        p = validate_params(1e308, 0.1, 0.1, 50, 1)
+        assert math.isfinite(honest_expected_wealth(p))
+        with pytest.raises(WealthOverflowError, match="expected wealth"):
+            forward_expected_wealth(p)
+        with pytest.raises(WealthOverflowError):
+            compare_closed_form(p)
 
 
 @settings(max_examples=200)

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from insidermc import (
-    Allocation,
     MarketParams,
     NegativeRateError,
     NonPositiveError,
@@ -13,8 +12,7 @@ from insidermc import (
     indicator_threshold,
     validate_params,
 )
-from insidermc.market import classify_regime, require_consistent_allocation
-from insidermc.errors import AllocationMismatchError
+from insidermc.market import classify_regime
 
 NAN = float("nan")
 
@@ -97,13 +95,3 @@ def test_params_are_frozen():
     indicator_threshold(p)
     assert p == validate_params(1, 0.05, 0.1, 0.2, 1)
 
-
-def test_allocation_validation():
-    with pytest.raises(NegativeRateError):
-        Allocation(m0=-0.1, m1=1.1)
-    with pytest.raises(NotFiniteError):
-        Allocation(m0=NAN, m1=1.0)
-    p = validate_params(2, 0.05, 0.1, 0.2, 1)
-    require_consistent_allocation(p, Allocation(0.5, 1.5))
-    with pytest.raises(AllocationMismatchError):
-        require_consistent_allocation(p, Allocation(0.5, 1.5 + 1e-9))

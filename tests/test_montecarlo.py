@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from insidermc import (
-    Allocation,
     BadSampleCountError,
     DegenerateEstimateError,
     MCEstimate,
@@ -129,12 +128,12 @@ def test_estimate_invariants():
 
 
 def test_deterministic_honest_bond():
-    # BEAR's optimal allocation is all bond, (M, 0) = (1, 0).
+    # In BEAR the honest trader is all-in on the bond.
     est = estimate_mean(Trader.HONEST_OPTIMAL, BEAR, 10_000, seed=1)
     assert est.sample_stddev == 0.0
     assert est.mean == BEAR.M * math.exp(BEAR.rho * BEAR.T)
     # exact-match branch of the z-score
-    assert z_score(est, honest_expected_wealth(BEAR, Allocation(1, 0))) == 0.0
+    assert z_score(est, honest_expected_wealth(BEAR)) == 0.0
     with pytest.raises(DegenerateEstimateError):
         z_score(est, est.mean + 1e-9)
 
@@ -160,7 +159,7 @@ def test_estimators_agree_with_closed_forms_smoke():
     n = 100_000
     checks = [
         (estimate_mean(Trader.HONEST_OPTIMAL, SHOWCASE, n, seed=31),
-         honest_expected_wealth(SHOWCASE, Allocation(0, 1))),
+         honest_expected_wealth(SHOWCASE)),
         (estimate_mean(Trader.SKOROKHOD_UNBIASED, SHOWCASE, n, seed=32),
          skorokhod_expected_wealth(SHOWCASE)),
         (estimate_mean(Trader.FORWARD_INSIDER, SHOWCASE, n, seed=33),
@@ -286,6 +285,16 @@ def test_factorized_stock_exponent_overflow_raises_without_warning():
             skorokhod_factorized_estimate(
                 validate_params(1, 0, 800, 1, 1), RngStream(1), 4096
             )
+
+
+def test_honest_stock_amount_overflow_raises_without_warning():
+    # The exponent sigma b + (mu - sigma^2/2) T stays in range, but
+    # M e^{exponent} does not.
+    p = validate_params(1e308, 0, 1, 1, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(WealthOverflowError, match="stock leg"):
+            estimate_mean(Trader.HONEST_OPTIMAL, p, 4096, seed=1)
 
 
 def test_task_width_groups_granules_and_sums_tallies():

@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from insidermc import (
-    Allocation,
     MarketParams,
     OutOfDomainError,
+    Regime,
     WealthOverflowError,
     indicator_threshold,
     validate_params,
 )
+from insidermc.market import classify_regime
 from insidermc.samplers import (
     forward_euler_values,
     forward_insider_values,
@@ -30,32 +31,33 @@ EXP_018 = 1.1972173631218102  # e^{0.18}
 EXP_03 = 1.3498588075760032   # e^{0.3}
 
 
-def one(sampler, p, b, *rest):
+def one(sampler, p, b):
     """The sampler's value at the single terminal value b."""
-    (value,) = sampler(p, *rest, np.array([float(b)]))
+    (value,) = sampler(p, np.array([float(b)]))
     return float(value)
 
 
 class TestHonest:
     def test_vanishing_exponent(self):
-        # mu = sigma^2/2 and b = 0 leave the stock leg at its initial value
-        p = validate_params(1, 0.05, 0.02, 0.2, 1)
-        assert one(honest_values, p, 0.0, Allocation(0, 1)) == 1.0
+        # bull with mu = sigma^2/2: b = 0 leaves the stock leg at its initial value
+        p = validate_params(1, 0.01, 0.02, 0.2, 1)
+        assert one(honest_values, p, 0.0) == 1.0
 
     def test_bond_only_ignores_noise(self):
-        p = validate_params(1, 0.05, 0.1, 0.2, 2)
-        values = honest_values(p, Allocation(1, 0), np.array([-3.0, 0.0, 4.0]))
+        # bear: all of M on the bond, whatever b is
+        p = validate_params(1, 0.05, 0.04, 0.2, 2)
+        values = honest_values(p, np.array([-3.0, 0.0, 4.0]))
         assert values == pytest.approx([EXP_01] * 3, abs=1e-9)
 
     def test_stock_leg_formula(self):
         p = validate_params(1, 0.05, 0.1, 0.2, 1)
         # exp((0.1 - 0.02)*1 + 0.2*0.5) = exp(0.18)
-        assert one(honest_values, p, 0.5, Allocation(0, 1)) == pytest.approx(EXP_018, abs=1e-9)
+        assert one(honest_values, p, 0.5) == pytest.approx(EXP_018, abs=1e-9)
 
     def test_overflow_reported(self):
         p = validate_params(1, 0.05, 0.5, 1, 1)
         with pytest.raises(WealthOverflowError):
-            honest_values(p, Allocation(0, 1), np.array([800.0]))
+            honest_values(p, np.array([800.0]))
 
 
 class TestForwardInsider:
@@ -104,6 +106,17 @@ def reference_stock(p: MarketParams, b: np.ndarray) -> np.ndarray:
     return np.exp(expo) * p.M
 
 
+def reference_honest(p: MarketParams, b_t: np.ndarray) -> np.ndarray:
+    """Reference honest sampler: the pathwise split formula
+    m0 e^{rho T} + m1 exp((mu - sigma^2/2) T + sigma b) at the optimal split,
+    (0, M) in a bull market and (M, 0) otherwise."""
+    m0, m1 = (0.0, p.M) if classify_regime(p) is Regime.BULL else (p.M, 0.0)
+    bond = m0 * math.exp(p.rho * p.T)
+    if m1 == 0.0:
+        return np.full(b_t.shape, bond)
+    return reference_stock(p, b_t) + bond
+
+
 def reference_forward(p: MarketParams, b_t: np.ndarray) -> np.ndarray:
     """Reference forward sampler: bond everywhere, then the stock leg
     gathered where b > a."""
@@ -132,13 +145,20 @@ def edge_values(p: MarketParams) -> np.ndarray:
     ])
 
 
-INSIDER_SAMPLERS = [
+def all_stock_values(p: MarketParams) -> np.ndarray:
+    """A block with every draw above a + sigma T: every sampler's stock leg."""
+    lift = np.abs(brownian_terminal_block(RngStream(19), 0, 4096 + 3, p.T)) + 0.5
+    return indicator_threshold(p) + p.sigma * p.T + lift
+
+
+KERNEL_SAMPLERS = [
     (forward_insider_values, reference_forward),
     (skorokhod_unbiased_values, reference_skorokhod),
+    (honest_values, reference_honest),
 ]
 
 
-@pytest.mark.parametrize("sampler, reference", INSIDER_SAMPLERS)
+@pytest.mark.parametrize("sampler, reference", KERNEL_SAMPLERS)
 @pytest.mark.parametrize("raw", GRID)
 def test_insider_kernel_is_bitwise_the_reference(sampler, reference, raw):
     p = validate_params(*raw)
@@ -146,6 +166,7 @@ def test_insider_kernel_is_bitwise_the_reference(sampler, reference, raw):
         brownian_terminal_block(RngStream(17), 0, 3 * 4096 + 5, p.T),
         np.empty(0),
         edge_values(p),
+        all_stock_values(p),
     ]
     for b_t in blocks:
         before = b_t.copy()
@@ -154,15 +175,9 @@ def test_insider_kernel_is_bitwise_the_reference(sampler, reference, raw):
         assert b_t.tobytes() == before.tobytes()  # the input is never written
 
 
-def test_honest_leaves_its_input_unchanged():
-    p = validate_params(*GRID[0])
-    b_t = brownian_terminal_block(RngStream(3), 0, 4096, p.T)
-    before = b_t.copy()
-    honest_values(p, Allocation(0.25, 0.75), b_t)
-    assert b_t.tobytes() == before.tobytes()
-
-
-@pytest.mark.parametrize("sampler", [forward_insider_values, skorokhod_unbiased_values])
+@pytest.mark.parametrize(
+    "sampler", [forward_insider_values, skorokhod_unbiased_values, honest_values]
+)
 def test_overflowing_bond_leg_raises(sampler):
     # rho T is in range, but M e^{rho T} is not: the dead zone would read
     # 0 * inf = nan.
