@@ -54,7 +54,6 @@ from .montecarlo import (
 from .report import (
     ComparisonRow,
     ConvergenceRow,
-    SweepSpec,
     run_compare,
     run_convergence,
     run_sweep,
@@ -83,8 +82,7 @@ __all__ = [
     "MCEstimate", "estimate_mean", "estimate_euler_mean",
     "skorokhod_factorized_estimate", "merge_estimates", "z_score",
     # reports
-    "ComparisonRow", "SweepSpec", "ConvergenceRow", "run_compare", "run_sweep",
-    "run_convergence",
+    "ComparisonRow", "ConvergenceRow", "run_compare", "run_sweep", "run_convergence",
     # verification
     "run_verify", "DEFAULT_SEED",
 ]

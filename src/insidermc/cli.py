@@ -17,7 +17,6 @@ import sys
 from .errors import ParameterError, WealthOverflowError
 from .market import validate_params
 from .report import (
-    SweepSpec,
     closed_form_csv,
     closed_form_json,
     comparison_csv,
@@ -234,9 +233,8 @@ def _dispatch(args) -> int:
         rows = [run_compare(p, args.samples, args.seed, args.chunks)]
         emitters = comparison_csv, comparison_json
     elif args.command == "sweep":
-        spec = SweepSpec(base=p, sweep_field=args.sweep_field, grid=args.grid,
-                         samples=args.samples, seed=args.seed, chunks=args.chunks)
-        rows, emitters = run_sweep(spec), (comparison_csv, comparison_json)
+        rows = run_sweep(p, args.sweep_field, args.grid, args.samples, args.seed, args.chunks)
+        emitters = comparison_csv, comparison_json
     else:
         rows = run_convergence(p, list(args.steps), args.samples, args.seed, args.chunks)
         emitters = convergence_csv, convergence_json

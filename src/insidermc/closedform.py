@@ -156,7 +156,6 @@ class ClosedFormReport:
     forward: float
     sk_ok: bool
     rs_ok: bool
-    rate_boundary: bool
 
     @property
     def ordering_pass(self) -> bool:
@@ -195,5 +194,4 @@ def compare_closed_form(p: MarketParams) -> ClosedFormReport:
         forward=rs,
         sk_ok=sk_ok,
         rs_ok=rs_ok,
-        rate_boundary=p.rate_boundary,
     )

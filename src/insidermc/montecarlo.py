@@ -35,12 +35,14 @@ from .samplers import (
     _stock_values,
     forward_euler_values,
     forward_insider_values,
+    honest_ignores_draws,
     honest_values,
     skorokhod_unbiased_values,
 )
 from .sampling import (
     RngStream,
     Workspace,
+    _check_range,
     brownian_increments_block,
     brownian_terminal_block,
 )
@@ -222,6 +224,8 @@ def _check_counts(n: int, chunks: int, start: int = 0) -> None:
         raise OutOfDomainError(f"chunks must be an integer >= 1, got {chunks!r}")
     if not isinstance(start, numbers.Integral):
         raise OutOfDomainError(f"start must be an integer draw index, got {start!r}")
+    # Checked here too, for the estimates that generate no draws.
+    _check_range(start, n)
 
 
 def estimate_mean(
@@ -242,11 +246,16 @@ def estimate_mean(
     except ValueError as exc:
         raise UnknownTraderError(f"unknown trader tag {trader!r}") from exc
     stream = RngStream(seed)
+    # The all-bond honest bet reads no draw: it gets zeros that take no memory.
+    no_draws = trader is Trader.HONEST_OPTIMAL and honest_ignores_draws(p)
 
     # Samplers are looked up by module name per block, never bound once, so
     # a wrapper patched onto this module's attributes sees every call.
     def make_values(offset: int, count: int, workspace: Workspace) -> tuple[np.ndarray, int]:
-        b_t = brownian_terminal_block(stream, offset, count, p.T, out=workspace)
+        if no_draws:
+            b_t = np.broadcast_to(0.0, count)
+        else:
+            b_t = brownian_terminal_block(stream, offset, count, p.T, out=workspace)
         if trader is Trader.HONEST_OPTIMAL:
             return honest_values(p, b_t), 0
         if trader is Trader.FORWARD_INSIDER:
@@ -322,10 +331,11 @@ def skorokhod_factorized_estimate(
     mean = p.M * ((1.0 - p_hat) * bond + p_hat * g_hat)
     var_p = p_hat * (1.0 - p_hat) / n
     var_g = (gbm.m2 / (n - 1)) / n
-    try:
-        var = p.M * p.M * ((g_hat - bond) ** 2 * var_p + p_hat * p_hat * var_g)
-    except OverflowError:
-        var = math.inf
+    # A certain bet has var_p = 0, and its gap term is 0 even where the
+    # gap's square alone would overflow.
+    gap = g_hat - bond
+    gap_term = gap * gap * var_p if var_p else 0.0
+    var = p.M * p.M * (gap_term + p_hat * p_hat * var_g)
     if not (math.isfinite(mean) and math.isfinite(var)):
         raise WealthOverflowError(
             f"factorized estimate left the double range (mean {mean!r}, variance {var!r})"

@@ -1,6 +1,10 @@
 """Comparison runs, parameter sweeps and Euler convergence studies, with
 deterministic CSV/JSON emission.
 
+The three runs take plain arguments: ``run_compare(p, n, seed, chunks)``,
+``run_sweep(p, field, grid, n, seed, chunks)`` and
+``run_convergence(p, steps, n, seed, chunks)``.
+
 The CSV schema is fixed (header row, column order below); reals are written
 with 17 significant digits so parsing the file reproduces the doubles
 exactly.  JSON mirrors the CSV fields per row plus a metadata object.
@@ -26,7 +30,6 @@ from .sampling import derive_seed
 
 __all__ = [
     "ComparisonRow",
-    "SweepSpec",
     "ConvergenceRow",
     "run_compare",
     "run_sweep",
@@ -83,37 +86,7 @@ class ComparisonRow:
     z_rs: float
     ordering_pass: bool
     zero_fraction: float
-    rate_boundary: bool
     error: str | None = None
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """A one-dimensional parameter sweep around a base parameter set."""
-
-    base: MarketParams
-    sweep_field: str
-    grid: tuple[float, ...]
-    samples: int
-    seed: int
-    chunks: int = 1
-
-    def __post_init__(self):
-        if self.sweep_field not in ("rho", "mu", "sigma", "T"):
-            raise OutOfDomainError(
-                f"sweep_field must be one of rho/mu/sigma/T, got {self.sweep_field!r}"
-            )
-        object.__setattr__(self, "grid", tuple(float(g) for g in self.grid))
-        if not self.grid:
-            raise OutOfDomainError("sweep grid must not be empty")
-        for g in self.grid:
-            # Validate each grid value in place of the swept field.
-            self.point_params(g)
-
-    def point_params(self, value: float) -> MarketParams:
-        raw = asdict(self.base)
-        raw[self.sweep_field] = value
-        return validate_params(**raw)
 
 
 @dataclass(frozen=True)
@@ -127,6 +100,17 @@ class ConvergenceRow:
     cf_forward: float
     abs_bias: float
     clamp_count: int
+
+
+def _closed_form_fields(report: ClosedFormReport) -> dict:
+    """The row fields a closed-form record fills, named as their columns."""
+    return {
+        "regime": report.regime.value,
+        "cf_honest": report.honest_optimal,
+        "cf_skorokhod": report.skorokhod,
+        "cf_forward": report.forward,
+        "ordering_pass": report.ordering_pass,
+    }
 
 
 def run_compare(
@@ -143,10 +127,7 @@ def run_compare(
     )
     return ComparisonRow(
         params=p,
-        regime=report.regime.value,
-        cf_honest=report.honest_optimal,
-        cf_skorokhod=report.skorokhod,
-        cf_forward=report.forward,
+        **_closed_form_fields(report),
         mc_honest=est_honest.mean,
         mc_honest_se=est_honest.stderr,
         mc_sk=est_sk.mean,
@@ -156,9 +137,7 @@ def run_compare(
         z_honest=z_score(est_honest, report.honest_optimal),
         z_sk=z_score(est_sk, report.skorokhod),
         z_rs=z_score(est_rs, report.forward),
-        ordering_pass=report.ordering_pass,
         zero_fraction=est_sk.zero_fraction,
-        rate_boundary=report.rate_boundary,
     )
 
 
@@ -167,26 +146,33 @@ def _invalid_row(p: MarketParams, message: str) -> ComparisonRow:
         params=p,
         regime="invalid",
         **{**dict.fromkeys(COMPARISON_COLUMNS[6:], float("nan")), "ordering_pass": False},
-        rate_boundary=p.rate_boundary,
         error=message,
     )
 
 
-def run_sweep(spec: SweepSpec) -> list[ComparisonRow]:
-    """One comparison row per grid point.
+def run_sweep(
+    p: MarketParams, field: str, grid: tuple[float, ...], n: int, seed: int, chunks: int = 1
+) -> list[ComparisonRow]:
+    """One comparison row per value of ``field`` (rho, mu, sigma or T) in
+    ``grid``, the other parameters those of ``p``.
 
-    Point ``i`` runs with master seed ``seed + i`` (mod 2^64), so the sweep
-    is deterministic given its seed.  A point whose exponentials leave the
-    double range is reported as an invalid row instead of aborting the sweep.
+    The field, a nonempty grid and every grid point are validated before
+    any point runs.  Point ``i`` runs with master seed ``seed + i``
+    (mod 2^64), so the sweep is deterministic given its seed.  A point whose
+    exponentials leave the double range is reported as an invalid row
+    instead of aborting the sweep.
     """
+    if field not in ("rho", "mu", "sigma", "T"):
+        raise OutOfDomainError(f"sweep field must be one of rho/mu/sigma/T, got {field!r}")
+    points = [validate_params(**{**asdict(p), field: float(value)}) for value in grid]
+    if not points:
+        raise OutOfDomainError("sweep grid must not be empty")
     rows = []
-    for i, value in enumerate(spec.grid):
-        p = spec.point_params(value)
-        point_seed = (spec.seed + i) % (1 << 64)
+    for i, point in enumerate(points):
         try:
-            rows.append(run_compare(p, spec.samples, point_seed, spec.chunks))
+            rows.append(run_compare(point, n, (seed + i) % (1 << 64), chunks))
         except WealthOverflowError as exc:
-            rows.append(_invalid_row(p, str(exc)))
+            rows.append(_invalid_row(point, str(exc)))
     return rows
 
 
@@ -229,11 +215,13 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _comparison_cells(row: ComparisonRow) -> dict:
+def _cells(params: MarketParams, fields: dict) -> dict:
     # The JSON-only keys ride along; the CSV picks its cells by column.
-    cells = asdict(row.params)
-    cells.update({c: getattr(row, c) for c in COMPARISON_COLUMNS[5:]})
-    cells["rate_boundary"] = row.rate_boundary
+    return {**asdict(params), **fields, "rate_boundary": params.rate_boundary}
+
+
+def _comparison_cells(row: ComparisonRow) -> dict:
+    cells = _cells(row.params, {c: getattr(row, c) for c in COMPARISON_COLUMNS[5:]})
     if row.error is not None:
         cells["error"] = row.error
     return cells
@@ -248,24 +236,17 @@ def _csv_from(columns: list[str], dict_rows: list[dict]) -> str:
     return buf.getvalue()
 
 
-def _metadata(seed: int | None, samples: int | None, timestamp: bool) -> dict:
-    meta = {"tool_version": __version__}
-    if seed is not None:
-        meta["seed"] = seed
-    if samples is not None:
-        meta["samples"] = samples
-    if timestamp:
-        meta["generated_at"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    return meta
-
-
 def _json_from(
     dict_rows: list[dict], seed: int | None, samples: int | None, timestamp: bool
 ) -> str:
-    payload = {
-        "metadata": _metadata(seed, samples, timestamp),
-        "rows": dict_rows,
-    }
+    metadata = {"tool_version": __version__}
+    if seed is not None:
+        metadata["seed"] = seed
+    if samples is not None:
+        metadata["samples"] = samples
+    if timestamp:
+        metadata["generated_at"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
+    payload = {"metadata": metadata, "rows": dict_rows}
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=True) + "\n"
 
 
@@ -280,16 +261,7 @@ def comparison_json(
 
 
 def _closed_form_cells(report: ClosedFormReport) -> dict:
-    cells = asdict(report.params)
-    cells.update(
-        regime=report.regime.value,
-        cf_honest=report.honest_optimal,
-        cf_skorokhod=report.skorokhod,
-        cf_forward=report.forward,
-        ordering_pass=report.ordering_pass,
-        rate_boundary=report.rate_boundary,
-    )
-    return cells
+    return _cells(report.params, _closed_form_fields(report))
 
 
 def closed_form_csv(reports: list[ClosedFormReport]) -> str:

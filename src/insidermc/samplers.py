@@ -42,6 +42,7 @@ from .market import MarketParams, Regime, classify_regime, indicator_threshold
 
 __all__ = [
     "Trader",
+    "honest_ignores_draws",
     "honest_values",
     "forward_insider_values",
     "skorokhod_unbiased_values",
@@ -101,10 +102,16 @@ def _insider_values(p: MarketParams, b_t: np.ndarray, a: float, shift: float) ->
     return values
 
 
+def honest_ignores_draws(p: MarketParams) -> bool:
+    """True off the bull regime, where the honest bet is all-in on the bond:
+    every value is then M e^{rho T}, the same bits for any finite b."""
+    return classify_regime(p) is not Regime.BULL
+
+
 def honest_values(p: MarketParams, b_t: np.ndarray) -> np.ndarray:
     """Vectorized honest terminal wealth: all of M on the asset with the
     larger rate, the insider kernel at a = -inf (bull) or +inf (otherwise)."""
-    a = -math.inf if classify_regime(p) is Regime.BULL else math.inf
+    a = math.inf if honest_ignores_draws(p) else -math.inf
     return _insider_values(p, b_t, a, 0.0)
 
 

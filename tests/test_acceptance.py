@@ -15,7 +15,7 @@ from insidermc.verify import DEFAULT_SEED, CriterionResult, VerifySummary, run_v
 
 @pytest.fixture(scope="module")
 def summary():
-    return run_verify(DEFAULT_SEED, chunks=1)
+    return run_verify(DEFAULT_SEED)
 
 
 CRITERIA = [
@@ -81,6 +81,38 @@ def test_cheap_criteria_are_plain_json_records():
     for result in results:
         assert type(result.passed) is bool, result.name
         assert json.loads(json.dumps(dataclasses.asdict(result)))["passed"] is True
+
+
+def _grid_rows_with(exceedances):
+    rows = [SimpleNamespace(z_honest=0.5, z_sk=-1.0, z_rs=2.9) for _ in verify.GRID]
+    for row in rows[:exceedances]:
+        row.z_sk = -3.5
+    return rows
+
+
+@pytest.mark.parametrize(
+    "first,retry,passed",
+    [(0, None, True), (1, 0, True), (1, 1, False), (2, None, False)],
+    ids=["clean", "one-then-clean-retry", "one-then-one", "two"],
+)
+def test_c05_calibration_policy(monkeypatch, first, retry, passed):
+    """One exceedance earns one retry on fresh ordinals; two, or one in the
+    retry as well, fail."""
+    batches = {0: _grid_rows_with(first)}
+    if retry is not None:
+        batches[verify._ORD_RETRY] = _grid_rows_with(retry)
+    asked = []
+
+    def grid_rows(seed, chunks, ordinal_base):
+        asked.append(ordinal_base)
+        return batches[ordinal_base]
+
+    monkeypatch.setattr(verify, "_grid_rows", grid_rows)
+    result, rows = verify._c05_mc_agreement(DEFAULT_SEED, 1)
+    assert result.passed is passed
+    assert asked == list(batches)
+    # The retry rows stand in for the first ones only when the retry passed.
+    assert rows is batches[verify._ORD_RETRY if retry == 0 else 0]
 
 
 def test_harness_detects_corrupted_closed_form(monkeypatch):

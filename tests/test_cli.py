@@ -10,7 +10,6 @@ from pathlib import Path
 import pytest
 
 from insidermc import (
-    SweepSpec,
     cli,
     compare_closed_form,
     run_compare,
@@ -281,8 +280,7 @@ REPORT_COMMANDS = {
     "sweep": (
         # T = 8000 overflows the closed forms: the grid ends in an invalid row.
         ["sweep", *MC_FLAGS, "--sweep-field", "T", "--grid", "0.5,2,8000"],
-        lambda: run_sweep(SweepSpec(base=BASE, sweep_field="T", grid=(0.5, 2.0, 8000.0),
-                                    samples=N, seed=SEED)),
+        lambda: run_sweep(BASE, "T", (0.5, 2.0, 8000.0), N, SEED),
         (comparison_csv, lambda rows: comparison_json(rows, SEED, N, timestamp=False)),
     ),
     "convergence": (

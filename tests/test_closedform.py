@@ -156,7 +156,7 @@ class TestCompare:
         assert r.skorokhod == pytest.approx(SK_SHOWCASE, abs=1e-9)
         assert r.forward == pytest.approx(RS_SHOWCASE, abs=1e-9)
         assert r.ordering_pass
-        assert r.rate_boundary  # rho == 0
+        assert r.params.rate_boundary  # rho == 0
 
     def test_marginal_flags(self):
         r = compare_closed_form(validate_params(1, 0.05, 0.05, 0.2, 1))

@@ -9,7 +9,6 @@ import hashlib
 import pytest
 
 from insidermc import (
-    SweepSpec,
     compare_closed_form,
     run_compare,
     run_convergence,
@@ -42,9 +41,7 @@ def _compare():
 
 def _sweep():
     # T = 8000 overflows the closed forms and must stay an invalid row.
-    spec = SweepSpec(base=BASE, sweep_field="T", grid=(0.5, 2.0, 8000.0),
-                     samples=N, seed=SEED)
-    rows = run_sweep(spec)
+    rows = run_sweep(BASE, "T", (0.5, 2.0, 8000.0), N, SEED)
     return comparison_csv(rows), comparison_json(rows, SEED, N, timestamp=False)
 
 

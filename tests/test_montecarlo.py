@@ -9,6 +9,7 @@ import pytest
 from insidermc import (
     BadSampleCountError,
     DegenerateEstimateError,
+    IndexOverflowError,
     MCEstimate,
     OutOfDomainError,
     RngStream,
@@ -138,6 +139,37 @@ def test_deterministic_honest_bond():
         z_score(est, est.mean + 1e-9)
 
 
+@pytest.mark.parametrize(
+    "p", [BEAR, validate_params(1, 0.07, 0.07, 0.2, 1)], ids=["bear", "marginal"]
+)
+def test_all_bond_honest_bet_generates_no_draws(monkeypatch, p):
+    # Off the bull regime every honest value is M e^{rho T} whatever b is.
+    n = 3 * montecarlo._TASK_TARGET + 7  # four blocks
+    drawn = _record_workspaces(monkeypatch, "brownian_terminal_block")
+    valued = []
+    real_honest_values = montecarlo.honest_values
+
+    def honest_values(*args):
+        valued.append(args)
+        return real_honest_values(*args)
+
+    monkeypatch.setattr(montecarlo, "honest_values", honest_values)
+    one, two = (estimate_mean(Trader.HONEST_OPTIMAL, p, n, 4, chunks) for chunks in (1, 2))
+    assert drawn == []
+    assert len(valued) == 8  # the values still come from the sampler, per block
+    # The estimate is the bits the draws gave.
+    monkeypatch.setattr(montecarlo, "honest_ignores_draws", lambda p: False)
+    assert one == two == estimate_mean(Trader.HONEST_OPTIMAL, p, n, 4)
+    assert len(drawn) == 4
+
+
+def test_no_draw_estimate_still_checks_its_index_range():
+    with pytest.raises(OutOfDomainError):
+        estimate_mean(Trader.HONEST_OPTIMAL, BEAR, 4096, seed=1, start=-1)
+    with pytest.raises(IndexOverflowError):
+        estimate_mean(Trader.HONEST_OPTIMAL, BEAR, 4096, seed=1, start=2**63 - 4095)
+
+
 def test_z_score_arithmetic():
     est = MCEstimate(
         n=100, mean=1.01, sample_stddev=0.05, stderr=0.005, seed=0, zero_fraction=0.0,
@@ -261,6 +293,23 @@ def test_factorized_overflowed_variance_raises():
     p = validate_params(1, 0, 600, 3, 1)
     with pytest.raises(WealthOverflowError):
         skorokhod_factorized_estimate(p, RngStream(0), 8192)
+
+
+@pytest.mark.parametrize("rho", [650.0, 700.0])
+def test_factorized_certain_bet_has_zero_variance(rho):
+    # p_hat = 0, so the delta-method variance is 0 although the square of
+    # g_hat - e^{rho T} alone leaves the double range.
+    p = validate_params(1, rho, 0.5, 1, 1)
+    est = skorokhod_factorized_estimate(p, RngStream(3), 8192)
+    assert est.stderr == 0.0
+    assert est.mean == skorokhod_expected_wealth(p)
+    assert z_score(est, skorokhod_expected_wealth(p)) == 0.0
+
+
+def test_factorized_infinite_mean_still_raises():
+    # M e^{rho T} itself overflows: the mean really is out of range.
+    with pytest.raises(WealthOverflowError, match="mean inf"):
+        skorokhod_factorized_estimate(validate_params(1e5, 700, 0.5, 1, 1), RngStream(3), 8192)
 
 
 def test_factorized_bond_overflow_raises_before_drawing(monkeypatch):

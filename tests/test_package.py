@@ -16,8 +16,9 @@ MODULES = [insidermc] + [
 ]
 
 # The honest trader is the insider kernel at an infinite threshold; the
-# wealth split that once parametrized it is gone.
-REMOVED = ("Allocation", "AllocationMismatchError", "honest_optimal_allocation")
+# wealth split that once parametrized it is gone.  A sweep takes plain
+# arguments, like the other report runs.
+REMOVED = ("Allocation", "AllocationMismatchError", "honest_optimal_allocation", "SweepSpec")
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)

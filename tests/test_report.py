@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from insidermc import (
+    NonPositiveError,
     OutOfDomainError,
-    SweepSpec,
     Trader,
     derive_seed,
     estimate_mean,
@@ -17,6 +17,7 @@ from insidermc import (
     run_sweep,
     validate_params,
 )
+import insidermc.report as report
 from insidermc.report import (
     COMPARISON_COLUMNS,
     comparison_csv,
@@ -119,28 +120,23 @@ class TestSweep:
     def test_sigma_sweep_marginal_ratio(self):
         """At mu == rho the rs/i ratio is 1 + erf(sigma sqrt(T) / (2 sqrt 2))."""
         base = validate_params(1, 0.05, 0.05, 1, 1)
-        spec = SweepSpec(base=base, sweep_field="sigma", grid=(0.1, 0.2, 0.4),
-                         samples=4096, seed=12)
-        rows = run_sweep(spec)
+        grid = (0.1, 0.2, 0.4)
+        rows = run_sweep(base, "sigma", grid, 4096, 12)
         ratios = [r.cf_forward / r.cf_honest for r in rows]
-        for sigma, ratio in zip(spec.grid, ratios):
+        for sigma, ratio in zip(grid, ratios):
             expected = 1 + math.erf(sigma / (2 * math.sqrt(2)))
             assert ratio == pytest.approx(expected, rel=1e-12)
         assert ratios == sorted(ratios)
 
     def test_tiny_horizon_collapses_to_m(self):
         base = validate_params(1, 0.05, 0.1, 0.2, 1)
-        spec = SweepSpec(base=base, sweep_field="T", grid=(1e-300,),
-                         samples=4096, seed=12)
-        (r,) = run_sweep(spec)
+        (r,) = run_sweep(base, "T", (1e-300,), 4096, 12)
         for v in (r.cf_honest, r.cf_skorokhod, r.cf_forward):
             assert v == pytest.approx(1.0, abs=1e-9)
 
     def test_mu_sweep_across_regimes(self):
         base = validate_params(1, 0.05, 0.05, 0.2, 1)
-        spec = SweepSpec(base=base, sweep_field="mu", grid=(0.02, 0.05, 0.2),
-                         samples=4096, seed=12)
-        rows = run_sweep(spec)
+        rows = run_sweep(base, "mu", (0.02, 0.05, 0.2), 4096, 12)
         assert [r.regime for r in rows] == ["bear", "marginal", "bull"]
         assert all(r.ordering_pass for r in rows)
 
@@ -153,9 +149,7 @@ class TestSweep:
             (validate_params(1, 0, 0.5, 3, 1), "mu", (0.5, 600.0)),
         ]
         for base, field, grid in cases:
-            spec = SweepSpec(base=base, sweep_field=field, grid=grid,
-                             samples=4096, seed=12)
-            rows = run_sweep(spec)
+            rows = run_sweep(base, field, grid, 4096, 12)
             assert rows[0].error is None
             assert rows[1].error is not None
             assert rows[1].regime == "invalid"
@@ -168,17 +162,23 @@ class TestSweep:
     def test_grid_validation(self):
         base = validate_params(1, 0.05, 0.1, 0.2, 1)
         with pytest.raises(OutOfDomainError):
-            SweepSpec(base=base, sweep_field="beta", grid=(1,), samples=10, seed=1)
+            run_sweep(base, "beta", (1,), 10, 1)
         with pytest.raises(Exception):
-            SweepSpec(base=base, sweep_field="sigma", grid=(0.0,), samples=10, seed=1)
+            run_sweep(base, "sigma", (0.0,), 10, 1)
         with pytest.raises(OutOfDomainError):
-            SweepSpec(base=base, sweep_field="sigma", grid=(), samples=10, seed=1)
+            run_sweep(base, "sigma", (), 10, 1)
+
+    def test_every_point_validated_before_any_runs(self, monkeypatch):
+        ran = []
+        monkeypatch.setattr(report, "run_compare", lambda *args: ran.append(args))
+        base = validate_params(1, 0.05, 0.1, 0.2, 1)
+        with pytest.raises(NonPositiveError):
+            run_sweep(base, "sigma", (0.2, 0.4, 0.0), 4096, 1)
+        assert ran == []
 
     def test_per_point_seeds_are_master_plus_index(self):
         base = validate_params(1, 0.05, 0.1, 0.2, 1)
-        spec = SweepSpec(base=base, sweep_field="sigma", grid=(0.2, 0.2),
-                         samples=4096, seed=100)
-        rows = run_sweep(spec)
+        rows = run_sweep(base, "sigma", (0.2, 0.2), 4096, 100)
         # same params, seeds 100 and 101: must match direct runs
         assert rows[0].mc_rs == run_compare(base, 4096, 100).mc_rs
         assert rows[1].mc_rs == run_compare(base, 4096, 101).mc_rs

@@ -6,6 +6,8 @@ from scipy.special import ndtri
 
 from insidermc import (
     IndexOverflowError,
+    NonPositiveError,
+    NotFiniteError,
     OutOfDomainError,
     RngStream,
     derive_seed,
@@ -150,6 +152,26 @@ def test_index_overflow():
         brownian_increments_block(STREAM, 2**62, 1, 1.0, 4)
     with pytest.raises(IndexOverflowError):
         standard_normal_block(STREAM, 2**63, 1)
+
+
+GUARDS = {
+    "negative-start": (lambda: uniform_block(STREAM, -1, 4), OutOfDomainError),
+    "negative-count": (lambda: standard_normal_block(STREAM, 0, -1), OutOfDomainError),
+    "infinite-horizon": (lambda: brownian_terminal_block(STREAM, 0, 4, math.inf), NotFiniteError),
+    "nan-horizon": (lambda: brownian_increments_block(STREAM, 0, 4, math.nan, 2), NotFiniteError),
+    "zero-horizon": (lambda: brownian_terminal_block(STREAM, 0, 4, 0.0), NonPositiveError),
+    "negative-horizon": (
+        lambda: brownian_increments_block(STREAM, 0, 4, -1.0, 2), NonPositiveError
+    ),
+    "no-steps": (lambda: brownian_increments_block(STREAM, 0, 4, 1.0, 0), OutOfDomainError),
+}
+
+
+@pytest.mark.parametrize("name", list(GUARDS))
+def test_block_functions_refuse_bad_ranges_and_horizons(name):
+    call, error = GUARDS[name]
+    with pytest.raises(error):
+        call()
 
 
 def reference_normals(seed, start, count):
