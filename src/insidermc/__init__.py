@@ -75,8 +75,9 @@ __all__ = [
     # samplers
     "Trader",
     # closed forms
-    "ClosedFormReport", "honest_expected_wealth", "forward_expected_wealth",
-    "skorokhod_expected_wealth_erf_form", "forward_expected_wealth_erf_form",
+    "ClosedFormReport", "honest_expected_wealth", "skorokhod_expected_wealth",
+    "forward_expected_wealth", "skorokhod_expected_wealth_erf_form",
+    "forward_expected_wealth_erf_form",
     "compare_closed_form",
     # monte carlo
     "MCEstimate", "estimate_mean", "estimate_euler_mean",

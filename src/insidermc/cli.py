@@ -14,7 +14,7 @@ import argparse
 import os
 import sys
 
-from .errors import ParameterError, WealthOverflowError
+from .errors import IndexOverflowError, ParameterError, WealthOverflowError
 from .market import validate_params
 from .report import (
     closed_form_csv,
@@ -215,7 +215,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         return _dispatch(args)
-    except (ParameterError, WealthOverflowError, OSError) as exc:
+    except (ParameterError, WealthOverflowError, IndexOverflowError, OSError) as exc:
         print(f"insidermc: {exc}", file=sys.stderr)
         return VALIDATION_ERROR
 

@@ -2,19 +2,18 @@
 insider under the two anticipating noise interpretations, plus regime-aware
 ordering checks.
 
-With ``a = indicator_threshold(p)`` and ``Phi`` the standard normal CDF:
+With ``Phi`` the standard normal CDF, each expectation is the mean of the
+trader kernel of :mod:`~insidermc.samplers` betting at a:
 
-    honest      E[S(T)] = M e^{max(rho, mu) T}
-    Skorokhod   E[S(T)] = M Phi(a/sqrt(T)) e^{rho T} + M Phi(-a/sqrt(T)) e^{mu T}
-    forward     E[S(T)] = M Phi(a/sqrt(T)) e^{rho T}
-                          + M Phi(sigma sqrt(T) - a/sqrt(T)) e^{mu T}
+    E[S(T)] = M Phi(a/sqrt(T)) e^{rho T} + M Phi(s - a/sqrt(T)) e^{mu T}
 
-The honest optimum is all of M on the asset with the larger rate: the
-insider's bet with a threshold that ignores B_T.  The Skorokhod solution
-carries a Wick product whose expectation factorizes, which is why its stock
-leg is only the bet probability times the plain GBM mean; the forward
-(Russo-Vallois) solution keeps the classical Ito form, so its stock leg keeps
-the covariance between the bet and the stock growth.
+with a = ``honest_threshold(p)`` for the honest trader (-inf or +inf, which
+gives M e^{max(rho, mu) T}) and a = ``indicator_threshold(p)`` for the
+insider, and s = sigma sqrt(T) except under the Skorokhod (Wick) reading,
+where s = 0.  Under the stock measure B_T has mean sigma T, so the forward
+(Russo-Vallois) stock leg keeps the covariance between the bet and the stock
+growth; the Wick reading shifts the stock event by exactly sigma T, which
+cancels it: its stock leg is the bet probability times the plain GBM mean.
 
 Internally everything is evaluated in the Phi parametrization (probabilities
 in [0, 1], no cancellation in (1 - erf)/2); the equivalent erf forms are
@@ -29,7 +28,7 @@ from dataclasses import dataclass
 from scipy import special as _sc
 
 from .errors import EXP_MAX, WealthOverflowError
-from .market import MarketParams, Regime, classify_regime, indicator_threshold
+from .market import MarketParams, Regime, classify_regime, honest_threshold, indicator_threshold
 from .special import erf, normal_cdf
 
 __all__ = [
@@ -67,37 +66,32 @@ def _finite(wealth: float) -> float:
     return wealth
 
 
+def _kernel_mean(p: MarketParams, a: float, wick: bool) -> float:
+    """E[S(T)] of the trader kernel betting at a, Wick reading or not."""
+    _check_exp_range(p)
+    at = a / math.sqrt(p.T)
+    s = 0.0 if wick else p.sigma * math.sqrt(p.T)
+    return _finite(p.M * (
+        normal_cdf(at) * math.exp(p.rho * p.T) + normal_cdf(s - at) * math.exp(p.mu * p.T)
+    ))
+
+
 def honest_expected_wealth(p: MarketParams) -> float:
     """E[S(T)] = M e^{max(rho, mu) T}: all of M on the asset with the larger rate.
 
     In the marginal regime every split has the same expectation.
     """
-    _check_exp_range(p)
-    return p.M * math.exp(max(p.rho, p.mu) * p.T)
-
-
-def _threshold_scaled(p: MarketParams) -> float:
-    """a / sqrt(T): the threshold for the standardized terminal value."""
-    return indicator_threshold(p) / math.sqrt(p.T)
+    return _kernel_mean(p, honest_threshold(p), False)
 
 
 def skorokhod_expected_wealth(p: MarketParams) -> float:
     """Insider expectation under the Skorokhod (Wick) interpretation."""
-    _check_exp_range(p)
-    at = _threshold_scaled(p)
-    return _finite(p.M * (
-        normal_cdf(at) * math.exp(p.rho * p.T) + normal_cdf(-at) * math.exp(p.mu * p.T)
-    ))
+    return _kernel_mean(p, indicator_threshold(p), True)
 
 
 def forward_expected_wealth(p: MarketParams) -> float:
     """Insider expectation under the Russo-Vallois forward interpretation."""
-    _check_exp_range(p)
-    at = _threshold_scaled(p)
-    s = p.sigma * math.sqrt(p.T)
-    return _finite(p.M * (
-        normal_cdf(at) * math.exp(p.rho * p.T) + normal_cdf(s - at) * math.exp(p.mu * p.T)
-    ))
+    return _kernel_mean(p, indicator_threshold(p), False)
 
 
 def skorokhod_expected_wealth_erf_form(p: MarketParams) -> float:
@@ -169,7 +163,7 @@ def compare_closed_form(p: MarketParams) -> ClosedFormReport:
     sk = skorokhod_expected_wealth(p)
     rs = forward_expected_wealth(p)
 
-    at = _threshold_scaled(p)
+    at = indicator_threshold(p) / math.sqrt(p.T)
     s = p.sigma * math.sqrt(p.T)
     if regime is Regime.BULL:
         # i - sk = M Phi(at) (e^{mu T} - e^{rho T}); Phi(at) > 0 for finite at.

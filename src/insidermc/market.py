@@ -5,13 +5,15 @@ The market is the classical bond/stock pair on a horizon ``[0, T]``:
     dS0 = rho * S0 * dt                      (riskless bond)
     dS1 = mu * S1 * dt + sigma * S1 * dB_t   (stock, geometric Brownian motion)
 
-A trader puts an initial wealth ``M`` on the bond or on the stock.  The
-honest optimum is all-in on the asset with the larger rate; an insider who
-already knows the terminal stock price puts everything on whichever
-unit-price asset ends higher, and that event reduces to a threshold on the
-Brownian terminal value::
+A trader puts an initial wealth ``M`` on the bond or on the stock.  An
+insider who already knows the terminal stock price puts everything on
+whichever unit-price asset ends higher, and that event reduces to a
+threshold on the Brownian terminal value::
 
     {S1_bar(T) > S0_bar(T)}  =  {B_T > a},   a = (rho - mu + sigma^2/2) * T / sigma
+
+The honest optimum, all-in on the asset with the larger rate, is the same
+bet at a = -inf (stock) or +inf (bond): :func:`honest_threshold`.
 
 Everything here is immutable after construction and safe to share across
 concurrent workers.
@@ -30,6 +32,7 @@ __all__ = [
     "Regime",
     "validate_params",
     "indicator_threshold",
+    "honest_threshold",
     "classify_regime",
 ]
 
@@ -122,6 +125,12 @@ def indicator_threshold(p: MarketParams) -> float:
     bear market.
     """
     return (p.rho - p.mu + 0.5 * p.sigma * p.sigma) * p.T / p.sigma
+
+
+def honest_threshold(p: MarketParams) -> float:
+    """The honest bet level, blind to B_T: -inf in a bull market (all-in on
+    the stock), +inf otherwise (all-in on the bond)."""
+    return -math.inf if classify_regime(p) is Regime.BULL else math.inf
 
 
 def classify_regime(p: MarketParams) -> Regime:

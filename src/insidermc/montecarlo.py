@@ -28,14 +28,13 @@ from .errors import (
     UnknownTraderError,
     WealthOverflowError,
 )
-from .market import MarketParams, indicator_threshold
+from .market import MarketParams, honest_threshold, indicator_threshold
 from .samplers import (
     Trader,
     _bond_value,
     _stock_values,
     forward_euler_values,
     forward_insider_values,
-    honest_ignores_draws,
     honest_values,
     skorokhod_unbiased_values,
 )
@@ -247,7 +246,7 @@ def estimate_mean(
         raise UnknownTraderError(f"unknown trader tag {trader!r}") from exc
     stream = RngStream(seed)
     # The all-bond honest bet reads no draw: it gets zeros that take no memory.
-    no_draws = trader is Trader.HONEST_OPTIMAL and honest_ignores_draws(p)
+    no_draws = trader is Trader.HONEST_OPTIMAL and honest_threshold(p) == math.inf
 
     # Samplers are looked up by module name per block, never bound once, so
     # a wrapper patched onto this module's attributes sees every call.
@@ -284,6 +283,7 @@ def estimate_euler_mean(
     if not isinstance(n_steps, numbers.Integral) or n_steps < 1:
         raise OutOfDomainError(f"n_steps must be an integer >= 1, got {n_steps!r}")
     n_steps = int(n_steps)
+    _check_range(start * n_steps, n * n_steps)  # every counter, before any is drawn
     stream = RngStream(seed)
 
     def make_values(offset: int, count: int, workspace: Workspace) -> tuple[np.ndarray, int]:

@@ -5,11 +5,11 @@ path increments for the Euler scheme) to the matching realizations of S(T);
 the sample mean over the stream must reproduce the matching closed form,
 which is what the estimator harness and the acceptance battery check.
 
-All three traders are one kernel: M on the bond where b <= a, M on the
-stock where b - shift > a, exactly 0 between.  The insider bets at the
-threshold a = :func:`~insidermc.market.indicator_threshold`; the honest
-trader ignores b_T, which is the same bet at a = -inf (bull: all-in on the
-stock) or a = +inf (bear and marginal: all-in on the bond).
+Every trader is one kernel: M on the bond where b <= a, M on the stock
+where b - shift > a, exactly 0 between.  The insider bets at
+a = :func:`~insidermc.market.indicator_threshold`, the honest trader at
+a = :func:`~insidermc.market.honest_threshold` (-inf or +inf), and the
+Euler scheme bets on its row sums with its own stock leg.
 
 The Skorokhod model needs a word of caution.  Its solution is a Wick
 product, which has no pathwise reading, so :func:`skorokhod_unbiased_values`
@@ -24,8 +24,8 @@ Its expectation over b ~ N(0, T) equals the Skorokhod closed form (certified
 against it, not asserted): the shifted indicator turns back into
 Pr{B_T > a} times the plain GBM mean, which is the Wick factorization.  So
 it is the forward sample with its stock event shifted from {b > a} to
-{b - sigma T > a}: the kernel with shift sigma T, where the forward and
-honest samplers use shift 0.  The shift is the dead zone
+{b - sigma T > a}: the kernel's Wick reading, shift sigma T, where the
+forward and honest samplers use shift 0.  The shift is the dead zone
 a < b <= a + sigma T, where the sample is exactly 0, the pathwise face of
 the model's financial paradox; its mass is tracked.
 """
@@ -38,11 +38,10 @@ import math
 import numpy as np
 
 from .errors import EXP_MAX, OutOfDomainError, WealthOverflowError
-from .market import MarketParams, Regime, classify_regime, indicator_threshold
+from .market import MarketParams, honest_threshold, indicator_threshold
 
 __all__ = [
     "Trader",
-    "honest_ignores_draws",
     "honest_values",
     "forward_insider_values",
     "skorokhod_unbiased_values",
@@ -86,33 +85,29 @@ def _stock_values(p: MarketParams, m1: float, b_t: np.ndarray) -> np.ndarray:
     return b_t
 
 
-def _insider_values(p: MarketParams, b_t: np.ndarray, a: float, shift: float) -> np.ndarray:
+def _insider_values(p: MarketParams, b_t: np.ndarray, a: float, wick: bool,
+                    stock_leg=None) -> np.ndarray:
     """M on the bond where b <= a, on the stock where b - shift > a, exactly
-    0 between; built in the array that first holds b - shift, never in b_t."""
+    0 between, shift = sigma T under the Wick reading, else 0; built in the
+    array that first holds b - shift, never in b_t.  ``stock_leg(on)`` gives
+    the stock values of the rows in the mask ``on`` (default: GBM leg at b)."""
     bond = _bond_value(p, p.M)
     b_t = np.asarray(b_t, dtype=np.float64)
-    values = np.subtract(b_t, shift)
+    values = np.subtract(b_t, p.sigma * p.T if wick else 0.0)
     stock = values > a
-    if stock.all():  # every honest bull block: skip the gather and scatter
+    if stock_leg is None and stock.all():  # every honest bull block: no gather or scatter
         np.copyto(values, b_t)
         return _stock_values(p, p.M, values)
     np.multiply(b_t <= a, bond, out=values)
     if stock.any():
-        values[stock] = _stock_values(p, p.M, b_t[stock])
+        values[stock] = stock_leg(stock) if stock_leg else _stock_values(p, p.M, b_t[stock])
     return values
-
-
-def honest_ignores_draws(p: MarketParams) -> bool:
-    """True off the bull regime, where the honest bet is all-in on the bond:
-    every value is then M e^{rho T}, the same bits for any finite b."""
-    return classify_regime(p) is not Regime.BULL
 
 
 def honest_values(p: MarketParams, b_t: np.ndarray) -> np.ndarray:
     """Vectorized honest terminal wealth: all of M on the asset with the
-    larger rate, the insider kernel at a = -inf (bull) or +inf (otherwise)."""
-    a = math.inf if honest_ignores_draws(p) else -math.inf
-    return _insider_values(p, b_t, a, 0.0)
+    larger rate, the insider kernel at :func:`~insidermc.market.honest_threshold`."""
+    return _insider_values(p, b_t, honest_threshold(p), False)
 
 
 def forward_insider_values(p: MarketParams, b_t: np.ndarray) -> np.ndarray:
@@ -121,14 +116,14 @@ def forward_insider_values(p: MarketParams, b_t: np.ndarray) -> np.ndarray:
     All of M rides the stock when b > a, the bond otherwise; the boundary
     b == a goes to the bond: the insider kernel with no shift.
     """
-    return _insider_values(p, b_t, indicator_threshold(p), 0.0)
+    return _insider_values(p, b_t, indicator_threshold(p), False)
 
 
 def skorokhod_unbiased_values(p: MarketParams, b_t: np.ndarray) -> np.ndarray:
     """Vectorized translation-form Skorokhod sample (see module docstring):
     the insider kernel shifted by sigma T, exactly 0 on a < b <= a + sigma T.
     """
-    return _insider_values(p, b_t, indicator_threshold(p), p.sigma * p.T)
+    return _insider_values(p, b_t, indicator_threshold(p), True)
 
 
 def forward_euler_values(
@@ -136,14 +131,14 @@ def forward_euler_values(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Explicit Euler discretization of the forward-model stock leg.
 
-    ``increments`` has shape (n_paths, n_steps).  The terminal value
-    b_T = sum of increments decides the anticipating initial condition; the
-    stock leg is S1 = M prod_k (1 + mu dt + sigma dB_k), formed left to right
-    by one ``multiply.accumulate`` per row, so every partial product is the
-    one an explicit step loop would form; the bond leg uses the exact ODE
-    solution.  A partial product below 0 is a coarse-grid artifact: the path
-    is clamped at 0 from that step on and flagged, so convergence studies can
-    watch the clamp count vanish as dt -> 0.
+    ``increments`` has shape (n_paths, n_steps).  The forward kernel bets on
+    the row sums b_T, with the exact bond leg; its stock leg, formed only on
+    the rows whose bet is on, is S1 = M prod_k (1 + mu dt + sigma dB_k), left
+    to right by one ``multiply.accumulate`` per row, so every partial product
+    is the one an explicit step loop would form.  A partial product below 0
+    is a coarse-grid artifact: the path is clamped at 0 from that step on and
+    flagged, so convergence studies can watch the clamp count vanish as
+    dt -> 0.
 
     Returns (values, clamped) with ``clamped`` a boolean mask per path.
     Raises WealthOverflowError when a stock-leg product leaves the double
@@ -152,25 +147,27 @@ def forward_euler_values(
     increments = np.asarray(increments, dtype=np.float64)
     if increments.ndim != 2 or increments.shape[1] < 1:
         raise OutOfDomainError("increments must have shape (n_paths, n_steps >= 1)")
-    bond = _bond_value(p, p.M)
-    n_steps = increments.shape[1]
-    stock_on = increments.sum(axis=1) > indicator_threshold(p)
+    clamped = np.zeros(increments.shape[0], dtype=bool)
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        s1 = p.sigma * increments
-        s1 += 1.0 + p.mu * (p.T / n_steps)
-        s1[:, 0] *= p.M
-        np.multiply.accumulate(s1, axis=1, out=s1)
-    negative = s1 < 0.0
-    clamped = stock_on & negative.any(axis=1)
-    # inf and nan absorb every later factor, so a path overflowed iff its last
-    # product is not finite; it counts unless a clamp came strictly first.
-    overflowed = stock_on & ~np.isfinite(s1[:, -1])
-    if overflowed.any() and _overflow_precedes_clamp(s1[overflowed], negative[overflowed]):
-        raise WealthOverflowError("Euler stock-leg product exceeds the double range")
-    stock = np.where(stock_on & ~clamped, s1[:, -1], 0.0)
-    values = np.where(stock_on, 0.0, bond) + stock
-    return values, clamped
+    def euler_leg(on: np.ndarray) -> np.ndarray:
+        s1 = increments[on]
+        with np.errstate(over="ignore", invalid="ignore"):
+            s1 *= p.sigma
+            s1 += 1.0 + p.mu * (p.T / s1.shape[1])
+            s1[:, 0] *= p.M
+            np.multiply.accumulate(s1, axis=1, out=s1)
+        negative = s1 < 0.0
+        clamped[on] = hit = negative.any(axis=1)
+        # inf and nan absorb every later factor, so a path overflowed iff its
+        # last product is not finite; it counts unless a clamp came strictly first.
+        overflowed = ~np.isfinite(s1[:, -1])
+        if overflowed.any() and _overflow_precedes_clamp(s1[overflowed], negative[overflowed]):
+            raise WealthOverflowError("Euler stock-leg product exceeds the double range")
+        # + 0.0: an unclamped -0.0 product reads +0.0, as a step loop gives.
+        return np.where(hit, 0.0, s1[:, -1]) + 0.0
+
+    b_t = increments.sum(axis=1)
+    return _insider_values(p, b_t, indicator_threshold(p), False, euler_leg), clamped
 
 
 def _overflow_precedes_clamp(products: np.ndarray, negative: np.ndarray) -> bool:

@@ -5,7 +5,9 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -38,7 +40,8 @@ CHILD_ENV = {
 }
 
 
-def run_cli(*args):
+def run_child(*args):
+    """The CLI in a fresh interpreter, for the module's own exit path."""
     return subprocess.run(
         [sys.executable, "-m", "insidermc.cli", *args],
         capture_output=True,
@@ -47,8 +50,18 @@ def run_cli(*args):
     )
 
 
-def test_closed_form_defaults_match_oracle():
-    result = run_cli("closed-form")
+def run_cli(capsys, *args):
+    """``cli.main(args)`` in this process, with its exit code and output."""
+    try:
+        code = cli.main(list(args))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return SimpleNamespace(returncode=code, stdout=captured.out, stderr=captured.err)
+
+
+def test_closed_form_defaults_match_oracle(capsys):
+    result = run_cli(capsys, "closed-form")
     assert result.returncode == 0
     parsed = next(csv.DictReader(io.StringIO(result.stdout)))
     assert float(parsed["cf_honest"]) == pytest.approx(ORACLE_TRIPLE[0], abs=1e-9)
@@ -57,14 +70,14 @@ def test_closed_form_defaults_match_oracle():
     assert parsed["ordering_pass"] == "true"
 
 
-def test_validation_error_exits_2():
-    result = run_cli("compare", "--sigma", "0", "--samples", "64")
+def test_validation_error_exits_2(capsys):
+    result = run_cli(capsys, "compare", "--sigma", "0", "--samples", "64")
     assert result.returncode == 2
     assert "sigma" in result.stderr
 
 
-def test_bad_sample_count_exits_2():
-    result = run_cli("compare", "--samples", "1")
+def test_bad_sample_count_exits_2(capsys):
+    result = run_cli(capsys, "compare", "--samples", "1")
     assert result.returncode == 2
 
 
@@ -86,7 +99,7 @@ def main_exit(capsys, *argv):
 
 def test_usage_error_exits_1(capsys):
     # One child interpreter keeps the module's own exit path covered.
-    assert run_cli("compare", "--bogus-flag", "1").returncode == 1
+    assert run_child("compare", "--bogus-flag", "1").returncode == 1
     assert main_exit(capsys)[0] == 1
     assert main_exit(capsys, "not-a-command")[0] == 1
     # Flags a command would not read are not accepted.
@@ -117,42 +130,42 @@ def test_package_runs_as_module():
     assert by_package.stdout == by_cli.stdout
 
 
-def test_compare_byte_identical_across_workers(tmp_path):
+def test_compare_byte_identical_across_workers(tmp_path, capsys):
     out1, out8 = tmp_path / "w1.json", tmp_path / "w8.json"
     common = ["compare", "--samples", "8192", "--seed", "0xDEADBEEF",
               "--format", "json", "--no-timestamp"]
-    assert run_cli(*common, "--chunks", "1", "--out", str(out1)).returncode == 0
-    assert run_cli(*common, "--chunks", "8", "--out", str(out8)).returncode == 0
+    assert run_cli(capsys, *common, "--chunks", "1", "--out", str(out1)).returncode == 0
+    assert run_cli(capsys, *common, "--chunks", "8", "--out", str(out8)).returncode == 0
     assert out1.read_bytes() == out8.read_bytes()
     # repeated run with identical arguments is also byte-identical
     out1b = tmp_path / "w1b.json"
-    assert run_cli(*common, "--chunks", "1", "--out", str(out1b)).returncode == 0
+    assert run_cli(capsys, *common, "--chunks", "1", "--out", str(out1b)).returncode == 0
     assert out1.read_bytes() == out1b.read_bytes()
 
 
-def test_hex_and_decimal_seeds_agree(tmp_path):
+def test_hex_and_decimal_seeds_agree(tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    run_cli("compare", "--samples", "4096", "--seed", "0x2A", "--out", str(a))
-    run_cli("compare", "--samples", "4096", "--seed", "42", "--out", str(b))
+    run_cli(capsys, "compare", "--samples", "4096", "--seed", "0x2A", "--out", str(a))
+    run_cli(capsys, "compare", "--samples", "4096", "--seed", "42", "--out", str(b))
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_sweep_csv(tmp_path):
+def test_sweep_csv(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     result = run_cli(
-        "sweep", "--rho", "0.05", "--mu", "0.05", "--sweep-field", "sigma",
+        capsys, "sweep", "--rho", "0.05", "--mu", "0.05", "--sweep-field", "sigma",
         "--grid", "0.1,0.2,0.4", "--samples", "4096", "--out", str(out),
     )
     assert result.returncode == 0
-    rows = list(csv.DictReader(out.open()))
+    rows = list(csv.DictReader(io.StringIO(out.read_text())))
     assert [float(r["sigma"]) for r in rows] == [0.1, 0.2, 0.4]
     ratios = [float(r["cf_forward"]) / float(r["cf_honest"]) for r in rows]
     assert ratios == sorted(ratios)
 
 
-def test_convergence_json():
+def test_convergence_json(capsys):
     result = run_cli(
-        "convergence", "--steps", "1,4", "--samples", "4096",
+        capsys, "convergence", "--steps", "1,4", "--samples", "4096",
         "--format", "json", "--no-timestamp",
     )
     assert result.returncode == 0
@@ -160,7 +173,7 @@ def test_convergence_json():
     assert [r["n_steps"] for r in payload["rows"]] == [1, 4]
 
 
-def test_config_file_defaults_and_flag_override(tmp_path):
+def test_config_file_defaults_and_flag_override(tmp_path, capsys):
     config = tmp_path / "run.conf"
     config.write_text(
         "# market setup\n"
@@ -170,28 +183,28 @@ def test_config_file_defaults_and_flag_override(tmp_path):
         "samples = 4096\n"
         "seed = 0x10\n"
     )
-    result = run_cli("compare", "--config", str(config), "--sigma", "0.8")
+    result = run_cli(capsys, "compare", "--config", str(config), "--sigma", "0.8")
     assert result.returncode == 0
     parsed = next(csv.DictReader(io.StringIO(result.stdout)))
     assert float(parsed["sigma"]) == 0.8  # flag wins
     assert float(parsed["mu"]) == 0.05  # config applies
     assert parsed["regime"] == "marginal"
     # One file serves every command: closed-form ignores samples and seed.
-    result = run_cli("closed-form", "--config", str(config))
+    result = run_cli(capsys, "closed-form", "--config", str(config))
     assert result.returncode == 0
     assert float(next(csv.DictReader(io.StringIO(result.stdout)))["mu"]) == 0.05
 
 
-def test_config_rejects_unknown_key(tmp_path):
+def test_config_rejects_unknown_key(tmp_path, capsys):
     config = tmp_path / "bad.conf"
     config.write_text("volatility = 0.2\n")
-    assert run_cli("compare", "--config", str(config)).returncode == 2
+    assert run_cli(capsys, "compare", "--config", str(config)).returncode == 2
 
 
-def test_config_value_outside_choices_exits_2(tmp_path):
+def test_config_value_outside_choices_exits_2(tmp_path, capsys):
     config = tmp_path / "xml.conf"
     config.write_text("samples = 64\nformat = xml\n")
-    result = run_cli("compare", "--config", str(config))
+    result = run_cli(capsys, "compare", "--config", str(config))
     assert result.returncode == 2
     assert result.stdout == ""
     assert f"{config}:2:" in result.stderr and "xml" in result.stderr
@@ -202,15 +215,15 @@ def test_config_value_outside_choices_exits_2(tmp_path):
         ("grid = 0.1,x", "bad value for grid: expected comma-separated numbers"),
     ):
         config.write_text(f"samples = 64\n{line}\n")
-        result = run_cli("convergence", "--config", str(config))
+        result = run_cli(capsys, "convergence", "--config", str(config))
         assert result.returncode == 2
         assert result.stdout == ""
         assert f"{config}:2: {message}" in result.stderr
 
 
-def test_unwritable_out_exits_2(tmp_path):
+def test_unwritable_out_exits_2(tmp_path, capsys):
     out = tmp_path / "missing" / "x.csv"
-    result = run_cli("closed-form", "--out", str(out))
+    result = run_cli(capsys, "closed-form", "--out", str(out))
     assert result.returncode == 2
     assert result.stderr.startswith("insidermc: ")
     assert "Traceback" not in result.stderr
@@ -241,8 +254,8 @@ def test_verify_success_exit_code(monkeypatch, capsys):
     assert "PASS" in capsys.readouterr().out
 
 
-def test_overflow_is_validation_error():
-    assert run_cli("closed-form", "--mu", "800").returncode == 2
+def test_overflow_is_validation_error(capsys):
+    assert run_cli(capsys, "closed-form", "--mu", "800").returncode == 2
 
 
 def test_infinite_closed_form_exits_2(capsys):
@@ -253,9 +266,9 @@ def test_infinite_closed_form_exits_2(capsys):
     assert "exceeds the double range" in captured.err
 
 
-def test_overflowed_statistic_exits_2():
+def test_overflowed_statistic_exits_2(capsys):
     # Finite closed forms, but the Monte Carlo second moment overflows.
-    result = run_cli("compare", "--rho", "0", "--mu", "600", "--sigma", "3",
+    result = run_cli(capsys, "compare", "--rho", "0", "--mu", "600", "--sigma", "3",
                      "--samples", "8192")
     assert result.returncode == 2
     assert result.stdout == ""
@@ -300,16 +313,25 @@ def test_report_command_prints_library_emitter_output(command, fmt, capsys):
     assert capsys.readouterr().out == expected
 
 
-def test_empty_step_list_exits_2():
-    result = run_cli("convergence", "--steps", "", "--samples", "4096")
+def test_empty_step_list_exits_2(capsys):
+    result = run_cli(capsys, "convergence", "--steps", "", "--samples", "4096")
     assert result.returncode == 2
     assert result.stdout == ""
 
 
-def test_euler_overflow_exits_2_without_warning():
-    result = run_cli("convergence", "--M", "1e300", "--rho", "0", "--mu", "600",
-                     "--sigma", "3", "--steps", "16", "--samples", "8192")
+def test_euler_overflow_exits_2_without_warning(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would escape main as an error
+        result = run_cli(capsys, "convergence", "--M", "1e300", "--rho", "0", "--mu", "600",
+                         "--sigma", "3", "--steps", "16", "--samples", "8192")
     assert result.returncode == 2
     assert result.stdout == ""
     assert "Warning" not in result.stderr
     assert "Euler stock-leg product" in result.stderr
+
+
+def test_index_overflow_exits_2(capsys):
+    result = run_cli(capsys, "compare", "--samples", str(10**20))
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == f"insidermc: draw index {10**20 - 1} exceeds 2**63 - 1\n"

@@ -15,7 +15,9 @@ from insidermc import (
     skorokhod_expected_wealth,
     skorokhod_expected_wealth_erf_form,
     validate_params,
+    verify,
 )
+from insidermc.closedform import _check_exp_range, _finite
 from insidermc.sampling import RngStream, uniform_block
 
 # mpmath (50 digits) oracle constants, frozen before the implementation:
@@ -203,6 +205,71 @@ class TestWealthRange:
             forward_expected_wealth(p)
         with pytest.raises(WealthOverflowError):
             compare_closed_form(p)
+
+
+# Reference: the three expectations as three formulas, the honest one picking
+# its asset through max(rho, mu).  The one kernel mean must give their bits.
+def reference_honest(p):
+    _check_exp_range(p)
+    return p.M * math.exp(max(p.rho, p.mu) * p.T)
+
+
+def reference_skorokhod(p):
+    _check_exp_range(p)
+    at = indicator_threshold(p) / math.sqrt(p.T)
+    return _finite(p.M * (
+        normal_cdf(at) * math.exp(p.rho * p.T) + normal_cdf(-at) * math.exp(p.mu * p.T)
+    ))
+
+
+def reference_forward(p):
+    _check_exp_range(p)
+    at = indicator_threshold(p) / math.sqrt(p.T)
+    s = p.sigma * math.sqrt(p.T)
+    return _finite(p.M * (
+        normal_cdf(at) * math.exp(p.rho * p.T) + normal_cdf(s - at) * math.exp(p.mu * p.T)
+    ))
+
+
+def outcome(closed_form, p):
+    """The value's exact bits, or the overflow message."""
+    try:
+        return closed_form(p).hex()
+    except WealthOverflowError as exc:
+        return f"overflow: {exc}"
+
+
+RATE_BOUNDARY_POINTS = [
+    (1, 0, 0.5, 1, 1), (2, 0, 0.3, 0.5, 2), (1, 0.4, 0, 0.3, 2), (1, 0, 0, 0.2, 3),
+]
+OVERFLOW_POINTS = [
+    (1e308, 0, 1, 1, 1),  # M e^{mu T} is not a double
+    (1e308, 1, 0, 1, 1),  # nor is M e^{rho T}
+    (1, 0.05, 800, 0.2, 1),  # mu T beyond the exponential range
+    (1, 800, 0.05, 0.2, 1),  # rho T likewise
+    (1e308, 0.1, 0.1, 50, 1),  # finite legs whose forward sum is not a double
+]
+
+
+def test_one_kernel_mean_is_bitwise_the_three_formulas():
+    points = [
+        validate_params(*raw)
+        for raw in verify.GRID + RATE_BOUNDARY_POINTS + OVERFLOW_POINTS
+    ] + [
+        p for regime in ("bull", "bear", "marginal")
+        for p in verify._params_from_uniforms(verify.DEFAULT_SEED, regime)
+    ]
+    assert len(points) > 3000
+    pinned = [
+        (honest_expected_wealth, reference_honest),
+        (skorokhod_expected_wealth, reference_skorokhod),
+        (forward_expected_wealth, reference_forward),
+    ]
+    for p in points:
+        for closed_form, reference in pinned:
+            assert outcome(closed_form, p) == outcome(reference, p), p
+    for raw in OVERFLOW_POINTS:
+        assert outcome(forward_expected_wealth, validate_params(*raw)).startswith("overflow")
 
 
 @settings(max_examples=200)

@@ -12,7 +12,7 @@ from insidermc import (
     indicator_threshold,
     validate_params,
 )
-from insidermc.market import classify_regime
+from insidermc.market import classify_regime, honest_threshold
 
 NAN = float("nan")
 
@@ -63,6 +63,13 @@ def test_regime_classification():
     assert classify_regime(validate_params(1, 0.05, 0.1, 0.2, 1)) is Regime.BULL
     assert classify_regime(validate_params(1, 0.1, 0.05, 0.2, 1)) is Regime.BEAR
     assert classify_regime(validate_params(1, 0.07, 0.07, 0.2, 1)) is Regime.MARGINAL
+
+
+def test_honest_threshold_ignores_the_draw():
+    # Bull: every B_T is above it (all stock); otherwise none is (all bond).
+    assert honest_threshold(validate_params(1, 0.05, 0.1, 0.2, 1)) == -math.inf
+    assert honest_threshold(validate_params(1, 0.1, 0.05, 0.2, 1)) == math.inf
+    assert honest_threshold(validate_params(1, 0.07, 0.07, 0.2, 1)) == math.inf
 
 
 _rates = st.floats(min_value=0.0, max_value=0.5)

@@ -158,7 +158,7 @@ def test_all_bond_honest_bet_generates_no_draws(monkeypatch, p):
     assert drawn == []
     assert len(valued) == 8  # the values still come from the sampler, per block
     # The estimate is the bits the draws gave.
-    monkeypatch.setattr(montecarlo, "honest_ignores_draws", lambda p: False)
+    monkeypatch.setattr(montecarlo, "honest_threshold", lambda p: -math.inf)
     assert one == two == estimate_mean(Trader.HONEST_OPTIMAL, p, n, 4)
     assert len(drawn) == 4
 
@@ -168,6 +168,27 @@ def test_no_draw_estimate_still_checks_its_index_range():
         estimate_mean(Trader.HONEST_OPTIMAL, BEAR, 4096, seed=1, start=-1)
     with pytest.raises(IndexOverflowError):
         estimate_mean(Trader.HONEST_OPTIMAL, BEAR, 4096, seed=1, start=2**63 - 4095)
+
+
+class _Drew(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "start, n", [(0, 2**61 + 1), (2**61, 2), (2**61 - 1, 2)], ids=["n", "start", "end"]
+)
+def test_euler_refuses_unreachable_counters_before_drawing(monkeypatch, start, n):
+    # Path i reads counters 4i .. 4i + 3 at 4 steps, so these ranges end past
+    # 2**63 - 1 although their path indices do not.
+    def brownian_increments_block(*args, **kwargs):
+        raise _Drew
+
+    monkeypatch.setattr(montecarlo, "brownian_increments_block", brownian_increments_block)
+    with pytest.raises(IndexOverflowError):
+        estimate_euler_mean(SHOWCASE, 4, n, seed=1, chunks=1, start=start)
+    # The last reachable counter is 2**63 - 1 itself: that range is drawn.
+    with pytest.raises(_Drew):
+        estimate_euler_mean(SHOWCASE, 4, 2, seed=1, chunks=1, start=2**61 - 2)
 
 
 def test_z_score_arithmetic():

@@ -3,6 +3,7 @@ removed."""
 
 import importlib
 import pkgutil
+import types
 
 import pytest
 
@@ -16,9 +17,13 @@ MODULES = [insidermc] + [
 ]
 
 # The honest trader is the insider kernel at an infinite threshold; the
-# wealth split that once parametrized it is gone.  A sweep takes plain
-# arguments, like the other report runs.
-REMOVED = ("Allocation", "AllocationMismatchError", "honest_optimal_allocation", "SweepSpec")
+# wealth split that once parametrized it is gone, and its threshold lives in
+# market.honest_threshold.  A sweep takes plain arguments, like the other
+# report runs.
+REMOVED = (
+    "Allocation", "AllocationMismatchError", "honest_optimal_allocation", "SweepSpec",
+    "honest_ignores_draws",
+)
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
@@ -29,3 +34,11 @@ def test_every_exported_name_resolves(module):
     for name in REMOVED:
         assert not hasattr(module, name)
         assert name not in exported
+
+
+def test_every_public_package_attribute_is_exported():
+    public = [
+        name for name, value in vars(insidermc).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    ]
+    assert [name for name in public if name not in insidermc.__all__] == []
