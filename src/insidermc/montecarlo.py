@@ -33,10 +33,9 @@ from .samplers import (
     Trader,
     _bond_value,
     _stock_values,
+    _uniform_insider_values,
     forward_euler_values,
-    forward_insider_values,
     honest_values,
-    skorokhod_unbiased_values,
 )
 from .sampling import (
     RngStream,
@@ -44,6 +43,7 @@ from .sampling import (
     _check_range,
     brownian_increments_block,
     brownian_terminal_block,
+    uniform_block,
 )
 
 __all__ = [
@@ -247,19 +247,23 @@ def estimate_mean(
     stream = RngStream(seed)
     # The all-bond honest bet reads no draw: it gets zeros that take no memory.
     no_draws = trader is Trader.HONEST_OPTIMAL and honest_threshold(p) == math.inf
+    a, wick = indicator_threshold(p), trader is Trader.SKOROKHOD_UNBIASED
 
-    # Samplers are looked up by module name per block, never bound once, so
-    # a wrapper patched onto this module's attributes sees every call.
+    # Generators and samplers are looked up by module name per block, never
+    # bound once, so a wrapper patched onto this module's attributes sees
+    # every call.  The insiders bet on uniforms through the kernel's front,
+    # which forms b only where a value reads it; the gathered draws go to
+    # the workspace's scratch, free once the uniforms are formed.
     def make_values(offset: int, count: int, workspace: Workspace) -> tuple[np.ndarray, int]:
+        if trader is not Trader.HONEST_OPTIMAL:
+            u = uniform_block(stream, offset, count, out=workspace)
+            scratch = workspace.scratch.view(np.float64)
+            return _uniform_insider_values(p, u, a, wick, scratch), 0
         if no_draws:
             b_t = np.broadcast_to(0.0, count)
         else:
             b_t = brownian_terminal_block(stream, offset, count, p.T, out=workspace)
-        if trader is Trader.HONEST_OPTIMAL:
-            return honest_values(p, b_t), 0
-        if trader is Trader.FORWARD_INSIDER:
-            return forward_insider_values(p, b_t), 0
-        return skorokhod_unbiased_values(p, b_t), 0
+        return honest_values(p, b_t), 0
 
     stats, _ = _stats_over_blocks(make_values, start, n, chunks)
     return _finalize(stats, seed, start, (trader, p))
@@ -314,12 +318,15 @@ def skorokhod_factorized_estimate(
         var = M^2 [ (g_hat - e^{rho T})^2 var(p_hat) + p_hat^2 var(g_hat) ]
     """
     _check_counts(n, chunks)
+    _check_range(0, 2 * n)  # the GBM leg's counters too, before any is drawn
     a = indicator_threshold(p)
     bond = _bond_value(p, 1.0)
 
     def indicator_values(offset: int, count: int, workspace: Workspace) -> tuple[np.ndarray, int]:
-        b_t = brownian_terminal_block(stream, offset, count, p.T, out=workspace)
-        return (b_t > a).astype(np.float64), 0
+        # The kernel with legs 0 and 1 is 1{b > a}: a normal only in the band.
+        u = uniform_block(stream, offset, count, out=workspace)
+        scratch = workspace.scratch.view(np.float64)
+        return _uniform_insider_values(p, u, a, False, scratch, bond=0.0, stock=1.0), 0
 
     def gbm_values(offset: int, count: int, workspace: Workspace) -> tuple[np.ndarray, int]:
         b_t = brownian_terminal_block(stream, offset, count, p.T, out=workspace)

@@ -28,6 +28,27 @@ it is the forward sample with its stock event shifted from {b > a} to
 forward and honest samplers use shift 0.  The shift is the dead zone
 a < b <= a + sigma T, where the sample is exactly 0, the pathwise face of
 the model's financial paradox; its mass is tracked.
+
+The estimators bet on uniforms, through the kernel's uniform front
+:func:`_uniform_insider_values`.  b = sqrt(T) Phi^{-1}(u) is increasing in
+u, so {b <= a} is {u <= Phi(a/sqrt T)} and {b - shift > a} is
+{u > Phi((a + shift)/sqrt T)}, up to rounding.  Each of the two thresholds
+gets a guard band [Phi(x) (1 - 2^-23), Phi(x) (1 + 2^-23)], a relative
+half-width of about 1.2e-7.  Below the first band a draw is surely on the bond,
+and between the bands it is surely in the dead zone; those draws take their
+value without a normal.  The rest, the bands and the stock side, are
+gathered, turned into b exactly as
+:func:`~insidermc.sampling.brownian_terminal_block` does, and valued by
+:func:`_insider_values`, which stays the only b-space decision.  The band
+is exact, not a tolerance.  Each side is at least 2^29 ulps of u wide,
+while the errors it must cover are a few ulps of u or of x: ``ndtri``'s and
+Phi's, and the roundings of a/sqrt T, of sqrt(T) x and of the band edges.
+Over the range of the uniforms, |x| <= 8.3, a relative band of 2^-23 in u
+is at least 6e-9 in x.  The rounding of b - sigma T, which does not scale
+with x, needs no band: rounding is monotone, so b < a + sigma T gives
+fl(b - sigma T) <= a, and the Wick stock side, the only one it could move,
+is never pruned.  ``ndtri`` of a gathered draw has the bits it has in the
+full block, so every value is bitwise the b-space sampler's.
 """
 
 from __future__ import annotations
@@ -39,6 +60,7 @@ import numpy as np
 
 from .errors import EXP_MAX, OutOfDomainError, WealthOverflowError
 from .market import MarketParams, honest_threshold, indicator_threshold
+from .special import _inverse_normal_cdf_array, normal_cdf
 
 __all__ = [
     "Trader",
@@ -47,6 +69,10 @@ __all__ = [
     "skorokhod_unbiased_values",
     "forward_euler_values",
 ]
+
+
+# Relative half-width of the uniform front's guard bands (module docstring).
+_BAND = 2.0**-23
 
 
 class Trader(enum.Enum):
@@ -86,12 +112,14 @@ def _stock_values(p: MarketParams, m1: float, b_t: np.ndarray) -> np.ndarray:
 
 
 def _insider_values(p: MarketParams, b_t: np.ndarray, a: float, wick: bool,
-                    stock_leg=None) -> np.ndarray:
+                    stock_leg=None, bond: float | None = None) -> np.ndarray:
     """M on the bond where b <= a, on the stock where b - shift > a, exactly
     0 between, shift = sigma T under the Wick reading, else 0; built in the
     array that first holds b - shift, never in b_t.  ``stock_leg(on)`` gives
-    the stock values of the rows in the mask ``on`` (default: GBM leg at b)."""
-    bond = _bond_value(p, p.M)
+    the stock values of the rows in the mask ``on`` (default: GBM leg at b);
+    ``bond`` is the bond leg's value (default: M e^{rho T})."""
+    if bond is None:
+        bond = _bond_value(p, p.M)
     b_t = np.asarray(b_t, dtype=np.float64)
     values = np.subtract(b_t, p.sigma * p.T if wick else 0.0)
     stock = values > a
@@ -102,6 +130,58 @@ def _insider_values(p: MarketParams, b_t: np.ndarray, a: float, wick: bool,
     if stock.any():
         values[stock] = stock_leg(stock) if stock_leg else _stock_values(p, p.M, b_t[stock])
     return values
+
+
+def _band(t: float, root_t: float) -> tuple[float, float]:
+    """The guard band [lo, hi] in u of the level t in b: a draw with u < lo
+    surely has b < t, one with u > hi surely b > t."""
+    x = t / root_t
+    return normal_cdf(x) * (1.0 - _BAND), normal_cdf(x) * (1.0 + _BAND)
+
+
+def _uniform_insider_values(p: MarketParams, u: np.ndarray, a: float, wick: bool,
+                            scratch: np.ndarray, bond: float | None = None,
+                            stock: float | None = None) -> np.ndarray:
+    """The kernel of :func:`_insider_values` on the uniforms ``u`` of
+    b = sqrt(T) Phi^{-1}(u), bitwise; the values are built over ``u``.
+
+    Draws below the bond band take the bond leg and draws between the bands
+    take 0 without a normal (module docstring).  The rest are gathered into
+    ``scratch``, float64 memory of at least u's size, made into b and valued
+    by :func:`_insider_values`.  ``stock`` is None for the GBM stock leg; a
+    constant stock leg, read at the forward bet only, makes the draws above
+    the band certain too, so ``bond=0.0, stock=1.0`` is the bet's indicator,
+    with a normal only in the band.
+    """
+    if bond is None:
+        bond = _bond_value(p, p.M)
+    root_t = math.sqrt(p.T)
+    lo_a, hi_a = _band(a, root_t)
+    lo_s, hi_s = _band(a + (p.sigma * p.T if wick else 0.0), root_t)
+    below = u < lo_a
+    exact = ~below
+    if hi_a < lo_s:  # a dead zone between the bands
+        exact &= (u <= hi_a) | (u >= lo_s)
+    above = None
+    if stock is not None:
+        above = np.flatnonzero(u > hi_s)
+        exact &= u <= hi_s
+    # Gathers and scatters by index: a boolean mask of a random half of a
+    # block mispredicts a branch per draw, several times the cost.  Every
+    # index is in range, so no take mode changes a value; "raise" would
+    # buffer the output.
+    at = np.flatnonzero(exact)
+    b_t = u.take(at, out=scratch[: at.size], mode="wrap")
+    np.multiply(below, bond, out=u)
+    if above is not None:
+        u[above] = stock
+    if at.size:
+        _inverse_normal_cdf_array(b_t, out=b_t)
+        b_t *= root_t  # as brownian_terminal_block scales its normals
+        u[at] = _insider_values(
+            p, b_t, a, wick, None if stock is None else lambda on: stock, bond
+        )
+    return u
 
 
 def honest_values(p: MarketParams, b_t: np.ndarray) -> np.ndarray:

@@ -20,13 +20,16 @@ from insidermc import (
     estimate_mean,
     forward_expected_wealth,
     honest_expected_wealth,
+    indicator_threshold,
     merge_estimates,
+    normal_cdf,
     skorokhod_expected_wealth,
     skorokhod_factorized_estimate,
     validate_params,
     z_score,
 )
 import insidermc.montecarlo as montecarlo
+import insidermc.special as special
 from insidermc.montecarlo import GRANULE
 from insidermc.samplers import forward_insider_values
 from insidermc.sampling import Workspace, brownian_terminal_block
@@ -189,6 +192,55 @@ def test_euler_refuses_unreachable_counters_before_drawing(monkeypatch, start, n
     # The last reachable counter is 2**63 - 1 itself: that range is drawn.
     with pytest.raises(_Drew):
         estimate_euler_mean(SHOWCASE, 4, 2, seed=1, chunks=1, start=2**61 - 2)
+
+
+def test_factorized_refuses_unreachable_counters_before_drawing(monkeypatch):
+    # The GBM leg reads counters n .. 2n - 1, past 2**63 - 1 at n = 2**62 + 1
+    # although the indicator leg's do not.
+    def drew(*args, **kwargs):
+        raise _Drew
+
+    for name in ("uniform_block", "brownian_terminal_block"):
+        monkeypatch.setattr(montecarlo, name, drew)
+    with pytest.raises(IndexOverflowError):
+        skorokhod_factorized_estimate(SHOWCASE, RngStream(1), 2**62 + 1)
+    # At n = 2**62 the last counter is 2**63 - 1 itself: that range is drawn.
+    with pytest.raises(_Drew):
+        skorokhod_factorized_estimate(SHOWCASE, RngStream(1), 2**62)
+
+
+class _CountingScipy:
+    """scipy.special as the special module sees it, counting ndtri's draws."""
+
+    def __init__(self, real):
+        self._real, self.draws = real, 0
+
+    def __getattr__(self, name):
+        return getattr(self._real, name)
+
+    def ndtri(self, u, out=None):
+        self.draws += np.size(u)
+        return self._real.ndtri(u, out=out)
+
+
+def test_insiders_take_normals_only_where_a_value_reads_them(monkeypatch):
+    # Pr{B_T > a} = 1/2 and Pr{B_T > a + sigma T} = 0.16 at the showcase point.
+    n = 1 << 18
+    counter = _CountingScipy(special._sc)
+    monkeypatch.setattr(special, "_sc", counter)
+    a, root_t = indicator_threshold(SHOWCASE), math.sqrt(SHOWCASE.T)
+    for trader, level in [
+        (Trader.FORWARD_INSIDER, a),
+        (Trader.SKOROKHOD_UNBIASED, a + SHOWCASE.sigma * SHOWCASE.T),
+    ]:
+        counter.draws = 0
+        estimate_mean(trader, SHOWCASE, n, seed=6)
+        assert 0 < counter.draws <= (normal_cdf(-level / root_t) + 0.01) * n
+    # The factorized GBM leg reads all of its n normals; the indicator leg
+    # only those in the guard band.
+    counter.draws = 0
+    skorokhod_factorized_estimate(SHOWCASE, RngStream(6), n)
+    assert n <= counter.draws <= n + 0.01 * n
 
 
 def test_z_score_arithmetic():
@@ -442,7 +494,7 @@ def test_one_workspace_serves_every_block_of_a_call(monkeypatch, width):
 
 def test_workspaces_are_never_shared_between_threads(monkeypatch):
     serial = estimate_mean(Trader.FORWARD_INSIDER, SHOWCASE, 10**6, seed=4)
-    seen = _record_workspaces(monkeypatch, "brownian_terminal_block")
+    seen = _record_workspaces(monkeypatch, "uniform_block")  # the insiders bet on uniforms
     # More workers than cores, switching threads as often as the interpreter can.
     monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 8)
     interval = sys.getswitchinterval()

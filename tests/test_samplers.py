@@ -3,7 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from scipy.special import ndtri
 
 from insidermc import (
     MarketParams,
@@ -15,12 +16,16 @@ from insidermc import (
 )
 from insidermc.market import classify_regime
 from insidermc.samplers import (
+    _band,
+    _insider_values,
+    _uniform_insider_values,
     forward_euler_values,
     forward_insider_values,
     honest_values,
     skorokhod_unbiased_values,
 )
 from insidermc.sampling import RngStream, brownian_increments_block, brownian_terminal_block
+from insidermc.special import normal_cdf
 from insidermc.verify import GRID
 
 SHOWCASE = validate_params(1, 0, 0.5, 1, 1)  # threshold a = 0
@@ -186,6 +191,101 @@ def test_overflowing_bond_leg_raises(sampler):
         warnings.simplefilter("error")
         with pytest.raises(WealthOverflowError):
             sampler(p, np.array([-1.0, 4.0, 20.0]))
+
+
+def front_readings(p: MarketParams, u: np.ndarray, a: float, wick_only: bool = False) -> list:
+    """Skorokhod, forward and indicator values of the uniform front at u (only
+    the first with ``wick_only``), each paired with today's b-space reading of
+    b = sqrt(T) ndtri(u): the samplers' kernel, and 1{b > a} as a float.  A
+    reading is the values' bytes, or the message of the overflow it raised."""
+    b_t = ndtri(u)
+    b_t *= math.sqrt(p.T)
+    scratch = np.empty(u.size)
+    cases = [
+        (lambda v: _uniform_insider_values(p, v, a, True, scratch),
+         lambda: _insider_values(p, b_t, a, True)),
+        (lambda v: _uniform_insider_values(p, v, a, False, scratch),
+         lambda: _insider_values(p, b_t, a, False)),
+        (lambda v: _uniform_insider_values(p, v, a, False, scratch, bond=0.0, stock=1.0),
+         lambda: (b_t > a).astype(np.float64)),
+    ]
+
+    def reading(run):
+        try:
+            return run().tobytes()
+        except WealthOverflowError as exc:
+            return str(exc)
+
+    return [
+        (reading(lambda: front(u.copy())), reading(today))
+        for front, today in cases[: 1 if wick_only else 3]
+    ]
+
+
+def front_edges(p: MarketParams, a: float) -> list[float]:
+    """The threshold Phi(a/sqrt T) in u and the two edges of its guard band,
+    then the same three of Phi((a + sigma T)/sqrt T)."""
+    root_t = math.sqrt(p.T)
+    shift = p.sigma * p.T
+    return [
+        normal_cdf(a / root_t), *_band(a, root_t),
+        normal_cdf((a + shift) / root_t), *_band(a + shift, root_t),
+    ]
+
+
+def doubles_around(centre: float, k: int) -> np.ndarray:
+    """The doubles of (0, 1) within k adjacent steps of ``centre``."""
+    steps = np.arange(-k, k + 1, dtype=np.int64)
+    u = (np.array([centre]).view(np.int64) + steps).view(np.float64)
+    return u[(u > 0.0) & (u < 1.0)]
+
+
+@pytest.mark.parametrize("raw", [*GRID, (1.0, 0.0, 0.5, 3.0, 2.0)])
+def test_uniform_front_is_bitwise_the_kernel_around_every_edge(raw):
+    # Each side of a band is at least 2^29 ulps wide, so windows of 2^20
+    # doubles around the thresholds alone would never reach the draws the
+    # front prunes.  Forward
+    # and indicator bet at a alone; Skorokhod is read around all six edges.
+    p = validate_params(*raw)
+    a = indicator_threshold(p)
+    probe = doubles_around(0.5, 2)
+    assert probe[0] == np.nextafter(np.nextafter(0.5, 0.0), 0.0)  # steps are nextafter's
+    assert probe[-1] == np.nextafter(np.nextafter(0.5, 1.0), 1.0)
+    for i, centre in enumerate(front_edges(p, a)):
+        readings = front_readings(p, doubles_around(centre, 1 << 20), a, wick_only=i >= 3)
+        assert all(front == today for front, today in readings)
+
+
+@st.composite
+def front_cases(draw):
+    """Parameters whose thresholds sit anywhere from deep in either tail of
+    Phi to beyond it (a = +-inf), and uniforms near the thresholds and the
+    band edges."""
+    p = validate_params(
+        draw(st.floats(1e-3, 1e3)), draw(st.floats(0.0, 0.5)), draw(st.floats(0.0, 1.0)),
+        draw(st.sampled_from([1e-3, 0.2, 1.0, 3.0, 1e9])), draw(st.floats(1e-2, 10.0)),
+    )
+    root_t = math.sqrt(p.T)
+    a = draw(st.one_of(
+        st.just(indicator_threshold(p)),
+        st.floats(-9.0, 9.0).map(lambda x: x * root_t),
+        st.floats(-40.0, 40.0).map(lambda x: x * root_t),
+        st.floats(-9.0, 9.0).map(lambda x: x * root_t - p.sigma * p.T),  # a + sigma T near 0
+        st.sampled_from([-math.inf, math.inf]),
+    ))
+    edges = [e for e in front_edges(p, a) if 0.0 < e < 1.0] or [0.5]
+    near = st.tuples(st.sampled_from(edges), st.integers(-64, 64)).map(
+        lambda e: float((np.array([e[0]]).view(np.int64) + e[1]).view(np.float64)[0])
+    )
+    u = draw(st.lists(st.one_of(near, st.floats(0.0, 1.0)), min_size=1, max_size=40))
+    return p, np.array([x for x in u if 0.0 < x < 1.0] or [0.5]), a
+
+
+@settings(max_examples=300)
+@given(front_cases())
+def test_uniform_front_is_bitwise_the_kernel_near_the_band_edges(case):
+    p, u, a = case
+    assert all(front == today for front, today in front_readings(p, u, a))
 
 
 class TestForwardEuler:
