@@ -47,7 +47,6 @@ from .montecarlo import (
     MCEstimate,
     estimate_euler_mean,
     estimate_mean,
-    merge_estimates,
     skorokhod_factorized_estimate,
     z_score,
 )
@@ -81,7 +80,7 @@ __all__ = [
     "compare_closed_form",
     # monte carlo
     "MCEstimate", "estimate_mean", "estimate_euler_mean",
-    "skorokhod_factorized_estimate", "merge_estimates", "z_score",
+    "skorokhod_factorized_estimate", "z_score",
     # reports
     "ComparisonRow", "ConvergenceRow", "run_compare", "run_sweep", "run_convergence",
     # verification

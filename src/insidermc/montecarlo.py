@@ -51,7 +51,6 @@ __all__ = [
     "estimate_mean",
     "estimate_euler_mean",
     "skorokhod_factorized_estimate",
-    "merge_estimates",
     "z_score",
     "GRANULE",
 ]
@@ -71,12 +70,10 @@ _TASK_TARGET = 1 << 16
 class MCEstimate:
     """Result of a Monte Carlo mean estimate.
 
-    ``m2`` is the merged sum of squared deviations backing ``sample_stddev``;
-    it is kept so estimates can be merged without re-deriving it from the
-    rounded standard deviation.  ``estimand`` names what was estimated,
-    ``(trader, params)`` plus ``n_steps`` for Euler; ``None`` (the factorized
-    estimate, or one built by hand) is never merged.  ``clamp_count`` is the
-    number of Euler paths whose stock leg was clamped at zero (0 elsewhere).
+    ``m2`` is the sum of squared deviations backing ``sample_stddev``; it is
+    kept because the factorized estimate's variance reads its GBM leg's M2
+    unrounded, not for merging estimates.  ``clamp_count`` is the number of
+    Euler paths whose stock leg was clamped at zero (0 elsewhere).
     """
 
     n: int
@@ -86,9 +83,6 @@ class MCEstimate:
     seed: int
     zero_fraction: float
     m2: float = 0.0
-    zero_count: int = 0  # exact, so a merge never rounds zero_fraction * n
-    start: int = 0  # first draw index; merges require adjacent ranges
-    estimand: tuple | None = None
     clamp_count: int = 0
 
 
@@ -124,9 +118,9 @@ def _merge_pair(a: _Stats, b: _Stats) -> _Stats:
 
 
 def _merge_tree(stats: list[_Stats]) -> _Stats:
-    # Recursive mid-split: tree([a | b]) == merge(tree(a), tree(b)) whenever
-    # the halves split at a granule boundary, which makes half-range
-    # estimates merge back bitwise.
+    # Recursive mid-split over the granule list: the tree's shape depends on
+    # the granule count alone, never on how tasks were cut, so the result is
+    # bitwise independent of chunks.
     if len(stats) == 1:
         return stats[0]
     mid = len(stats) // 2
@@ -186,13 +180,7 @@ def _stats_over_blocks(
     return stats, sum(tally for _, tally in results)
 
 
-def _finalize(
-    stats: list[_Stats],
-    seed: int,
-    start: int,
-    estimand: tuple | None = None,
-    clamp_count: int = 0,
-) -> MCEstimate:
+def _finalize(stats: list[_Stats], seed: int, clamp_count: int = 0) -> MCEstimate:
     n, mean, m2, zeros = _merge_tree(stats)
     if not (math.isfinite(mean) and math.isfinite(m2)):
         raise WealthOverflowError(
@@ -208,23 +196,18 @@ def _finalize(
         seed=seed,
         zero_fraction=zeros / n,
         m2=m2,
-        zero_count=zeros,
-        start=start,
-        estimand=estimand,
         clamp_count=clamp_count,
     )
 
 
-def _check_counts(n: int, chunks: int, start: int = 0) -> None:
+def _check_counts(n: int, chunks: int) -> None:
     # Python or numpy integers only; integral floats are refused too.
     if not isinstance(n, numbers.Integral) or n < 2:
         raise BadSampleCountError(f"need an integer n >= 2 samples, got {n!r}")
     if not isinstance(chunks, numbers.Integral) or chunks < 1:
         raise OutOfDomainError(f"chunks must be an integer >= 1, got {chunks!r}")
-    if not isinstance(start, numbers.Integral):
-        raise OutOfDomainError(f"start must be an integer draw index, got {start!r}")
     # Checked here too, for the estimates that generate no draws.
-    _check_range(start, n)
+    _check_range(0, n)
 
 
 def estimate_mean(
@@ -233,13 +216,12 @@ def estimate_mean(
     n: int,
     seed: int,
     chunks: int = 1,
-    start: int = 0,
 ) -> MCEstimate:
-    """Mean terminal wealth of ``trader`` over draw indices start..start+n-1.
+    """Mean terminal wealth of ``trader`` over draw indices 0..n-1.
 
     The result is bitwise independent of ``chunks``.
     """
-    _check_counts(n, chunks, start)
+    _check_counts(n, chunks)
     try:
         trader = Trader(trader)
     except ValueError as exc:
@@ -265,8 +247,8 @@ def estimate_mean(
             b_t = brownian_terminal_block(stream, offset, count, p.T, out=workspace)
         return honest_values(p, b_t), 0
 
-    stats, _ = _stats_over_blocks(make_values, start, n, chunks)
-    return _finalize(stats, seed, start, (trader, p))
+    stats, _ = _stats_over_blocks(make_values, 0, n, chunks)
+    return _finalize(stats, seed)
 
 
 def estimate_euler_mean(
@@ -275,7 +257,6 @@ def estimate_euler_mean(
     n: int,
     seed: int,
     chunks: int = 1,
-    start: int = 0,
 ) -> MCEstimate:
     """Mean of the Euler-discretized forward model over n paths.
 
@@ -283,11 +264,11 @@ def estimate_euler_mean(
     so distinct paths and distinct step counts use disjoint index ranges.
     The harness generates and steps paths in blocks of width ``n_steps``.
     """
-    _check_counts(n, chunks, start)
+    _check_counts(n, chunks)
     if not isinstance(n_steps, numbers.Integral) or n_steps < 1:
         raise OutOfDomainError(f"n_steps must be an integer >= 1, got {n_steps!r}")
     n_steps = int(n_steps)
-    _check_range(start * n_steps, n * n_steps)  # every counter, before any is drawn
+    _check_range(0, n * n_steps)  # every counter, before any is drawn
     stream = RngStream(seed)
 
     def make_values(offset: int, count: int, workspace: Workspace) -> tuple[np.ndarray, int]:
@@ -297,8 +278,8 @@ def estimate_euler_mean(
         values, clamped = forward_euler_values(p, increments)
         return values, int(np.count_nonzero(clamped))
 
-    stats, clamps = _stats_over_blocks(make_values, start, n, chunks, n_steps)
-    return _finalize(stats, seed, start, (Trader.FORWARD_INSIDER, p, n_steps), clamps)
+    stats, clamps = _stats_over_blocks(make_values, 0, n, chunks, n_steps)
+    return _finalize(stats, seed, clamps)
 
 
 def skorokhod_factorized_estimate(
@@ -318,6 +299,8 @@ def skorokhod_factorized_estimate(
         var = M^2 [ (g_hat - e^{rho T})^2 var(p_hat) + p_hat^2 var(g_hat) ]
     """
     _check_counts(n, chunks)
+    if not isinstance(stream, RngStream):
+        raise OutOfDomainError(f"stream must be an RngStream, got {stream!r}")
     _check_range(0, 2 * n)  # the GBM leg's counters too, before any is drawn
     a = indicator_threshold(p)
     bond = _bond_value(p, 1.0)
@@ -332,8 +315,8 @@ def skorokhod_factorized_estimate(
         b_t = brownian_terminal_block(stream, offset, count, p.T, out=workspace)
         return _stock_values(p, 1.0, b_t), 0
 
-    prob = _finalize(_stats_over_blocks(indicator_values, 0, n, chunks)[0], stream.seed, 0)
-    gbm = _finalize(_stats_over_blocks(gbm_values, n, n, chunks)[0], stream.seed, n)
+    prob = _finalize(_stats_over_blocks(indicator_values, 0, n, chunks)[0], stream.seed)
+    gbm = _finalize(_stats_over_blocks(gbm_values, n, n, chunks)[0], stream.seed)
     p_hat, g_hat = prob.mean, gbm.mean
     mean = p.M * ((1.0 - p_hat) * bond + p_hat * g_hat)
     var_p = p_hat * (1.0 - p_hat) / n
@@ -357,23 +340,6 @@ def skorokhod_factorized_estimate(
         seed=stream.seed,
         zero_fraction=0.0,
     )
-
-
-def merge_estimates(a: MCEstimate, b: MCEstimate) -> MCEstimate:
-    """Combine estimates of one estimand and one stream over adjacent index
-    ranges, a then b.
-
-    Reproduces the full-range estimate bitwise when both halves are whole
-    granule runs (the reduction tree splits ranges at their midpoint).
-    """
-    if a.estimand is None or a.estimand != b.estimand:
-        raise OutOfDomainError("merge needs two estimates of one recorded estimand")
-    if a.seed != b.seed or b.start != a.start + a.n:
-        raise OutOfDomainError("merge needs one seed and adjacent ranges, a then b")
-    stats = _merge_pair(
-        (a.n, a.mean, a.m2, a.zero_count), (b.n, b.mean, b.m2, b.zero_count)
-    )
-    return _finalize([stats], a.seed, a.start, a.estimand, a.clamp_count + b.clamp_count)
 
 
 def z_score(est: MCEstimate, reference: float) -> float:

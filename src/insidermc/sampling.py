@@ -64,8 +64,10 @@ class Workspace:
     """Reusable memory for blocks of up to ``size`` draws.
 
     ``words`` holds a block's words and then, in place, its uniforms,
-    normals and Brownian values; ``scratch`` takes the shifted terms of the
-    splitmix64 rounds and ``ramp`` is the constant 0..size-1.  One workspace
+    normals and Brownian values.  ``scratch`` takes the shifted terms of the
+    splitmix64 rounds, then ``uniform_block``'s shifted words, and, viewed
+    as float64, the draws the insiders' uniform front gathers once the
+    uniforms are formed.  ``ramp`` is the constant 0..size-1.  One workspace
     serves one thread at a time, and each block overwrites the last.
     """
 

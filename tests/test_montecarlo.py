@@ -21,7 +21,6 @@ from insidermc import (
     forward_expected_wealth,
     honest_expected_wealth,
     indicator_threshold,
-    merge_estimates,
     normal_cdf,
     skorokhod_expected_wealth,
     skorokhod_factorized_estimate,
@@ -46,24 +45,26 @@ def test_sample_count_and_trader_validation():
             estimate_mean(tag, SHOWCASE, 100, seed=1)
     with pytest.raises(BadSampleCountError):
         skorokhod_factorized_estimate(SHOWCASE, RngStream(1), 1)
-    # Counts and the first index must be integers, not merely integral floats.
+    # Counts must be integers, not merely integral floats.
     with pytest.raises(BadSampleCountError):
         estimate_mean(Trader.FORWARD_INSIDER, SHOWCASE, 1e5, seed=1)
     with pytest.raises(BadSampleCountError):
         estimate_euler_mean(SHOWCASE, 4, 4096.0, seed=1)
     with pytest.raises(BadSampleCountError):
         skorokhod_factorized_estimate(SHOWCASE, RngStream(1), 4096.0)
-    for kwargs in ({"chunks": 2.5}, {"chunks": 2.0}, {"start": 0.5}, {"start": 4096.0}):
+    for chunks in (2.5, 2.0):
         with pytest.raises(OutOfDomainError):
-            estimate_mean(Trader.FORWARD_INSIDER, SHOWCASE, 4096, seed=1, **kwargs)
+            estimate_mean(Trader.FORWARD_INSIDER, SHOWCASE, 4096, seed=1, chunks=chunks)
         with pytest.raises(OutOfDomainError):
-            estimate_euler_mean(SHOWCASE, 4, 4096, seed=1, **kwargs)
+            estimate_euler_mean(SHOWCASE, 4, 4096, seed=1, chunks=chunks)
     with pytest.raises(OutOfDomainError):
         skorokhod_factorized_estimate(SHOWCASE, RngStream(1), 4096, chunks=2.5)
+    # The factorized estimate takes a stream, not a seed.
+    with pytest.raises(OutOfDomainError):
+        skorokhod_factorized_estimate(SHOWCASE, 5, 4096)
     # numpy integers are integers.
     assert estimate_mean(
         Trader.FORWARD_INSIDER, SHOWCASE, np.int64(4096), seed=1, chunks=np.int64(2),
-        start=np.int64(0),
     ) == estimate_mean(Trader.FORWARD_INSIDER, SHOWCASE, 4096, seed=1)
 
 
@@ -72,47 +73,6 @@ def test_chunks_do_not_change_bits():
         reference = estimate_mean(trader, SHOWCASE, 100_000, seed=9, chunks=1)
         for chunks in (2, 8):
             assert estimate_mean(trader, SHOWCASE, 100_000, seed=9, chunks=chunks) == reference
-
-
-def test_half_estimates_merge_bitwise():
-    n = 16 * GRANULE
-    full = estimate_mean(Trader.FORWARD_INSIDER, SHOWCASE, n, seed=5)
-    left = estimate_mean(Trader.FORWARD_INSIDER, SHOWCASE, n // 2, seed=5, start=0)
-    right = estimate_mean(Trader.FORWARD_INSIDER, SHOWCASE, n // 2, seed=5, start=n // 2)
-    assert merge_estimates(left, right) == full
-
-
-def test_merge_rejects_ranges_that_are_not_adjacent():
-    n = 2 * GRANULE
-    a = estimate_mean(Trader.SKOROKHOD_UNBIASED, SHOWCASE, n, seed=5)
-    b = estimate_mean(Trader.SKOROKHOD_UNBIASED, SHOWCASE, n, seed=5, start=n)
-    gap = estimate_mean(Trader.SKOROKHOD_UNBIASED, SHOWCASE, n, seed=5, start=n + 1)
-    with pytest.raises(OutOfDomainError):
-        merge_estimates(a, a)  # would count every draw twice
-    with pytest.raises(OutOfDomainError):
-        merge_estimates(b, a)
-    with pytest.raises(OutOfDomainError):
-        merge_estimates(a, gap)
-    # Adjacent ranges of one seed, but not one estimand.
-    honest = estimate_mean(Trader.HONEST_OPTIMAL, SHOWCASE, n, seed=5)
-    forward = estimate_mean(Trader.FORWARD_INSIDER, SHOWCASE, n, seed=5, start=n)
-    with pytest.raises(OutOfDomainError):
-        merge_estimates(honest, forward)
-    euler16 = estimate_euler_mean(SHOWCASE, 16, n, seed=5)
-    euler64 = estimate_euler_mean(SHOWCASE, 64, n, seed=5, start=n)
-    with pytest.raises(OutOfDomainError):
-        merge_estimates(euler16, euler64)
-    factorized = skorokhod_factorized_estimate(SHOWCASE, RngStream(5), n)
-    with pytest.raises(OutOfDomainError):
-        merge_estimates(factorized, b)  # its m2 is not a sample M2
-    euler16b = estimate_euler_mean(SHOWCASE, 16, n, seed=5, start=n)
-    assert merge_estimates(euler16, euler16b) == (
-        estimate_euler_mean(SHOWCASE, 16, 2 * n, seed=5)
-    )
-    merged = merge_estimates(a, b)
-    assert (merged.n, merged.start) == (2 * n, 0)
-    assert merged.zero_count == a.zero_count + b.zero_count > 0
-    assert merged == estimate_mean(Trader.SKOROKHOD_UNBIASED, SHOWCASE, 2 * n, seed=5)
 
 
 def test_single_granule_consumes_exact_index_range():
@@ -166,32 +126,34 @@ def test_all_bond_honest_bet_generates_no_draws(monkeypatch, p):
     assert len(drawn) == 4
 
 
-def test_no_draw_estimate_still_checks_its_index_range():
-    with pytest.raises(OutOfDomainError):
-        estimate_mean(Trader.HONEST_OPTIMAL, BEAR, 4096, seed=1, start=-1)
-    with pytest.raises(IndexOverflowError):
-        estimate_mean(Trader.HONEST_OPTIMAL, BEAR, 4096, seed=1, start=2**63 - 4095)
-
-
 class _Drew(Exception):
     pass
 
 
+def test_no_draw_estimate_still_checks_its_index_range(monkeypatch):
+    # The all-bond honest bet reads no draw, but index 2**63 is still past
+    # the stream's last counter; it is refused before any block is valued.
+    def stats_over_blocks(*args, **kwargs):
+        raise _Drew
+
+    monkeypatch.setattr(montecarlo, "_stats_over_blocks", stats_over_blocks)
+    with pytest.raises(IndexOverflowError):
+        estimate_mean(Trader.HONEST_OPTIMAL, BEAR, 2**63 + 1, seed=1)
+
+
 @pytest.mark.parametrize(
-    "start, n", [(0, 2**61 + 1), (2**61, 2), (2**61 - 1, 2)], ids=["n", "start", "end"]
+    "n, outcome", [(2**61 + 1, IndexOverflowError), (2**61, _Drew)], ids=["n", "end"]
 )
-def test_euler_refuses_unreachable_counters_before_drawing(monkeypatch, start, n):
-    # Path i reads counters 4i .. 4i + 3 at 4 steps, so these ranges end past
-    # 2**63 - 1 although their path indices do not.
+def test_euler_refuses_unreachable_counters_before_drawing(monkeypatch, n, outcome):
+    # Path i reads counters 4i .. 4i + 3 at 4 steps, so n = 2**61 + 1 paths
+    # end past 2**63 - 1 although their path indices do not.  At n = 2**61
+    # the last counter is 2**63 - 1 itself: that range is drawn.
     def brownian_increments_block(*args, **kwargs):
         raise _Drew
 
     monkeypatch.setattr(montecarlo, "brownian_increments_block", brownian_increments_block)
-    with pytest.raises(IndexOverflowError):
-        estimate_euler_mean(SHOWCASE, 4, n, seed=1, chunks=1, start=start)
-    # The last reachable counter is 2**63 - 1 itself: that range is drawn.
-    with pytest.raises(_Drew):
-        estimate_euler_mean(SHOWCASE, 4, 2, seed=1, chunks=1, start=2**61 - 2)
+    with pytest.raises(outcome):
+        estimate_euler_mean(SHOWCASE, 4, n, seed=1, chunks=1)
 
 
 def test_factorized_refuses_unreachable_counters_before_drawing(monkeypatch):
@@ -307,7 +269,6 @@ def test_euler_estimate_determinism_and_clamps():
     e1 = estimate_euler_mean(SHOWCASE, 16, 50_000, seed=51, chunks=1)
     e8 = estimate_euler_mean(SHOWCASE, 16, 50_000, seed=51, chunks=8)
     assert e1 == e8
-    assert e1.estimand[2] == 16
     assert e1.clamp_count >= 0
     assert e1.zero_fraction == (e1.clamp_count / 50_000)
 
@@ -318,7 +279,7 @@ def test_euler_estimate_determinism_and_clamps():
 EULER_POINT = validate_params(1, 0, 0.5, 2, 1)
 EULER_N = GRANULE + 17
 EULER_FROZEN = [
-    # (n_steps, mean, M2, zero_count, clamp_count)
+    # (n_steps, mean, M2, zero paths, clamp_count)
     (3, "0x1.233bc7d7e56ffp+1", "0x1.6b6f007d42ef1p+15", 41, 41),
     (48, "0x1.4b986a1a05f52p+1", "0x1.3a69f4e79ccd9p+19", 2, 2),
     (256, "0x1.34e850542eea1p+1", "0x1.7cbecc117f8a0p+18", 0, 0),
@@ -331,18 +292,7 @@ def test_euler_sub_blocks_reproduce_frozen_estimates(n_steps, mean, m2, zeros, c
     est = estimate_euler_mean(EULER_POINT, n_steps, EULER_N, seed=20240, chunks=1)
     assert est == estimate_euler_mean(EULER_POINT, n_steps, EULER_N, seed=20240, chunks=2)
     assert (est.mean, est.m2) == (float.fromhex(mean), float.fromhex(m2))
-    assert (est.zero_count, est.clamp_count) == (zeros, clamps)
-
-
-def test_merged_euler_halves_sum_clamp_counts():
-    # sigma = 2 clamps a few paths per granule, so both halves count some.
-    n = 2 * GRANULE
-    left = estimate_euler_mean(EULER_POINT, 3, n, seed=20240)
-    right = estimate_euler_mean(EULER_POINT, 3, n, seed=20240, start=n)
-    assert left.clamp_count > 0 and right.clamp_count > 0
-    merged = merge_estimates(left, right)
-    assert merged.clamp_count == left.clamp_count + right.clamp_count
-    assert merged == estimate_euler_mean(EULER_POINT, 3, 2 * n, seed=20240)
+    assert (est.zero_fraction, est.clamp_count) == (zeros / EULER_N, clamps)
 
 
 @pytest.mark.parametrize("n_steps", [3, 48, 256, 1000, montecarlo._TASK_TARGET + 1])

@@ -19,10 +19,10 @@ MODULES = [insidermc] + [
 # The honest trader is the insider kernel at an infinite threshold; the
 # wealth split that once parametrized it is gone, and its threshold lives in
 # market.honest_threshold.  A sweep takes plain arguments, like the other
-# report runs.
+# report runs.  Every estimate covers draws 0..n-1, so none is merged.
 REMOVED = (
     "Allocation", "AllocationMismatchError", "honest_optimal_allocation", "SweepSpec",
-    "honest_ignores_draws",
+    "honest_ignores_draws", "merge_estimates",
 )
 
 
