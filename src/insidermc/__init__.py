@@ -38,10 +38,8 @@ from .closedform import (
     ClosedFormReport,
     compare_closed_form,
     forward_expected_wealth,
-    forward_expected_wealth_erf_form,
     honest_expected_wealth,
     skorokhod_expected_wealth,
-    skorokhod_expected_wealth_erf_form,
 )
 from .montecarlo import (
     MCEstimate,
@@ -75,9 +73,7 @@ __all__ = [
     "Trader",
     # closed forms
     "ClosedFormReport", "honest_expected_wealth", "skorokhod_expected_wealth",
-    "forward_expected_wealth", "skorokhod_expected_wealth_erf_form",
-    "forward_expected_wealth_erf_form",
-    "compare_closed_form",
+    "forward_expected_wealth", "compare_closed_form",
     # monte carlo
     "MCEstimate", "estimate_mean", "estimate_euler_mean",
     "skorokhod_factorized_estimate", "z_score",

@@ -2,11 +2,17 @@
 
 Accuracy target is 1e-12 absolute so that special-function error is
 negligible against Monte Carlo tolerances (~1e-4).  The forward functions
-delegate to scipy.special's compiled routines (documented accuracy a few
-ulps).  The inverse is scipy's ``ndtri``, which folds its tails on 1 - u
-itself; it is exactly antisymmetric about 0.5 on the doubles where 1 - u is
-exact, and checked against a frozen 50-digit oracle table over u in
-[1e-300, 1 - 2^-53] to 1e-14 relative error.
+are the standard library's ``math.erf`` and ``math.erfc``.  Against a
+40-digit mpmath oracle at 3000 random arguments in [-12, 26.5],
+``math.erfc`` stayed within 1.9 ulp wherever its result is a normal double,
+where scipy's ``erfc`` reached 483 ulp in Phi's lower tail; ``math.erf``
+stayed within 0.75 ulp on [-6, 6].  The inverse is scipy's ``ndtri``, which
+folds its tails on 1 - u itself; it is exactly antisymmetric about 0.5 on
+the doubles where 1 - u is exact, and checked against a frozen 50-digit
+oracle table over u in [1e-300, 1 - 2^-53] to 1e-14 relative error.
+
+``ndtri`` is bound on its first call, so ``import insidermc`` and the
+closed forms never load scipy; the first Monte Carlo block does.
 
 Scalar calls and the vectorized helpers used by the sampling pipeline share
 one array core, so a scalar result is bit-identical to the matching entry of
@@ -18,13 +24,14 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special as _sc
 
 from .errors import NotFiniteError, OutOfDomainError
 
 __all__ = ["erf", "normal_cdf", "inverse_normal_cdf"]
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
+_ndtri = None  # scipy.special.ndtri, bound by the first inverse CDF call
 
 
 def erf(x: float) -> float:
@@ -37,7 +44,7 @@ def erf(x: float) -> float:
     x = float(x)
     if math.isnan(x):
         raise NotFiniteError("x", x)
-    return float(_sc.erf(x))
+    return math.erf(x)
 
 
 def normal_cdf(x: float) -> float:
@@ -49,13 +56,18 @@ def normal_cdf(x: float) -> float:
     x = float(x)
     if math.isnan(x):
         raise NotFiniteError("x", x)
-    return 0.5 * float(_sc.erfc(-x * _INV_SQRT2))
+    return 0.5 * math.erfc(-x * _INV_SQRT2)
 
 
 def _inverse_normal_cdf_array(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Vectorized inverse CDF; expects a float64 array strictly inside (0, 1).
     ``out`` may be ``u`` itself."""
-    return _sc.ndtri(u, out=out)
+    global _ndtri
+    if _ndtri is None:  # threads racing here bind the same function
+        from scipy.special import ndtri
+
+        _ndtri = ndtri
+    return _ndtri(u, out=out)
 
 
 def inverse_normal_cdf(u: float) -> float:

@@ -8,16 +8,14 @@ from insidermc import (
     WealthOverflowError,
     compare_closed_form,
     forward_expected_wealth,
-    forward_expected_wealth_erf_form,
     honest_expected_wealth,
     indicator_threshold,
     normal_cdf,
     skorokhod_expected_wealth,
-    skorokhod_expected_wealth_erf_form,
     validate_params,
     verify,
 )
-from insidermc.closedform import _check_exp_range, _finite
+from insidermc.closedform import _check_exp_range, _finite, _log_normal_cdf
 from insidermc.sampling import RngStream, uniform_block
 
 # mpmath (50 digits) oracle constants, frozen before the implementation:
@@ -111,21 +109,6 @@ def _random_params(seed, n, regime):
     return out
 
 
-class TestParametrizationEquivalence:
-    def test_erf_and_phi_forms_agree(self):
-        """Both displayed forms match the Phi evaluation to 1e-12 relative."""
-        params = (
-            _random_params(11, 4000, "bull")
-            + _random_params(17, 3000, "bear")
-            + _random_params(23, 3000, "marginal")
-        )
-        for p in params:
-            sk, sk_erf = skorokhod_expected_wealth(p), skorokhod_expected_wealth_erf_form(p)
-            rs, rs_erf = forward_expected_wealth(p), forward_expected_wealth_erf_form(p)
-            assert sk == pytest.approx(sk_erf, rel=1e-12)
-            assert rs == pytest.approx(rs_erf, rel=1e-12)
-
-
 class TestOrderingProperties:
     def test_bull_ordering_strict(self):
         for p in _random_params(29, 1000, "bull"):
@@ -149,6 +132,29 @@ class TestOrderingProperties:
                 1 + math.erf(p.sigma * math.sqrt(p.T) / (2 * math.sqrt(2)))
             ) * math.exp(p.rho * p.T)
             assert r.forward == pytest.approx(reference, rel=1e-12)
+
+
+# mpmath (50 digits) oracle (x, log Phi(x)), frozen: the deep tail where
+# erfc(-x/sqrt(2)) underflows (x < -37.5), both sides of that edge, the
+# central range, and the upper tail where log Phi(x) = log1p(-Phi(-x)).
+LOG_PHI_ORACLE_POINTS = [
+    (-1e8, -5000000000000019.0),
+    (-1e4, -50000010.12927891),
+    (-100.0, -5005.524208694205),
+    (-40.0, -804.6084420137538),
+    (-38.5, -745.695270290411),
+    (-37.5, -707.6689893175072),
+    (-30.0, -454.3212439563432),
+    (-5.0, -15.064998393988725),
+    (0.0, -0.6931471805599453),
+    (5.0, -2.866516129637636e-07),
+    (30.0, -4.906713927148187e-198),
+]
+
+
+@pytest.mark.parametrize("x, expected", LOG_PHI_ORACLE_POINTS)
+def test_log_normal_cdf_matches_oracle(x, expected):
+    assert _log_normal_cdf(x) == pytest.approx(expected, rel=1e-14, abs=0)
 
 
 class TestCompare:
@@ -189,8 +195,6 @@ class TestWealthRange:
             honest_expected_wealth,
             skorokhod_expected_wealth,
             forward_expected_wealth,
-            skorokhod_expected_wealth_erf_form,
-            forward_expected_wealth_erf_form,
             compare_closed_form,
         ):
             with pytest.raises(WealthOverflowError, match="double range"):

@@ -171,25 +171,24 @@ def test_factorized_refuses_unreachable_counters_before_drawing(monkeypatch):
         skorokhod_factorized_estimate(SHOWCASE, RngStream(1), 2**62)
 
 
-class _CountingScipy:
-    """scipy.special as the special module sees it, counting ndtri's draws."""
+class _CountingNdtri:
+    """scipy's ndtri as the special module binds it, counting its draws."""
 
-    def __init__(self, real):
-        self._real, self.draws = real, 0
+    def __init__(self):
+        from scipy.special import ndtri
 
-    def __getattr__(self, name):
-        return getattr(self._real, name)
+        self._ndtri, self.draws = ndtri, 0
 
-    def ndtri(self, u, out=None):
+    def __call__(self, u, out=None):
         self.draws += np.size(u)
-        return self._real.ndtri(u, out=out)
+        return self._ndtri(u, out=out)
 
 
 def test_insiders_take_normals_only_where_a_value_reads_them(monkeypatch):
     # Pr{B_T > a} = 1/2 and Pr{B_T > a + sigma T} = 0.16 at the showcase point.
     n = 1 << 18
-    counter = _CountingScipy(special._sc)
-    monkeypatch.setattr(special, "_sc", counter)
+    counter = _CountingNdtri()
+    monkeypatch.setattr(special, "_ndtri", counter)
     a, root_t = indicator_threshold(SHOWCASE), math.sqrt(SHOWCASE.T)
     for trader, level in [
         (Trader.FORWARD_INSIDER, a),

@@ -1,9 +1,14 @@
-"""The public surface: every exported name resolves, and removed names stay
-removed."""
+"""The public surface: every exported name resolves, removed names stay
+removed, and the closed-form paths run without scipy."""
 
 import importlib
+import math
+import os
 import pkgutil
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import pytest
 
@@ -19,11 +24,22 @@ MODULES = [insidermc] + [
 # The honest trader is the insider kernel at an infinite threshold; the
 # wealth split that once parametrized it is gone, and its threshold lives in
 # market.honest_threshold.  A sweep takes plain arguments, like the other
-# report runs.  Every estimate covers draws 0..n-1, so none is merged.
+# report runs.  Every estimate covers draws 0..n-1, so none is merged.  The
+# erf forms restated the Phi forms, which the 50-digit oracles check.
 REMOVED = (
     "Allocation", "AllocationMismatchError", "honest_optimal_allocation", "SweepSpec",
     "honest_ignores_draws", "merge_estimates",
+    "skorokhod_expected_wealth_erf_form", "forward_expected_wealth_erf_form",
 )
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))),
+}
+# Bull, bear, marginal, and a bull point whose standardized threshold
+# a/sqrt(T) = -39.5 lies where erfc(-x/sqrt(2)) underflows.
+COLD_POINTS = [(1, 0, 0.5, 1, 1), (1, 0.1, 0.05, 0.2, 2), (1, 0.07, 0.07, 0.2, 1), (1, 0, 40, 1, 1)]
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
@@ -42,3 +58,48 @@ def test_every_public_package_attribute_is_exported():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     ]
     assert [name for name in public if name not in insidermc.__all__] == []
+
+
+def _scipy_loaded_after(code: str) -> bool:
+    """Whether a fresh interpreter has imported scipy after running code."""
+    proc = subprocess.run(
+        [sys.executable, "-c", f"{code}\nimport sys; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, env=CHILD_ENV, timeout=60, check=True,
+    )
+    return {"True\n": True, "False\n": False}[proc.stdout]
+
+
+def test_closed_forms_run_without_scipy():
+    deep = insidermc.validate_params(*COLD_POINTS[-1])
+    assert insidermc.indicator_threshold(deep) / math.sqrt(deep.T) < -38
+    assert not _scipy_loaded_after(
+        "import insidermc\n"
+        "from insidermc.report import closed_form_csv\n"
+        f"reports = [insidermc.compare_closed_form(insidermc.validate_params(*raw)) "
+        f"for raw in {COLD_POINTS!r}]\n"
+        "assert all(r.ordering_pass for r in reports)\n"
+        "closed_form_csv(reports)"
+    )
+
+
+def test_first_estimate_loads_scipy():
+    assert _scipy_loaded_after(
+        "import insidermc\n"
+        "insidermc.estimate_mean(insidermc.Trader.FORWARD_INSIDER, "
+        "insidermc.validate_params(1, 0, 0.5, 1, 1), 4096, seed=1)"
+    )
+
+
+@pytest.mark.parametrize("args", [["closed-form"], ["--help"]], ids=" ".join)
+def test_cli_cold_paths_import_no_scipy(args):
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "insidermc", *args],
+        capture_output=True, text=True, env=CHILD_ENV, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    imported = [
+        line.rsplit("|", 1)[-1].strip()
+        for line in proc.stderr.splitlines() if line.startswith("import time:")
+    ]
+    assert "insidermc.closedform" in imported
+    assert [name for name in imported if name.split(".")[0] == "scipy"] == []
