@@ -14,7 +14,12 @@ import argparse
 import os
 import sys
 
-from .errors import IndexOverflowError, ParameterError, WealthOverflowError
+from .errors import (
+    DegenerateEstimateError,
+    IndexOverflowError,
+    ParameterError,
+    WealthOverflowError,
+)
 from .market import validate_params
 from .report import (
     closed_form_csv,
@@ -215,7 +220,9 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         return _dispatch(args)
-    except (ParameterError, WealthOverflowError, IndexOverflowError, OSError) as exc:
+    except (
+        ParameterError, WealthOverflowError, IndexOverflowError, DegenerateEstimateError, OSError
+    ) as exc:
         print(f"insidermc: {exc}", file=sys.stderr)
         return VALIDATION_ERROR
 

@@ -137,11 +137,11 @@ def _run_tasks(task, offsets, chunks: int) -> list:
 
 
 def _stats_over_blocks(
-    make_values, start: int, n: int, chunks: int, width: int = 1
+    make_values, n: int, chunks: int, width: int = 1
 ) -> tuple[list[_Stats], int]:
     """Evaluate ``make_values(offset, count, workspace) -> (values, tally)``
-    over [start, start+n) and stat each granule of 4096 samples separately.
-    ``width`` is the number of draws per sample.  Blocks are
+    over samples [0, n) and stat each granule of 4096 samples separately.
+    ``width`` is the draws per sample, already range-checked.  Blocks are
     ``max(1, _TASK_TARGET // width)`` samples, so none holds more than
     ``max(_TASK_TARGET, width)`` draws; a task is the whole granules of one
     block, or one granule generated block by block.  The counter-based
@@ -154,7 +154,6 @@ def _stats_over_blocks(
     in the workspace; they are statted or copied before the next block.
     Returns the per-granule stats and the sum of the integer tallies.
     """
-    end = start + n
     block = max(1, _TASK_TARGET // width)
     step = GRANULE * max(1, block // GRANULE)
     local = threading.local()
@@ -163,7 +162,7 @@ def _stats_over_blocks(
         workspace = getattr(local, "workspace", None)
         if workspace is None:
             workspace = local.workspace = Workspace(max(_TASK_TARGET, width))
-        stop = min(offset + step, end)
+        stop = min(offset + step, n)
         if stop - offset <= block:
             values, tally = make_values(offset, stop - offset, workspace)
         else:
@@ -175,7 +174,7 @@ def _stats_over_blocks(
         granules = range(0, len(values), GRANULE)
         return [_granule_stats(values[i : i + GRANULE]) for i in granules], tally
 
-    results = _run_tasks(task, range(start, end, step), chunks)
+    results = _run_tasks(task, range(0, n, step), chunks)
     stats = [s for task_stats, _ in results for s in task_stats]
     return stats, sum(tally for _, tally in results)
 
@@ -200,14 +199,16 @@ def _finalize(stats: list[_Stats], seed: int, clamp_count: int = 0) -> MCEstimat
     )
 
 
-def _check_counts(n: int, chunks: int) -> None:
+def _check_counts(n: int, chunks: int, draws: int) -> None:
+    """Refuse a bad sample or worker count and, before anything is drawn, an
+    estimate whose counters 0 .. n*draws - 1 leave the stream.  ``draws`` is
+    each estimator's draws per sample, stated here and nowhere else."""
     # Python or numpy integers only; integral floats are refused too.
     if not isinstance(n, numbers.Integral) or n < 2:
         raise BadSampleCountError(f"need an integer n >= 2 samples, got {n!r}")
     if not isinstance(chunks, numbers.Integral) or chunks < 1:
         raise OutOfDomainError(f"chunks must be an integer >= 1, got {chunks!r}")
-    # Checked here too, for the estimates that generate no draws.
-    _check_range(0, n)
+    _check_range(0, int(n) * draws)
 
 
 def estimate_mean(
@@ -221,7 +222,7 @@ def estimate_mean(
 
     The result is bitwise independent of ``chunks``.
     """
-    _check_counts(n, chunks)
+    _check_counts(n, chunks, 1)
     try:
         trader = Trader(trader)
     except ValueError as exc:
@@ -247,7 +248,7 @@ def estimate_mean(
             b_t = brownian_terminal_block(stream, offset, count, p.T, out=workspace)
         return honest_values(p, b_t), 0
 
-    stats, _ = _stats_over_blocks(make_values, 0, n, chunks)
+    stats, _ = _stats_over_blocks(make_values, n, chunks)
     return _finalize(stats, seed)
 
 
@@ -264,11 +265,10 @@ def estimate_euler_mean(
     so distinct paths and distinct step counts use disjoint index ranges.
     The harness generates and steps paths in blocks of width ``n_steps``.
     """
-    _check_counts(n, chunks)
     if not isinstance(n_steps, numbers.Integral) or n_steps < 1:
         raise OutOfDomainError(f"n_steps must be an integer >= 1, got {n_steps!r}")
     n_steps = int(n_steps)
-    _check_range(0, n * n_steps)  # every counter, before any is drawn
+    _check_counts(n, chunks, n_steps)
     stream = RngStream(seed)
 
     def make_values(offset: int, count: int, workspace: Workspace) -> tuple[np.ndarray, int]:
@@ -278,7 +278,7 @@ def estimate_euler_mean(
         values, clamped = forward_euler_values(p, increments)
         return values, int(np.count_nonzero(clamped))
 
-    stats, clamps = _stats_over_blocks(make_values, 0, n, chunks, n_steps)
+    stats, clamps = _stats_over_blocks(make_values, n, chunks, n_steps)
     return _finalize(stats, seed, clamps)
 
 
@@ -298,10 +298,9 @@ def skorokhod_factorized_estimate(
 
         var = M^2 [ (g_hat - e^{rho T})^2 var(p_hat) + p_hat^2 var(g_hat) ]
     """
-    _check_counts(n, chunks)
+    _check_counts(n, chunks, 2)  # sample i reads counters i and n + i
     if not isinstance(stream, RngStream):
         raise OutOfDomainError(f"stream must be an RngStream, got {stream!r}")
-    _check_range(0, 2 * n)  # the GBM leg's counters too, before any is drawn
     a = indicator_threshold(p)
     bond = _bond_value(p, 1.0)
 
@@ -312,11 +311,11 @@ def skorokhod_factorized_estimate(
         return _uniform_insider_values(p, u, a, False, scratch, bond=0.0, stock=1.0), 0
 
     def gbm_values(offset: int, count: int, workspace: Workspace) -> tuple[np.ndarray, int]:
-        b_t = brownian_terminal_block(stream, offset, count, p.T, out=workspace)
+        b_t = brownian_terminal_block(stream, n + offset, count, p.T, out=workspace)
         return _stock_values(p, 1.0, b_t), 0
 
-    prob = _finalize(_stats_over_blocks(indicator_values, 0, n, chunks)[0], stream.seed)
-    gbm = _finalize(_stats_over_blocks(gbm_values, n, n, chunks)[0], stream.seed)
+    prob = _finalize(_stats_over_blocks(indicator_values, n, chunks)[0], stream.seed)
+    gbm = _finalize(_stats_over_blocks(gbm_values, n, chunks)[0], stream.seed)
     p_hat, g_hat = prob.mean, gbm.mean
     mean = p.M * ((1.0 - p_hat) * bond + p_hat * g_hat)
     var_p = p_hat * (1.0 - p_hat) / n

@@ -21,6 +21,7 @@ new array.  Either way the bits are the same.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,18 +97,25 @@ def _words(seed: int, start: int, count: int, out: Workspace) -> np.ndarray:
     return z
 
 
-def _check_range(start: int, count: int) -> None:
+def _check_range(start: int, count: int) -> tuple[int, int]:
+    """``(start, count)`` as Python ints, refused unless counters
+    start..start+count-1 are integers inside 0..2**63-1.  A numpy integer
+    is the equal Python int, so it gives the same words."""
+    if not (isinstance(start, numbers.Integral) and isinstance(count, numbers.Integral)):
+        raise OutOfDomainError(f"draw indices must be integers, got {start!r} and {count!r}")
+    start, count = int(start), int(count)
     if start < 0 or count < 0:
         raise OutOfDomainError("draw indices must be nonnegative")
     if start + count - 1 > _MAX_INDEX:
         raise IndexOverflowError(f"draw index {start + count - 1} exceeds 2**63 - 1")
+    return start, count
 
 
 def uniform_block(
     stream: RngStream, start: int, count: int, out: Workspace | None = None
 ) -> np.ndarray:
     """Uniforms strictly inside (0, 1) at counters start..start+count-1."""
-    _check_range(start, count)
+    start, count = _check_range(start, count)
     if out is None:
         out = Workspace(count)
     w = _words(stream.seed, start, count, out)
@@ -162,9 +170,12 @@ def brownian_increments_block(
     never share a counter.
     """
     T = _require_horizon(T)
-    if n_steps < 1:
-        raise OutOfDomainError(f"n_steps must be >= 1, got {n_steps}")
-    # standard_normal_block range-checks the flattened counters.
+    if not isinstance(n_steps, numbers.Integral) or n_steps < 1:
+        raise OutOfDomainError(f"n_steps must be an integer >= 1, got {n_steps!r}")
+    # Python ints, so the flattened counters cannot wrap; standard_normal_block
+    # range-checks them.
+    start, count = _check_range(start, count)
+    n_steps = int(n_steps)
     z = standard_normal_block(stream, start * n_steps, count * n_steps, out)
     z *= math.sqrt(T / n_steps)
     return z.reshape(count, n_steps)
@@ -173,4 +184,5 @@ def brownian_increments_block(
 def derive_seed(seed: int, ordinal: int) -> int:
     """A decorrelated child seed for sub-task ``ordinal`` of a master seed:
     word ``ordinal`` of the master seed's stream."""
+    ordinal, _ = _check_range(ordinal, 1)
     return int(_words(RngStream(seed).seed, ordinal, 1, Workspace(1))[0])

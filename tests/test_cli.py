@@ -335,3 +335,12 @@ def test_index_overflow_exits_2(capsys):
     assert result.returncode == 2
     assert result.stdout == ""
     assert result.stderr == f"insidermc: draw index {10**20 - 1} exceeds 2**63 - 1\n"
+
+
+def test_degenerate_estimate_exits_2(capsys):
+    # Both Skorokhod samples take the bond: a zero-spread estimate off its closed form.
+    result = run_cli(capsys, "compare", "--samples", "2", "--seed", "1", "--chunks", "1")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("insidermc: zero-spread estimate 1.0 does not match")
+    assert result.stderr.count("\n") == 1

@@ -62,7 +62,9 @@ def test_sample_count_and_trader_validation():
     # The factorized estimate takes a stream, not a seed.
     with pytest.raises(OutOfDomainError):
         skorokhod_factorized_estimate(SHOWCASE, 5, 4096)
-    # numpy integers are integers.
+    # numpy integers are integers, and their counters do not wrap.
+    with pytest.raises(IndexOverflowError):
+        skorokhod_factorized_estimate(SHOWCASE, RngStream(1), np.int64(2**62 + 1))
     assert estimate_mean(
         Trader.FORWARD_INSIDER, SHOWCASE, np.int64(4096), seed=1, chunks=np.int64(2),
     ) == estimate_mean(Trader.FORWARD_INSIDER, SHOWCASE, 4096, seed=1)
@@ -130,15 +132,15 @@ class _Drew(Exception):
     pass
 
 
-def test_no_draw_estimate_still_checks_its_index_range(monkeypatch):
-    # The all-bond honest bet reads no draw, but index 2**63 is still past
-    # the stream's last counter; it is refused before any block is valued.
-    def stats_over_blocks(*args, **kwargs):
-        raise _Drew
-
-    monkeypatch.setattr(montecarlo, "_stats_over_blocks", stats_over_blocks)
-    with pytest.raises(IndexOverflowError):
-        estimate_mean(Trader.HONEST_OPTIMAL, BEAR, 2**63 + 1, seed=1)
+# Each estimator with its draws per sample: honest at BEAR draws nothing, yet
+# its counters are checked like the rest.
+ESTIMATORS = {
+    "honest-bear": (lambda n: estimate_mean(Trader.HONEST_OPTIMAL, BEAR, n, seed=1), 1),
+    "skorokhod": (lambda n: estimate_mean(Trader.SKOROKHOD_UNBIASED, SHOWCASE, n, seed=1), 1),
+    "forward": (lambda n: estimate_mean(Trader.FORWARD_INSIDER, SHOWCASE, n, seed=1), 1),
+    "euler-4": (lambda n: estimate_euler_mean(SHOWCASE, 4, n, seed=1), 4),
+    "factorized": (lambda n: skorokhod_factorized_estimate(SHOWCASE, RngStream(1), n), 2),
+}
 
 
 @pytest.mark.parametrize(
@@ -156,19 +158,20 @@ def test_euler_refuses_unreachable_counters_before_drawing(monkeypatch, n, outco
         estimate_euler_mean(SHOWCASE, 4, n, seed=1, chunks=1)
 
 
-def test_factorized_refuses_unreachable_counters_before_drawing(monkeypatch):
-    # The GBM leg reads counters n .. 2n - 1, past 2**63 - 1 at n = 2**62 + 1
-    # although the indicator leg's do not.
-    def drew(*args, **kwargs):
+@pytest.mark.parametrize("name", list(ESTIMATORS))
+def test_estimators_refuse_unreachable_counters_before_drawing(monkeypatch, name):
+    # n samples of `draws` counters end at counter n*draws - 1: n = 2**63 // draws
+    # ends at 2**63 - 1 itself and is drawn; one sample more is refused before
+    # any block is valued.
+    def stats_over_blocks(*args, **kwargs):
         raise _Drew
 
-    for name in ("uniform_block", "brownian_terminal_block"):
-        monkeypatch.setattr(montecarlo, name, drew)
-    with pytest.raises(IndexOverflowError):
-        skorokhod_factorized_estimate(SHOWCASE, RngStream(1), 2**62 + 1)
-    # At n = 2**62 the last counter is 2**63 - 1 itself: that range is drawn.
+    monkeypatch.setattr(montecarlo, "_stats_over_blocks", stats_over_blocks)
+    estimate, draws = ESTIMATORS[name]
     with pytest.raises(_Drew):
-        skorokhod_factorized_estimate(SHOWCASE, RngStream(1), 2**62)
+        estimate(2**63 // draws)
+    with pytest.raises(IndexOverflowError):
+        estimate(2**63 // draws + 1)
 
 
 class _CountingNdtri:
@@ -262,6 +265,24 @@ def test_factorized_degenerate_all_stock():
     growth = (p.mu - 0.5 * p.sigma**2) * p.T
     g = np.exp(growth + p.sigma * brownian_terminal_block(RngStream(47), n, n, p.T))
     assert est.mean == p.M * float(g.mean())
+
+
+# Recorded with the GBM leg on its own counter range n..2n-1.  n = 4096 + 17
+# leaves a short last granule in each leg; n = 2^16 + 4099 spans two tasks.
+FACTORIZED_FROZEN = [
+    # (point, n, mean, stderr)
+    (SHOWCASE, 4113, "0x1.50fd125d21918p+0", "0x1.21c56ab146ffcp-6"),
+    (SHOWCASE, 69635, "0x1.546f114cc49efp+0", "0x1.19b5f6981d689p-8"),
+    (BEAR, 4113, "0x1.2f3e8e8590b74p+0", "0x1.cdc986ecb068dp-10"),
+    (BEAR, 69635, "0x1.2f7e2cd75236ep+0", "0x1.c0f8376ff12d2p-12"),
+]
+
+
+@pytest.mark.parametrize("p, n, mean, stderr", FACTORIZED_FROZEN)
+def test_factorized_reproduces_frozen_estimates(p, n, mean, stderr):
+    est = skorokhod_factorized_estimate(p, RngStream(20240), n, chunks=1)
+    assert est == skorokhod_factorized_estimate(p, RngStream(20240), n, chunks=2)
+    assert (est.mean, est.stderr) == (float.fromhex(mean), float.fromhex(stderr))
 
 
 def test_euler_estimate_determinism_and_clamps():
@@ -376,29 +397,29 @@ def test_task_width_groups_granules_and_sums_tallies():
         return np.full(count, 2.0), 1
 
     # One draw per sample: all three granules form one task.
-    stats, tally = montecarlo._stats_over_blocks(make_values, 0, 3 * GRANULE, 1)
+    stats, tally = montecarlo._stats_over_blocks(make_values, 3 * GRANULE, 1)
     assert calls == [(0, 3 * GRANULE)] and tally == 1 and len(stats) == 3
     # A sample as wide as a whole task target: one granule per task.
     calls.clear()
     wide = montecarlo._TASK_TARGET // GRANULE
-    stats, tally = montecarlo._stats_over_blocks(make_values, 0, 3 * GRANULE, 1, wide)
+    stats, tally = montecarlo._stats_over_blocks(make_values, 3 * GRANULE, 1, wide)
     assert calls == [(0, GRANULE), (GRANULE, GRANULE), (2 * GRANULE, GRANULE)]
     assert tally == 3
     assert stats == [(GRANULE, 2.0, 0.0, 0)] * 3
-    # A range that starts and ends off the granule grid keeps a short last granule.
+    # A range that ends off the granule grid keeps a short last granule.
     calls.clear()
-    stats, tally = montecarlo._stats_over_blocks(make_values, 5, GRANULE + 3, 1, wide)
-    assert calls == [(5, GRANULE), (5 + GRANULE, 3)] and tally == 2
+    stats, tally = montecarlo._stats_over_blocks(make_values, GRANULE + 3, 1, wide)
+    assert calls == [(0, GRANULE), (GRANULE, 3)] and tally == 2
     assert [s[0] for s in stats] == [GRANULE, 3]
     # Four blocks per granule: still one stat per granule, every tally summed.
     calls.clear()
-    stats, tally = montecarlo._stats_over_blocks(make_values, 0, 3 * GRANULE, 1, 4 * wide)
+    stats, tally = montecarlo._stats_over_blocks(make_values, 3 * GRANULE, 1, 4 * wide)
     quarter = GRANULE // 4
     assert calls == [(i * quarter, quarter) for i in range(12)] and tally == 12
     assert stats == [(GRANULE, 2.0, 0.0, 0)] * 3
     # 1365-sample blocks do not divide a granule: each granule ends in a 1-sample block.
     calls.clear()
-    stats, tally = montecarlo._stats_over_blocks(make_values, 0, 2 * GRANULE, 1, 48)
+    stats, tally = montecarlo._stats_over_blocks(make_values, 2 * GRANULE, 1, 48)
     block = montecarlo._TASK_TARGET // 48
     assert calls == [
         (g + i * block, block if i < 3 else 1) for g in (0, GRANULE) for i in range(4)

@@ -72,6 +72,9 @@ def test_compare_runs_traders_on_consecutive_child_ordinals():
         assert row.z_sk == (sk.mean - row.cf_skorokhod) / sk.stderr
     assert run_compare(BASE, n, seed) == run_compare(BASE, n, seed, first=0)
     assert run_compare(BASE, n, seed, first=5).mc_honest != run_compare(BASE, n, seed).mc_honest
+    # Ordinals are counters of the master stream: one before the first is refused.
+    with pytest.raises(OutOfDomainError):
+        run_compare(BASE, n, seed, first=-1)
 
 
 def test_csv_schema_and_round_trip(row):

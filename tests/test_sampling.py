@@ -51,6 +51,13 @@ def test_derive_seed_frozen_values():
     for bad in (-1, 2**64):
         with pytest.raises(OutOfDomainError):
             derive_seed(bad, 0)
+    # The ordinal is a counter of the master stream, checked like any other.
+    assert type(derive_seed(1, 2**63 - 1)) is int
+    for ordinal, error in [
+        (-1, OutOfDomainError), (2**63, IndexOverflowError), (0.0, OutOfDomainError)
+    ]:
+        with pytest.raises(error):
+            derive_seed(1, ordinal)
 
 
 def normal_at(stream, index):
@@ -164,6 +171,13 @@ GUARDS = {
         lambda: brownian_increments_block(STREAM, 0, 4, -1.0, 2), NonPositiveError
     ),
     "no-steps": (lambda: brownian_increments_block(STREAM, 0, 4, 1.0, 0), OutOfDomainError),
+    "float-start": (lambda: uniform_block(STREAM, 0.5, 3), OutOfDomainError),
+    "float-count": (lambda: uniform_block(STREAM, 0, 2.0), OutOfDomainError),
+    "float-steps": (lambda: brownian_increments_block(STREAM, 0, 2, 1.0, 2.5), OutOfDomainError),
+    "int64-steps-past-end": (
+        lambda: brownian_increments_block(STREAM, np.int64(2**62), 1, 1.0, np.int64(4)),
+        IndexOverflowError,
+    ),
 }
 
 
@@ -172,6 +186,18 @@ def test_block_functions_refuse_bad_ranges_and_horizons(name):
     call, error = GUARDS[name]
     with pytest.raises(error):
         call()
+
+
+@pytest.mark.parametrize("to_int", [np.int64, np.uint64])
+def test_numpy_counters_are_the_equal_python_ints(to_int):
+    assert np.array_equal(
+        uniform_block(STREAM, to_int(3), to_int(5)), uniform_block(STREAM, 3, 5)
+    )
+    assert np.array_equal(
+        brownian_increments_block(STREAM, to_int(7), to_int(2), 1.0, to_int(3)),
+        brownian_increments_block(STREAM, 7, 2, 1.0, 3),
+    )
+    assert derive_seed(42, to_int(2)) == derive_seed(42, 2)
 
 
 def reference_normals(seed, start, count):
