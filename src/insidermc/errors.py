@@ -10,31 +10,33 @@ class ParameterError(ValueError):
     """Base class for violated input contracts."""
 
 
-class NonPositiveError(ParameterError):
+class _FieldError(ParameterError):
+    """A named field's value breaks the subclass's ``requirement``."""
+
+    requirement: str
+
+    def __init__(self, field: str, value: float):
+        super().__init__(f"{field} must be {self.requirement}, got {value!r}")
+        self.field = field
+        self.value = value
+
+
+class NonPositiveError(_FieldError):
     """A field that must be strictly positive is zero or negative."""
 
-    def __init__(self, field: str, value: float):
-        super().__init__(f"{field} must be > 0, got {value!r}")
-        self.field = field
-        self.value = value
+    requirement = "> 0"
 
 
-class NegativeRateError(ParameterError):
+class NegativeRateError(_FieldError):
     """A rate that must be nonnegative is negative."""
 
-    def __init__(self, field: str, value: float):
-        super().__init__(f"{field} must be >= 0, got {value!r}")
-        self.field = field
-        self.value = value
+    requirement = ">= 0"
 
 
-class NotFiniteError(ParameterError):
+class NotFiniteError(_FieldError):
     """NaN or infinite input where a finite real is required."""
 
-    def __init__(self, field: str, value: float):
-        super().__init__(f"{field} must be finite, got {value!r}")
-        self.field = field
-        self.value = value
+    requirement = "finite"
 
 
 class OutOfDomainError(ParameterError):

@@ -70,20 +70,22 @@ _TASK_TARGET = 1 << 16
 class MCEstimate:
     """Result of a Monte Carlo mean estimate.
 
-    ``m2`` is the sum of squared deviations backing ``sample_stddev``; it is
-    kept because the factorized estimate's variance reads its GBM leg's M2
-    unrounded, not for merging estimates.  ``clamp_count`` is the number of
-    Euler paths whose stock leg was clamped at zero (0 elsewhere).
+    ``clamp_count`` is the number of Euler paths whose stock leg was clamped
+    at zero (0 elsewhere).  A mean or stderr outside the double range raises
+    WealthOverflowError: every estimator returns through this check.
     """
 
     n: int
     mean: float
-    sample_stddev: float
     stderr: float
-    seed: int
     zero_fraction: float
-    m2: float = 0.0
     clamp_count: int = 0
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.mean) and math.isfinite(self.stderr)):
+            raise WealthOverflowError(
+                f"estimate left the double range (mean {self.mean!r}, stderr {self.stderr!r})"
+            )
 
 
 # (count, mean, M2, zero_count) per granule.
@@ -179,24 +181,11 @@ def _stats_over_blocks(
     return stats, sum(tally for _, tally in results)
 
 
-def _finalize(stats: list[_Stats], seed: int, clamp_count: int = 0) -> MCEstimate:
+def _finalize(stats: list[_Stats], clamp_count: int = 0) -> MCEstimate:
     n, mean, m2, zeros = _merge_tree(stats)
-    if not (math.isfinite(mean) and math.isfinite(m2)):
-        raise WealthOverflowError(
-            f"sample statistics left the double range (mean {mean!r}, M2 {m2!r})"
-        )
-    stddev = math.sqrt(m2 / (n - 1))
-    stderr = stddev / math.sqrt(n)
-    return MCEstimate(
-        n=n,
-        mean=mean,
-        sample_stddev=stddev,
-        stderr=stderr,
-        seed=seed,
-        zero_fraction=zeros / n,
-        m2=m2,
-        clamp_count=clamp_count,
-    )
+    # Finite exactly when M2 is, so the record's range check covers M2.
+    stderr = math.sqrt(m2 / (n - 1)) / math.sqrt(n)
+    return MCEstimate(n, mean, stderr, zeros / n, clamp_count)
 
 
 def _check_counts(n: int, chunks: int, draws: int) -> None:
@@ -249,7 +238,7 @@ def estimate_mean(
         return honest_values(p, b_t), 0
 
     stats, _ = _stats_over_blocks(make_values, n, chunks)
-    return _finalize(stats, seed)
+    return _finalize(stats)
 
 
 def estimate_euler_mean(
@@ -279,7 +268,7 @@ def estimate_euler_mean(
         return values, int(np.count_nonzero(clamped))
 
     stats, clamps = _stats_over_blocks(make_values, n, chunks, n_steps)
-    return _finalize(stats, seed, clamps)
+    return _finalize(stats, clamps)
 
 
 def skorokhod_factorized_estimate(
@@ -314,31 +303,17 @@ def skorokhod_factorized_estimate(
         b_t = brownian_terminal_block(stream, n + offset, count, p.T, out=workspace)
         return _stock_values(p, 1.0, b_t), 0
 
-    prob = _finalize(_stats_over_blocks(indicator_values, n, chunks)[0], stream.seed)
-    gbm = _finalize(_stats_over_blocks(gbm_values, n, chunks)[0], stream.seed)
-    p_hat, g_hat = prob.mean, gbm.mean
+    _, p_hat, _, _ = _merge_tree(_stats_over_blocks(indicator_values, n, chunks)[0])
+    _, g_hat, m2_g, _ = _merge_tree(_stats_over_blocks(gbm_values, n, chunks)[0])
     mean = p.M * ((1.0 - p_hat) * bond + p_hat * g_hat)
     var_p = p_hat * (1.0 - p_hat) / n
-    var_g = (gbm.m2 / (n - 1)) / n
+    var_g = (m2_g / (n - 1)) / n
     # A certain bet has var_p = 0, and its gap term is 0 even where the
     # gap's square alone would overflow.
     gap = g_hat - bond
     gap_term = gap * gap * var_p if var_p else 0.0
     var = p.M * p.M * (gap_term + p_hat * p_hat * var_g)
-    if not (math.isfinite(mean) and math.isfinite(var)):
-        raise WealthOverflowError(
-            f"factorized estimate left the double range (mean {mean!r}, variance {var!r})"
-        )
-    stderr = math.sqrt(var)
-    stddev = stderr * math.sqrt(n)
-    return MCEstimate(
-        n=n,
-        mean=mean,
-        sample_stddev=stddev,
-        stderr=stderr,
-        seed=stream.seed,
-        zero_fraction=0.0,
-    )
+    return MCEstimate(n, mean, math.sqrt(var), 0.0)
 
 
 def z_score(est: MCEstimate, reference: float) -> float:

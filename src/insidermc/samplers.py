@@ -123,7 +123,10 @@ def _insider_values(p: MarketParams, b_t: np.ndarray, a: float, wick: bool,
     b_t = np.asarray(b_t, dtype=np.float64)
     values = np.subtract(b_t, p.sigma * p.T if wick else 0.0)
     stock = values > a
-    if stock_leg is None and stock.all():  # every honest bull block: no gather or scatter
+    # All stock: no gather or scatter.  Honest bull blocks take this path, and
+    # so do nearly all blocks of the insiders' uniform fronts: their gathered
+    # draws are all on the stock side unless one lands in a guard band.
+    if stock_leg is None and stock.all():
         np.copyto(values, b_t)
         return _stock_values(p, p.M, values)
     np.multiply(b_t <= a, bond, out=values)

@@ -208,11 +208,13 @@ def test_config_value_outside_choices_exits_2(tmp_path, capsys):
     assert result.returncode == 2
     assert result.stdout == ""
     assert f"{config}:2:" in result.stderr and "xml" in result.stderr
-    # Values the flag's type function refuses are validation errors too.
+    # Values the flag's type function refuses are validation errors too, and
+    # so is a line that is not 'key = value' at all.
     for line, message in (
         ("seed = -1", "bad value for seed: seed must fit in 64 unsigned bits"),
         ("steps = 2.5", "bad value for steps: expected comma-separated integers"),
         ("grid = 0.1,x", "bad value for grid: expected comma-separated numbers"),
+        ("steps 4", "expected 'key = value'"),
     ):
         config.write_text(f"samples = 64\n{line}\n")
         result = run_cli(capsys, "convergence", "--config", str(config))

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -137,6 +138,8 @@ class TestOrderingProperties:
 # mpmath (50 digits) oracle (x, log Phi(x)), frozen: the deep tail where
 # erfc(-x/sqrt(2)) underflows (x < -37.5), both sides of that edge, the
 # central range, and the upper tail where log Phi(x) = log1p(-Phi(-x)).
+# From x = 40 on, Phi(-x) is taken as 0 without Veltkamp's split, which
+# overflows near the top of the double range and would turn the result NaN.
 LOG_PHI_ORACLE_POINTS = [
     (-1e8, -5000000000000019.0),
     (-1e4, -50000010.12927891),
@@ -149,6 +152,8 @@ LOG_PHI_ORACLE_POINTS = [
     (0.0, -0.6931471805599453),
     (5.0, -2.866516129637636e-07),
     (30.0, -4.906713927148187e-198),
+    (40.0, -0.0),
+    (sys.float_info.max, -0.0),
 ]
 
 

@@ -5,6 +5,7 @@ import importlib
 import math
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 import types
@@ -58,6 +59,14 @@ def test_every_public_package_attribute_is_exported():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     ]
     assert [name for name in public if name not in insidermc.__all__] == []
+
+
+def test_pyproject_version_is_package_version():
+    # Every JSON report prints __version__ as tool_version.  Read as text:
+    # tomllib needs Python 3.11, and the package supports 3.10.
+    text = (Path(SRC).parent / "pyproject.toml").read_text(encoding="utf-8")
+    project = text.split("\n[project]\n", 1)[1].split("\n[", 1)[0]
+    assert re.findall(r'^version\s*=\s*"([^"]*)"\s*$', project, re.M) == [insidermc.__version__]
 
 
 def _scipy_loaded_after(code: str) -> bool:
