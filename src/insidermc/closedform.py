@@ -16,8 +16,9 @@ growth; the Wick reading shifts the stock event by exactly sigma T, which
 cancels it: its stock leg is the bet probability times the plain GBM mean.
 
 Everything is evaluated in the Phi parametrization (probabilities in
-[0, 1], no cancellation in (1 - erf)/2), on the standard library's erfc:
-no closed form loads scipy.
+[0, 1], no cancellation in (1 - erf)/2) through :mod:`~insidermc.special`'s
+``normal_cdf`` and ``_log_normal_cdf``, the one home of Phi and its
+accurate lower tail: no closed form loads scipy.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 from .errors import EXP_MAX, WealthOverflowError
 from .market import MarketParams, Regime, classify_regime, honest_threshold, indicator_threshold
-from .special import erf, normal_cdf
+from .special import _log_normal_cdf, erf, normal_cdf
 
 __all__ = [
     "ClosedFormReport",
@@ -40,14 +41,7 @@ __all__ = [
 # Relative tolerance for the marginal-regime identity E[S^sk] == E[S^i].
 MARGINAL_RTOL = 1e-12
 
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _TWO_SQRT2 = 2.0 * math.sqrt(2.0)
-# mpmath, 50 digits: 1/sqrt(2) - _INV_SQRT2, and log(2 pi)/2.
-_INV_SQRT2_LO = 6.268583589525109e-17
-_HALF_LOG_2PI = 0.9189385332046728
-_TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
-# 2 Phi(x) = erfc(-x/sqrt(2)) is a normal double for x >= -37.5.
-_ERFC_NORMAL_MIN_X = -37.5
 
 
 def _check_exp_range(p: MarketParams) -> None:
@@ -94,56 +88,6 @@ def skorokhod_expected_wealth(p: MarketParams) -> float:
 def forward_expected_wealth(p: MarketParams) -> float:
     """Insider expectation under the Russo-Vallois forward interpretation."""
     return _kernel_mean(p, indicator_threshold(p), False)
-
-
-def _split(a: float) -> tuple[float, float]:
-    """Veltkamp's split: a = hi + lo exactly, each half of at most 26 bits,
-    so the product of two halves is exact."""
-    c = 134217729.0 * a  # 2^27 + 1
-    hi = c - (c - a)
-    return hi, a - hi
-
-
-_INV_SQRT2_HI, _INV_SQRT2_MID = _split(_INV_SQRT2)
-
-
-def _upper_tail(x: float) -> float:
-    """Phi(-x) for x > 0, within a few ulps wherever it is a normal double.
-
-    erfc amplifies the rounding of its argument x/sqrt(2) by about x^2: up
-    to 1e-13 relative at x = 30.  The rounding r is recovered to about
-    2^-106 relative, by Dekker's exact product of x and _INV_SQRT2 plus x
-    times the part of 1/sqrt(2) that _INV_SQRT2 misses, and taken back to
-    first order through erfc'(y) = -2/sqrt(pi) e^{-y^2}.
-    """
-    if x >= 40.0:  # Phi(-40) is below the smallest subnormal
-        return 0.0
-    y = x * _INV_SQRT2
-    hi, lo = _split(x)
-    r = (
-        ((hi * _INV_SQRT2_HI - y) + hi * _INV_SQRT2_MID + lo * _INV_SQRT2_HI)
-        + lo * _INV_SQRT2_MID
-        + x * _INV_SQRT2_LO
-    )
-    return 0.5 * (math.erfc(y) - _TWO_OVER_SQRT_PI * math.exp(-y * y) * r)
-
-
-def _log_normal_cdf(x: float) -> float:
-    """log Phi(x), stable for any finite x (no underflow in the lower tail).
-
-    Within 1e-15 relative of a 50-digit oracle, except for x > 37.5, where
-    log Phi(x) = -Phi(-x) is subnormal.
-    """
-    if x > 0.0:
-        return math.log1p(-_upper_tail(x))
-    if x >= _ERFC_NORMAL_MIN_X:
-        return math.log(0.5 * math.erfc(-x * _INV_SQRT2))
-    # Phi(x) = phi(x)/(-x) (1 - 1/x^2 + 3/x^4 - ...), the asymptotic series of
-    # the Mills ratio.  Below -37.5 the first term left out, 10395/x^12, is
-    # under 2e-15, about 1% of an ulp of log Phi(x) < -707.
-    z = 1.0 / (x * x)
-    series = z * (-1.0 + z * (3.0 + z * (-15.0 + z * (105.0 - z * 945.0))))
-    return -0.5 * x * x - math.log(-x) - _HALF_LOG_2PI + math.log1p(series)
 
 
 @dataclass(frozen=True)

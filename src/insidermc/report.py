@@ -18,6 +18,7 @@ import csv
 import datetime
 import io
 import json
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass
 
 from . import __version__
@@ -177,14 +178,16 @@ def run_sweep(
 
 
 def run_convergence(
-    p: MarketParams, steps: list[int], n: int, seed: int, chunks: int = 1
+    p: MarketParams, steps: Iterable[int], n: int, seed: int, chunks: int = 1
 ) -> list[ConvergenceRow]:
-    """Euler weak-convergence study: one row per step count.
+    """Euler weak-convergence study: one row per step count in ``steps``,
+    any sequence, a numpy array included.
 
     Level ``j`` runs on the child seed of ordinal ``j`` so levels do not
     share draws.  An empty step list raises OutOfDomainError rather than
     yielding an empty report.
     """
+    steps = list(steps)
     if not steps:
         raise OutOfDomainError("convergence needs at least one step count")
     # Levels first: where an Euler product and the closed form both leave the

@@ -138,8 +138,8 @@ def _insider_values(p: MarketParams, b_t: np.ndarray, a: float, wick: bool,
 def _band(t: float, root_t: float) -> tuple[float, float]:
     """The guard band [lo, hi] in u of the level t in b: a draw with u < lo
     surely has b < t, one with u > hi surely b > t."""
-    x = t / root_t
-    return normal_cdf(x) * (1.0 - _BAND), normal_cdf(x) * (1.0 + _BAND)
+    phi = normal_cdf(t / root_t)
+    return phi * (1.0 - _BAND), phi * (1.0 + _BAND)
 
 
 def _uniform_insider_values(p: MarketParams, u: np.ndarray, a: float, wick: bool,

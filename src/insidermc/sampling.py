@@ -50,13 +50,15 @@ _TO_UNIT = 2.0**-53
 
 @dataclass(frozen=True)
 class RngStream:
-    """Immutable descriptor of a counter-based stream, keyed by a 64-bit seed."""
+    """Immutable descriptor of a counter-based stream, keyed by a 64-bit seed;
+    a numpy integer seed is kept as the equal Python int."""
 
     seed: int
 
     def __post_init__(self):
-        if not isinstance(self.seed, int):
+        if not isinstance(self.seed, numbers.Integral):
             raise OutOfDomainError(f"seed must be an int, got {type(self.seed).__name__}")
+        object.__setattr__(self, "seed", int(self.seed))
         if not 0 <= self.seed <= _MASK64:
             raise OutOfDomainError(f"seed must fit in 64 unsigned bits, got {self.seed!r}")
 

@@ -1,4 +1,5 @@
-"""Error function, standard normal CDF and its inverse.
+"""Error function, standard normal CDF, its logarithm and its inverse: the
+one home of the normal distribution, closed-form lower tail included.
 
 Accuracy target is 1e-12 absolute so that special-function error is
 negligible against Monte Carlo tolerances (~1e-4).  The forward functions
@@ -30,6 +31,10 @@ from .errors import NotFiniteError, OutOfDomainError
 __all__ = ["erf", "normal_cdf", "inverse_normal_cdf"]
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
+# mpmath, 50 digits: 1/sqrt(2) - _INV_SQRT2, and log(2 pi)/2.
+_INV_SQRT2_LO = 6.268583589525109e-17
+_HALF_LOG_2PI = 0.9189385332046728
+_TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 
 _ndtri = None  # scipy.special.ndtri, bound by the first inverse CDF call
 
@@ -47,16 +52,60 @@ def erf(x: float) -> float:
     return math.erf(x)
 
 
+def _split(a: float) -> tuple[float, float]:
+    """Veltkamp's split: a = hi + lo exactly, each half of at most 26 bits,
+    so the product of two halves is exact."""
+    c = 134217729.0 * a  # 2^27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+_INV_SQRT2_HI, _INV_SQRT2_MID = _split(_INV_SQRT2)
+
+
 def normal_cdf(x: float) -> float:
     """Standard normal CDF Phi(x) = (1 + erf(x/sqrt(2))) / 2.
 
-    Evaluated as ``erfc(-x/sqrt(2)) / 2`` so the lower tail keeps relative
-    accuracy instead of cancelling against 1.
+    Evaluated as ``erfc(-y) / 2``, y = x/sqrt(2) rounded, so the lower tail
+    keeps relative accuracy instead of cancelling against 1.  erfc amplifies
+    the rounding r = x/sqrt(2) - y by about x^2 (2e-13 relative near -37),
+    so for x < 0, r is recovered to about 2^-106 relative (Dekker's exact
+    product of x and the double c nearest 1/sqrt(2), minus y, plus x times
+    1/sqrt(2) - c) and taken back to first order through erfc'(-y) =
+    -2/sqrt(pi) e^{-y^2}.  Against a 50-digit oracle at 4000 random points in
+    [-37.5, 8.3] the relative error stayed within 3.7e-16; below -37.5
+    Phi(x) is subnormal, and below -40 it is 0.
     """
     x = float(x)
     if math.isnan(x):
         raise NotFiniteError("x", x)
-    return 0.5 * math.erfc(-x * _INV_SQRT2)
+    if x <= -40.0:  # Phi(-40) is below the smallest subnormal
+        return 0.0
+    y = x * _INV_SQRT2
+    if x >= 0.0:
+        return 0.5 * math.erfc(-y)
+    hi, lo = _split(x)
+    r = ((hi * _INV_SQRT2_HI - y) + hi * _INV_SQRT2_MID + lo * _INV_SQRT2_HI
+         + lo * _INV_SQRT2_MID + x * _INV_SQRT2_LO)
+    return 0.5 * (math.erfc(-y) + _TWO_OVER_SQRT_PI * math.exp(-y * y) * r)
+
+
+def _log_normal_cdf(x: float) -> float:
+    """log Phi(x), stable for any finite x (no underflow in the lower tail).
+
+    Within 1e-15 relative of a 50-digit oracle, except for x > 37.5, where
+    log Phi(x) = -Phi(-x) is subnormal.
+    """
+    if x > 0.0:
+        return math.log1p(-normal_cdf(-x))
+    if x >= -37.5:  # Phi(x) is a normal double here
+        return math.log(normal_cdf(x))
+    # Phi(x) = phi(x)/(-x) (1 - 1/x^2 + 3/x^4 - ...), the asymptotic series of
+    # the Mills ratio.  Below -37.5 the first term left out, 10395/x^12, is
+    # under 2e-15, about 1% of an ulp of log Phi(x) < -707.
+    z = 1.0 / (x * x)
+    series = z * (-1.0 + z * (3.0 + z * (-15.0 + z * (105.0 - z * 945.0))))
+    return -0.5 * x * x - math.log(-x) - _HALF_LOG_2PI + math.log1p(series)
 
 
 def _inverse_normal_cdf_array(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

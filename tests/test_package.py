@@ -1,6 +1,7 @@
 """The public surface: every exported name resolves, removed names stay
 removed, and the closed-form paths run without scipy."""
 
+import ast
 import importlib
 import math
 import os
@@ -51,6 +52,29 @@ def test_every_exported_name_resolves(module):
     for name in REMOVED:
         assert not hasattr(module, name)
         assert name not in exported
+
+
+def _erf_uses(module) -> list[str]:
+    """Each ``math.erf``/``math.erfc`` read and each import of erf or erfc
+    from math in a module's source."""
+    uses = []
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text(encoding="utf-8"))):
+        if (isinstance(node, ast.Attribute) and node.attr in ("erf", "erfc")
+                and isinstance(node.value, ast.Name) and node.value.id == "math"):
+            uses.append(f"math.{node.attr}")
+        if isinstance(node, ast.ImportFrom) and node.module == "math":
+            uses += [f"from math import {a.name}" for a in node.names if a.name in ("erf", "erfc")]
+    return uses
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
+def test_only_special_evaluates_erf(module):
+    # One home for Phi: a second erfc-based CDF would drift from special's
+    # corrected lower tail unnoticed.
+    if module.__name__ == "insidermc.special":
+        assert set(_erf_uses(module)) == {"math.erf", "math.erfc"}
+    else:
+        assert _erf_uses(module) == []
 
 
 def test_every_public_package_attribute_is_exported():

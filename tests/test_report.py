@@ -215,9 +215,13 @@ class TestConvergence:
         assert len(payload["rows"]) == 2
 
     def test_empty_step_list_rejected(self):
-        for steps in ([], [2.5]):
+        for steps in ([], [2.5], np.array([], dtype=np.int64)):
             with pytest.raises(OutOfDomainError):
                 run_convergence(validate_params(1, 0, 0.5, 1, 1), steps, 8192, seed=5)
+
+    def test_step_array_is_the_step_list(self):
+        p = validate_params(1, 0, 0.5, 1, 1)
+        assert run_convergence(p, np.array([1, 4]), 4096, 7) == run_convergence(p, [1, 4], 4096, 7)
 
     def test_single_step_reported_without_assertion(self):
         (row,) = run_convergence(validate_params(1, 0, 0.5, 1, 1), [1], 8192, seed=5)

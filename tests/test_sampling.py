@@ -10,9 +10,12 @@ from insidermc import (
     NotFiniteError,
     OutOfDomainError,
     RngStream,
+    Trader,
     derive_seed,
+    estimate_mean,
     normal_cdf,
     standard_normal_block,
+    validate_params,
 )
 from insidermc.sampling import (
     Workspace,
@@ -22,12 +25,13 @@ from insidermc.sampling import (
 )
 
 STREAM = RngStream(42)
+SHOWCASE = validate_params(1, 0, 0.5, 1, 1)
 
 
 def test_seed_validation():
     RngStream(0)
     RngStream(2**64 - 1)
-    for bad in (-1, 2**64, 1.5):
+    for bad in (-1, 2**64, 1.5, 7.0):
         with pytest.raises(OutOfDomainError):
             RngStream(bad)
 
@@ -198,6 +202,18 @@ def test_numpy_counters_are_the_equal_python_ints(to_int):
         brownian_increments_block(STREAM, 7, 2, 1.0, 3),
     )
     assert derive_seed(42, to_int(2)) == derive_seed(42, 2)
+
+
+@pytest.mark.parametrize("to_int", [np.int64, np.uint64])
+def test_numpy_seeds_are_the_equal_python_ints(to_int):
+    assert RngStream(to_int(7)) == RngStream(7)
+    assert type(RngStream(to_int(7)).seed) is int
+    assert derive_seed(to_int(7), 0) == derive_seed(7, 0)
+    numpy_seed = estimate_mean(Trader.FORWARD_INSIDER, SHOWCASE, 4096, seed=to_int(7))
+    python_seed = estimate_mean(Trader.FORWARD_INSIDER, SHOWCASE, 4096, seed=7)
+    assert (numpy_seed.mean.hex(), numpy_seed.stderr.hex()) == (
+        python_seed.mean.hex(), python_seed.stderr.hex()
+    )
 
 
 def reference_normals(seed, start, count):

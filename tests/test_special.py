@@ -15,6 +15,21 @@ ERF_INV_SQRT2 = 0.6826894921370859  # = P(|Z| <= 1)
 PHI_1 = 0.8413447460685429
 PHI_MINUS_1 = 0.15865525393145705
 
+# mpmath (50 digits) oracle (x, Phi(x)) in the lower tail, rounded to the
+# nearest double, frozen: from -1 down to -37.5, where Phi(x) is still a
+# normal double, and on below the smallest subnormal (-39.9, -inf).
+PHI_TAIL_ORACLE_POINTS = [
+    (-1.0, 0.15865525393145705),
+    (-5.0, 2.866515718791939e-07),
+    (-10.0, 7.619853024160525e-24),
+    (-20.0, 2.7536241186062337e-89),
+    (-30.0, 4.906713927148187e-198),
+    (-36.8, 9.231293481419022e-297),
+    (-37.5, 4.605353009581955e-308),
+    (-39.9, 0.0),
+    (-math.inf, 0.0),
+]
+
 # mpmath (50 digits) oracle (u, Phi^{-1}(u)) over the guaranteed domain
 # [1e-300, 1 - 2^-53], frozen: both tails, the central range, 0.5 and its
 # nearest doubles.  Each u is an exact double; for u > 0.5 the reference is
@@ -164,6 +179,12 @@ def test_normal_cdf_reference_values():
     assert normal_cdf(-math.inf) == 0.0
     with pytest.raises(NotFiniteError):
         normal_cdf(float("nan"))
+
+
+@pytest.mark.parametrize("x, expected", PHI_TAIL_ORACLE_POINTS)
+def test_normal_cdf_lower_tail_matches_oracle(x, expected):
+    # erfc(-x/sqrt(2)) alone is 2.4e-15 off at -5 and 1.6e-13 at -36.8.
+    assert abs(normal_cdf(x) - expected) <= 1e-15 * expected
 
 
 def test_normal_cdf_against_runtime_quadrature():
