@@ -62,7 +62,8 @@ GRANULE = 4096
 # workspace array at 512 KiB, within L2, and splits n = 10^6 into 16 tasks.
 # Smaller blocks would not pay: with one reused workspace per worker nothing
 # faults at 2^16, and at 2^14 two workers hand the GIL over so often between
-# the cheap word operations that they ran slower than one.
+# the cheap word operations of the generation calls that they ran slower
+# than one.  (The stats take a fixed handful of calls per task.)
 _TASK_TARGET = 1 << 16
 
 
@@ -92,20 +93,34 @@ class MCEstimate:
 _Stats = tuple[int, float, float, int]
 
 
-def _granule_stats(values: np.ndarray) -> _Stats:
-    n = int(values.size)
-    zeros = int(np.count_nonzero(values == 0.0))
-    vmin = float(values.min())
-    vmax = float(values.max())
-    if vmin == vmax:
-        # Constant granule: mean is exact and the spread is exactly zero.
-        # (The pairwise sum of a non-power-of-two count of equal values can
-        # round, which would leak a bogus ~1e-16 spread into z-scores of
-        # deterministic samplers.)
-        return (n, vmin, 0.0, zeros)
-    mean = float(values.mean())
-    m2 = float(np.sum(np.square(values - mean)))
-    return (n, mean, m2, zeros)
+def _granule_stats(values: np.ndarray) -> list[_Stats]:
+    """Stats of each granule of ``values`` in order, the last one possibly
+    short.  Each statistic is one reduction over the rows of all full
+    granules, then over a one-row view of the ragged rest; numpy sums a row
+    pairwise exactly as it sums the same values alone, so every granule's
+    stats are bitwise those of statting it by itself."""
+    full = values.size - values.size % GRANULE
+    stats: list[_Stats] = []
+    for rows in (values[:full].reshape(-1, GRANULE), values[full:].reshape(1, -1)):
+        if rows.size == 0:
+            continue
+        count = rows.shape[1]
+        zeros = np.count_nonzero(rows == 0.0, axis=1)
+        mean = rows.min(axis=1)
+        m2 = np.zeros(len(rows))
+        # A constant granule keeps its min as the mean and a spread of
+        # exactly zero.  (The pairwise sum of a non-power-of-two count of
+        # equal values can round, which would leak a bogus ~1e-16 spread
+        # into z-scores of deterministic samplers.)
+        varied = mean != rows.max(axis=1)
+        spread = rows if varied.all() else rows[varied]
+        row_mean = np.add.reduce(spread, axis=1) / count
+        deviation = spread - row_mean[:, None]
+        np.square(deviation, out=deviation)
+        mean[varied] = row_mean
+        m2[varied] = np.add.reduce(deviation, axis=1)
+        stats += zip([count] * len(rows), mean.tolist(), m2.tolist(), zeros.tolist())
+    return stats
 
 
 def _merge_pair(a: _Stats, b: _Stats) -> _Stats:
@@ -123,10 +138,13 @@ def _merge_tree(stats: list[_Stats]) -> _Stats:
     # Recursive mid-split over the granule list: the tree's shape depends on
     # the granule count alone, never on how tasks were cut, so the result is
     # bitwise independent of chunks.
-    if len(stats) == 1:
-        return stats[0]
-    mid = len(stats) // 2
-    return _merge_pair(_merge_tree(stats[:mid]), _merge_tree(stats[mid:]))
+    def merge(lo: int, hi: int) -> _Stats:
+        if hi - lo == 1:
+            return stats[lo]
+        mid = (lo + hi) // 2
+        return _merge_pair(merge(lo, mid), merge(mid, hi))
+
+    return merge(0, len(stats))
 
 
 def _run_tasks(task, offsets, chunks: int) -> list:
@@ -142,7 +160,8 @@ def _stats_over_blocks(
     make_values, n: int, chunks: int, width: int = 1
 ) -> tuple[list[_Stats], int]:
     """Evaluate ``make_values(offset, count, workspace) -> (values, tally)``
-    over samples [0, n) and stat each granule of 4096 samples separately.
+    over samples [0, n) and stat each granule of 4096 samples separately,
+    with one :func:`_granule_stats` call per task.
     ``width`` is the draws per sample, already range-checked.  Blocks are
     ``max(1, _TASK_TARGET // width)`` samples, so none holds more than
     ``max(_TASK_TARGET, width)`` draws; a task is the whole granules of one
@@ -173,8 +192,7 @@ def _stats_over_blocks(
                 part, part_tally = make_values(i, min(block, stop - i), workspace)
                 values[i - offset : i - offset + len(part)] = part
                 tally += part_tally
-        granules = range(0, len(values), GRANULE)
-        return [_granule_stats(values[i : i + GRANULE]) for i in granules], tally
+        return _granule_stats(values), tally
 
     results = _run_tasks(task, range(0, n, step), chunks)
     stats = [s for task_stats, _ in results for s in task_stats]

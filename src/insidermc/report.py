@@ -27,7 +27,7 @@ from .errors import OutOfDomainError, WealthOverflowError
 from .market import MarketParams, validate_params
 from .montecarlo import estimate_euler_mean, estimate_mean, z_score
 from .samplers import Trader
-from .sampling import derive_seed
+from .sampling import RngStream, derive_seed
 
 __all__ = [
     "ComparisonRow",
@@ -157,17 +157,19 @@ def run_sweep(
     """One comparison row per value of ``field`` (rho, mu, sigma or T) in
     ``grid``, the other parameters those of ``p``.
 
-    The field, a nonempty grid and every grid point are validated before
-    any point runs.  Point ``i`` runs with master seed ``seed + i``
-    (mod 2^64), so the sweep is deterministic given its seed.  A point whose
-    exponentials leave the double range is reported as an invalid row
-    instead of aborting the sweep.
+    The field, a nonempty grid, every grid point and the seed are validated
+    before any point runs.  Point ``i`` runs with master seed ``seed + i``
+    (mod 2^64), so the sweep is deterministic given its seed; a numpy
+    integer seed runs as the equal int.  A point whose exponentials leave
+    the double range is reported as an invalid row instead of aborting the
+    sweep.
     """
     if field not in ("rho", "mu", "sigma", "T"):
         raise OutOfDomainError(f"sweep field must be one of rho/mu/sigma/T, got {field!r}")
     points = [validate_params(**{**asdict(p), field: float(value)}) for value in grid]
     if not points:
         raise OutOfDomainError("sweep grid must not be empty")
+    seed = RngStream(seed).seed
     rows = []
     for i, point in enumerate(points):
         try:

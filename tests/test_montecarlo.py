@@ -438,6 +438,82 @@ def test_task_width_groups_granules_and_sums_tallies():
     assert stats == [(GRANULE, 2.0, 0.0, 0)] * 2
 
 
+def reference_granule_stats(values):
+    """The per-granule formula, five numpy calls per granule."""
+    stats = []
+    for i in range(0, len(values), GRANULE):
+        g = values[i : i + GRANULE]
+        zeros = int(np.count_nonzero(g == 0.0))
+        vmin, vmax = float(g.min()), float(g.max())
+        if vmin == vmax:
+            stats.append((g.size, vmin, 0.0, zeros))
+            continue
+        mean = float(g.mean())
+        stats.append((g.size, mean, float(np.sum(np.square(g - mean))), zeros))
+    return stats
+
+
+def _hex_stats(stats):
+    return [(n, mean.hex(), m2.hex(), zeros) for n, mean, m2, zeros in stats]
+
+
+def _constant_granules(rng, size):
+    # Even-numbered granules hold one value each; at 4095 draws that is one
+    # constant granule of a length whose pairwise sum can round.
+    values = rng.standard_normal(size)
+    for i in range(0, size, 2 * GRANULE):
+        values[i : i + GRANULE] = values[i] / 3.0
+    return values
+
+
+BLOCK_SIZES = [1, 4095, 4096, 4097, 3 * 4096 + 17, 2**16]
+BLOCK_KINDS = {
+    "normal": lambda rng, size: rng.standard_normal(size) * 10.0 ** rng.integers(-8, 8),
+    "constant": _constant_granules,
+    "zeros": lambda rng, size: np.where(rng.random(size) < 0.4, 0.0, rng.lognormal(0, 2, size)),
+    "overflow": lambda rng, size: rng.standard_normal(size) * 1e200,
+}
+
+
+@pytest.mark.parametrize("kind", BLOCK_KINDS)
+@pytest.mark.parametrize("size", BLOCK_SIZES)
+def test_block_stats_are_bitwise_the_per_granule_formula(kind, size):
+    rng = np.random.default_rng([size, len(kind)])
+    for _ in range(3):
+        values = BLOCK_KINDS[kind](rng, size)
+        with np.errstate(over="ignore"):
+            expected = reference_granule_stats(values)
+            assert _hex_stats(montecarlo._granule_stats(values)) == _hex_stats(expected)
+
+
+def test_short_granules_are_bitwise_the_per_granule_formula():
+    # A short granule divides by a count that is not a power of two, so
+    # only the same division gives the same mean.
+    rng = np.random.default_rng(2026)
+    for size in rng.integers(1, 2 * GRANULE, 300):
+        values = rng.standard_normal(size) * 1e3
+        expected = reference_granule_stats(values)
+        assert _hex_stats(montecarlo._granule_stats(values)) == _hex_stats(expected)
+
+
+def test_one_stats_call_per_task(monkeypatch):
+    calls = []
+    real = montecarlo._granule_stats
+
+    def counted(values):
+        calls.append(values.size)
+        return real(values)
+
+    monkeypatch.setattr(montecarlo, "_granule_stats", counted)
+    n = 3 * 2**16 + 5
+    estimate_mean(Trader.FORWARD_INSIDER, SHOWCASE, n, seed=5, chunks=1)
+    assert calls == [2**16] * 3 + [5]
+    calls.clear()
+    # 256 steps: a task is one granule, generated in 16 sub-blocks.
+    estimate_euler_mean(EULER_POINT, 256, 2 * GRANULE + 3, seed=5)
+    assert calls == [GRANULE, GRANULE, 3]
+
+
 def _record_workspaces(monkeypatch, name):
     seen = []
     real = getattr(montecarlo, name)

@@ -198,6 +198,17 @@ class TestSweep:
         assert rows[1].mc_rs == run_compare(base, 4096, 101).mc_rs
         assert rows[0].mc_rs != rows[1].mc_rs
 
+    def test_seed_is_checked_once_as_a_64_bit_int(self):
+        base = validate_params(1, 0.05, 0.1, 0.2, 1)
+        rows = run_sweep(base, "sigma", (1.0,), 4096, 7)
+        for seed in (np.uint64(7), np.int64(7)):
+            assert run_sweep(base, "sigma", (1.0,), 4096, seed) == rows
+        with pytest.raises(OutOfDomainError, match="64 unsigned bits"):
+            run_sweep(base, "sigma", (1.0,), 4096, -1)
+        # The last seed still runs; its second point wraps to seed 0.
+        top = run_sweep(base, "sigma", (1.0, 1.0), 4096, 2**64 - 1)
+        assert top[1] == run_sweep(base, "sigma", (1.0,), 4096, 0)[0]
+
 
 class TestConvergence:
     def test_rows_and_serialization(self):
