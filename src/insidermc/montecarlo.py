@@ -33,9 +33,9 @@ from .samplers import (
     Trader,
     _bond_value,
     _stock_values,
+    _uniform_bet,
     _uniform_insider_values,
     forward_euler_values,
-    honest_values,
 )
 from .sampling import (
     RngStream,
@@ -93,19 +93,40 @@ class MCEstimate:
 _Stats = tuple[int, float, float, int]
 
 
+def _count_true(mask: np.ndarray) -> np.ndarray:
+    """The True count of each row of a 2-D bool array.  numpy stores a bool
+    as one 0/1 byte, so a granule-wide row is 512 whole 64-bit words, whose
+    popcounts sum to the count exactly; a ragged row is counted as is."""
+    if mask.shape[1] != GRANULE:
+        return np.count_nonzero(mask, axis=1)
+    return np.add.reduce(np.bitwise_count(mask.view(np.uint64)), axis=1, dtype=np.intp)
+
+
 def _granule_stats(values: np.ndarray) -> list[_Stats]:
     """Stats of each granule of ``values`` in order, the last one possibly
     short.  Each statistic is one reduction over the rows of all full
     granules, then over a one-row view of the ragged rest; numpy sums a row
     pairwise exactly as it sums the same values alone, so every granule's
-    stats are bitwise those of statting it by itself."""
+    stats are bitwise those of statting it by itself.
+
+    A bool block is statted by its counts: a granule of c values with k
+    ones has mean k/c, M2 k(c - k)/c and c - k zeros.  Its mean is bitwise
+    that of the same block as 0.0/1.0: a pairwise sum of 0/1 values is
+    exact, and a constant granule's min is k/c.
+    """
     full = values.size - values.size % GRANULE
     stats: list[_Stats] = []
     for rows in (values[:full].reshape(-1, GRANULE), values[full:].reshape(1, -1)):
         if rows.size == 0:
             continue
         count = rows.shape[1]
-        zeros = np.count_nonzero(rows == 0.0, axis=1)
+        if rows.dtype == np.bool_:
+            ones = _count_true(rows)
+            zeros = count - ones
+            stats += zip([count] * len(rows), (ones / count).tolist(),
+                         (ones * zeros / count).tolist(), zeros.tolist())
+            continue
+        zeros = _count_true(rows == 0.0)
         mean = rows.min(axis=1)
         m2 = np.zeros(len(rows))
         # A constant granule keeps its min as the mean and a spread of
@@ -235,8 +256,15 @@ def estimate_mean(
     except ValueError as exc:
         raise UnknownTraderError(f"unknown trader tag {trader!r}") from exc
     stream = RngStream(seed)
-    # The all-bond honest bet reads no draw: it gets zeros that take no memory.
-    no_draws = trader is Trader.HONEST_OPTIMAL and honest_threshold(p) == math.inf
+    if trader is Trader.HONEST_OPTIMAL:
+        if honest_threshold(p) == math.inf:
+            # Every value is the bond, M e^{rho T}: Chan's merge of equal
+            # means with M2 = 0 is exact, so this is the estimate the draws
+            # would give, and none is made.
+            return MCEstimate(int(n), _bond_value(p, p.M), 0.0, 0.0)
+        # Every value is on the stock.  The bond is still checked once, so a
+        # point whose bond leaves the double range raises as the kernel does.
+        _bond_value(p, p.M)
     a, wick = indicator_threshold(p), trader is Trader.SKOROKHOD_UNBIASED
 
     # Generators and samplers are looked up by module name per block, never
@@ -245,15 +273,12 @@ def estimate_mean(
     # which forms b only where a value reads it; the gathered draws go to
     # the workspace's scratch, free once the uniforms are formed.
     def make_values(offset: int, count: int, workspace: Workspace) -> tuple[np.ndarray, int]:
-        if trader is not Trader.HONEST_OPTIMAL:
-            u = uniform_block(stream, offset, count, out=workspace)
-            scratch = workspace.scratch.view(np.float64)
-            return _uniform_insider_values(p, u, a, wick, scratch), 0
-        if no_draws:
-            b_t = np.broadcast_to(0.0, count)
-        else:
+        if trader is Trader.HONEST_OPTIMAL:
             b_t = brownian_terminal_block(stream, offset, count, p.T, out=workspace)
-        return honest_values(p, b_t), 0
+            return _stock_values(p, p.M, b_t), 0
+        u = uniform_block(stream, offset, count, out=workspace)
+        scratch = workspace.scratch.view(np.float64)
+        return _uniform_insider_values(p, u, a, wick, scratch), 0
 
     stats, _ = _stats_over_blocks(make_values, n, chunks)
     return _finalize(stats)
@@ -311,17 +336,16 @@ def skorokhod_factorized_estimate(
     a = indicator_threshold(p)
     bond = _bond_value(p, 1.0)
 
-    def indicator_values(offset: int, count: int, workspace: Workspace) -> tuple[np.ndarray, int]:
-        # The kernel with legs 0 and 1 is 1{b > a}: a normal only in the band.
+    def bet(offset: int, count: int, workspace: Workspace) -> tuple[np.ndarray, int]:
+        # 1{b > a} as a bool mask, statted by counts: a normal only in the band.
         u = uniform_block(stream, offset, count, out=workspace)
-        scratch = workspace.scratch.view(np.float64)
-        return _uniform_insider_values(p, u, a, False, scratch, bond=0.0, stock=1.0), 0
+        return _uniform_bet(p, u, a), 0
 
     def gbm_values(offset: int, count: int, workspace: Workspace) -> tuple[np.ndarray, int]:
         b_t = brownian_terminal_block(stream, n + offset, count, p.T, out=workspace)
         return _stock_values(p, 1.0, b_t), 0
 
-    _, p_hat, _, _ = _merge_tree(_stats_over_blocks(indicator_values, n, chunks)[0])
+    _, p_hat, _, _ = _merge_tree(_stats_over_blocks(bet, n, chunks)[0])
     _, g_hat, m2_g, _ = _merge_tree(_stats_over_blocks(gbm_values, n, chunks)[0])
     mean = p.M * ((1.0 - p_hat) * bond + p_hat * g_hat)
     var_p = p_hat * (1.0 - p_hat) / n

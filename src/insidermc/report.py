@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 
 from . import __version__
 from .closedform import ClosedFormReport, compare_closed_form, forward_expected_wealth
-from .errors import OutOfDomainError, WealthOverflowError
+from .errors import DegenerateEstimateError, OutOfDomainError, WealthOverflowError
 from .market import MarketParams, validate_params
 from .montecarlo import estimate_euler_mean, estimate_mean, z_score
 from .samplers import Trader
@@ -161,8 +161,9 @@ def run_sweep(
     before any point runs.  Point ``i`` runs with master seed ``seed + i``
     (mod 2^64), so the sweep is deterministic given its seed; a numpy
     integer seed runs as the equal int.  A point whose exponentials leave
-    the double range is reported as an invalid row instead of aborting the
-    sweep.
+    the double range, or whose estimate has zero spread off its closed form,
+    is reported as an invalid row that keeps the error's message, instead of
+    aborting the sweep.
     """
     if field not in ("rho", "mu", "sigma", "T"):
         raise OutOfDomainError(f"sweep field must be one of rho/mu/sigma/T, got {field!r}")
@@ -174,7 +175,7 @@ def run_sweep(
     for i, point in enumerate(points):
         try:
             rows.append(run_compare(point, n, (seed + i) % (1 << 64), chunks))
-        except WealthOverflowError as exc:
+        except (WealthOverflowError, DegenerateEstimateError) as exc:
             rows.append(_invalid_row(point, str(exc)))
     return rows
 

@@ -39,7 +39,9 @@ and between the bands it is surely in the dead zone; those draws take their
 value without a normal.  The rest, the bands and the stock side, are
 gathered, turned into b exactly as
 :func:`~insidermc.sampling.brownian_terminal_block` does, and valued by
-:func:`_insider_values`, which stays the only b-space decision.  The band
+:func:`_insider_values`, the kernel's b-space decision.  The factorized
+Skorokhod estimate's bet 1{b > a} is the same front at the one level a,
+:func:`_uniform_bet`: a bool mask, with a normal only in the band.  The band
 is exact, not a tolerance.  Each side is at least 2^29 ulps of u wide,
 while the errors it must cover are a few ulps of u or of x: ``ndtri``'s and
 Phi's, and the roundings of a/sqrt T, of sqrt(T) x and of the band edges.
@@ -123,9 +125,10 @@ def _insider_values(p: MarketParams, b_t: np.ndarray, a: float, wick: bool,
     b_t = np.asarray(b_t, dtype=np.float64)
     values = np.subtract(b_t, p.sigma * p.T if wick else 0.0)
     stock = values > a
-    # All stock: no gather or scatter.  Honest bull blocks take this path, and
-    # so do nearly all blocks of the insiders' uniform fronts: their gathered
-    # draws are all on the stock side unless one lands in a guard band.
+    # All stock: no gather or scatter.  The honest bull sampler takes this
+    # path, and so do nearly all blocks of the insiders' uniform fronts:
+    # their gathered draws are all on the stock side unless one lands in a
+    # guard band.
     if stock_leg is None and stock.all():
         np.copyto(values, b_t)
         return _stock_values(p, p.M, values)
@@ -143,21 +146,16 @@ def _band(t: float, root_t: float) -> tuple[float, float]:
 
 
 def _uniform_insider_values(p: MarketParams, u: np.ndarray, a: float, wick: bool,
-                            scratch: np.ndarray, bond: float | None = None,
-                            stock: float | None = None) -> np.ndarray:
+                            scratch: np.ndarray) -> np.ndarray:
     """The kernel of :func:`_insider_values` on the uniforms ``u`` of
     b = sqrt(T) Phi^{-1}(u), bitwise; the values are built over ``u``.
 
     Draws below the bond band take the bond leg and draws between the bands
     take 0 without a normal (module docstring).  The rest are gathered into
     ``scratch``, float64 memory of at least u's size, made into b and valued
-    by :func:`_insider_values`.  ``stock`` is None for the GBM stock leg; a
-    constant stock leg, read at the forward bet only, makes the draws above
-    the band certain too, so ``bond=0.0, stock=1.0`` is the bet's indicator,
-    with a normal only in the band.
+    by :func:`_insider_values`.
     """
-    if bond is None:
-        bond = _bond_value(p, p.M)
+    bond = _bond_value(p, p.M)
     root_t = math.sqrt(p.T)
     lo_a, hi_a = _band(a, root_t)
     lo_s, hi_s = _band(a + (p.sigma * p.T if wick else 0.0), root_t)
@@ -165,10 +163,6 @@ def _uniform_insider_values(p: MarketParams, u: np.ndarray, a: float, wick: bool
     exact = ~below
     if hi_a < lo_s:  # a dead zone between the bands
         exact &= (u <= hi_a) | (u >= lo_s)
-    above = None
-    if stock is not None:
-        above = np.flatnonzero(u > hi_s)
-        exact &= u <= hi_s
     # Gathers and scatters by index: a boolean mask of a random half of a
     # block mispredicts a branch per draw, several times the cost.  Every
     # index is in range, so no take mode changes a value; "raise" would
@@ -176,15 +170,27 @@ def _uniform_insider_values(p: MarketParams, u: np.ndarray, a: float, wick: bool
     at = np.flatnonzero(exact)
     b_t = u.take(at, out=scratch[: at.size], mode="wrap")
     np.multiply(below, bond, out=u)
-    if above is not None:
-        u[above] = stock
     if at.size:
         _inverse_normal_cdf_array(b_t, out=b_t)
         b_t *= root_t  # as brownian_terminal_block scales its normals
-        u[at] = _insider_values(
-            p, b_t, a, wick, None if stock is None else lambda on: stock, bond
-        )
+        u[at] = _insider_values(p, b_t, a, wick, bond=bond)
     return u
+
+
+def _uniform_bet(p: MarketParams, u: np.ndarray, a: float) -> np.ndarray:
+    """The forward bet 1{b > a} on the uniforms ``u`` of
+    b = sqrt(T) Phi^{-1}(u), bitwise, as a new bool mask: u above the band
+    of a is surely on, u below it surely off, and only the draws in the band
+    take a normal (module docstring)."""
+    root_t = math.sqrt(p.T)
+    lo, hi = _band(a, root_t)
+    bet = u > hi
+    at = np.flatnonzero((u >= lo) & (u <= hi))
+    if at.size:
+        b_t = _inverse_normal_cdf_array(u[at])
+        b_t *= root_t  # as brownian_terminal_block scales its normals
+        bet[at] = b_t > a
+    return bet
 
 
 def honest_values(p: MarketParams, b_t: np.ndarray) -> np.ndarray:

@@ -346,3 +346,18 @@ def test_degenerate_estimate_exits_2(capsys):
     assert result.stdout == ""
     assert result.stderr.startswith("insidermc: zero-spread estimate 1.0 does not match")
     assert result.stderr.count("\n") == 1
+
+
+def test_zero_spread_sweep_point_is_an_invalid_row(capsys):
+    # At sigma = 400 the forward estimate has zero spread off its closed
+    # form (tests/test_report.py): that point is an invalid row, and the
+    # sweep goes on.
+    args = ["sweep", "--M", "1", "--rho", "0", "--mu", "0", "--sigma", "1", "--T", "1",
+            "--sweep-field", "sigma", "--samples", "4096"]
+    both = run_cli(capsys, *args, "--grid", "0.5,400")
+    alone = run_cli(capsys, *args, "--grid", "0.5")
+    assert both.returncode == alone.returncode == 0
+    header, valid, invalid = both.stdout.splitlines()
+    assert [header, valid] == alone.stdout.splitlines()
+    row = next(csv.DictReader(io.StringIO(f"{header}\n{invalid}\n")))
+    assert row["regime"] == "invalid" and float(row["sigma"]) == 400.0

@@ -29,9 +29,10 @@ from insidermc import (
     z_score,
 )
 import insidermc.montecarlo as montecarlo
+import insidermc.samplers as samplers
 import insidermc.special as special
 from insidermc.montecarlo import GRANULE
-from insidermc.samplers import forward_insider_values
+from insidermc.samplers import forward_insider_values, honest_values
 from insidermc.sampling import Workspace, brownian_terminal_block
 
 SHOWCASE = validate_params(1, 0, 0.5, 1, 1)
@@ -103,28 +104,56 @@ def test_deterministic_honest_bond():
         z_score(est, est.mean + 1e-9)
 
 
-@pytest.mark.parametrize(
-    "p", [BEAR, validate_params(1, 0.07, 0.07, 0.2, 1)], ids=["bear", "marginal"]
-)
+MARGINAL = validate_params(1, 0.07, 0.07, 0.2, 1)
+
+
+def _refuse(monkeypatch, module, *names):
+    """Make each named generator, sampler or harness step of ``module`` raise."""
+    def refused(*args, **kwargs):
+        raise AssertionError(f"a refused call was made: {names}")
+
+    for name in names:
+        monkeypatch.setattr(module, name, refused)
+
+
+@pytest.mark.parametrize("p", [BEAR, MARGINAL], ids=["bear", "marginal"])
 def test_all_bond_honest_bet_generates_no_draws(monkeypatch, p):
-    # Off the bull regime every honest value is M e^{rho T} whatever b is.
+    # Off the bull regime every honest value is M e^{rho T} whatever b is, so
+    # the estimate is the stats of a block of bonds, with nothing generated,
+    # valued or statted.
     n = 3 * montecarlo._TASK_TARGET + 7  # four blocks
-    drawn = _record_workspaces(monkeypatch, "brownian_terminal_block")
-    valued = []
-    real_honest_values = montecarlo.honest_values
+    bond = p.M * math.exp(p.rho * p.T)
+    expected = montecarlo._finalize(montecarlo._granule_stats(np.full(n, bond)))
+    _refuse(monkeypatch, montecarlo, "uniform_block", "brownian_terminal_block",
+            "_stock_values", "_uniform_insider_values", "_stats_over_blocks", "_granule_stats")
+    _refuse(monkeypatch, samplers, "honest_values", "_insider_values")
+    for count, chunks in [(n, 1), (n, 2), (np.int64(n), 1)]:
+        est = estimate_mean(Trader.HONEST_OPTIMAL, p, count, 4, chunks)
+        assert est == expected
+        assert est.mean.hex() == bond.hex() and est.stderr.hex() == (0.0).hex()
+        assert est.zero_fraction == 0.0 and type(est.n) is int
 
-    def honest_values(*args):
-        valued.append(args)
-        return real_honest_values(*args)
 
-    monkeypatch.setattr(montecarlo, "honest_values", honest_values)
-    one, two = (estimate_mean(Trader.HONEST_OPTIMAL, p, n, 4, chunks) for chunks in (1, 2))
-    assert drawn == []
-    assert len(valued) == 8  # the values still come from the sampler, per block
-    # The estimate is the bits the draws gave.
-    monkeypatch.setattr(montecarlo, "honest_threshold", lambda p: -math.inf)
-    assert one == two == estimate_mean(Trader.HONEST_OPTIMAL, p, n, 4)
-    assert len(drawn) == 4
+@pytest.mark.parametrize("chunks", [1, 2])
+def test_bull_honest_estimate_is_the_b_space_sampler(chunks):
+    # The honest bull values are the stock leg alone, bitwise honest_values
+    # on the same draws, at a ragged n of several blocks.
+    n = 2 * montecarlo._TASK_TARGET + GRANULE + 5
+    b_t = brownian_terminal_block(RngStream(8), 0, n, SHOWCASE.T)
+    expected = montecarlo._finalize(montecarlo._granule_stats(honest_values(SHOWCASE, b_t)))
+    assert estimate_mean(Trader.HONEST_OPTIMAL, SHOWCASE, n, 8, chunks) == expected
+
+
+@pytest.mark.parametrize(
+    "raw", [(1e308, 10, 0, 1, 1), (1e308, 10, 20, 1, 1)], ids=["bear", "bull"]
+)
+def test_honest_bond_overflow_raises_before_drawing(monkeypatch, raw):
+    # M e^{rho T} is out of range.  The b-space sampler refuses such a point
+    # in either regime, though no bull value reads the bond; so does the
+    # estimate.
+    _refuse(monkeypatch, montecarlo, "brownian_terminal_block")
+    with pytest.raises(WealthOverflowError, match="bond leg"):
+        estimate_mean(Trader.HONEST_OPTIMAL, validate_params(*raw), 4096, seed=1)
 
 
 class _Drew(Exception):
@@ -167,8 +196,13 @@ def test_estimators_refuse_unreachable_counters_before_drawing(monkeypatch, name
 
     monkeypatch.setattr(montecarlo, "_stats_over_blocks", stats_over_blocks)
     estimate, draws = ESTIMATORS[name]
-    with pytest.raises(_Drew):
-        estimate(2**63 // draws)
+    if name == "honest-bear":
+        # The all-bond estimate is exact without a draw, at the stream's end too.
+        bond = BEAR.M * math.exp(BEAR.rho * BEAR.T)
+        assert estimate(2**63) == MCEstimate(2**63, bond, 0.0, 0.0)
+    else:
+        with pytest.raises(_Drew):
+            estimate(2**63 // draws)
     with pytest.raises(IndexOverflowError):
         estimate(2**63 // draws + 1)
 
@@ -199,11 +233,16 @@ def test_insiders_take_normals_only_where_a_value_reads_them(monkeypatch):
         counter.draws = 0
         estimate_mean(trader, SHOWCASE, n, seed=6)
         assert 0 < counter.draws <= (normal_cdf(-level / root_t) + 0.01) * n
-    # The factorized GBM leg reads all of its n normals; the indicator leg
-    # only those in the guard band.
+    # The factorized GBM leg reads all of its n normals; the bet only those
+    # in the guard band.
     counter.draws = 0
     skorokhod_factorized_estimate(SHOWCASE, RngStream(6), n)
     assert n <= counter.draws <= n + 0.01 * n
+    # The honest trader reads none off the bull regime and every one in it.
+    for p, normals in [(BEAR, 0), (MARGINAL, 0), (SHOWCASE, n)]:
+        counter.draws = 0
+        estimate_mean(Trader.HONEST_OPTIMAL, p, n, seed=6)
+        assert counter.draws == normals
 
 
 def test_z_score_arithmetic():
@@ -494,6 +533,30 @@ def test_short_granules_are_bitwise_the_per_granule_formula():
         values = rng.standard_normal(size) * 1e3
         expected = reference_granule_stats(values)
         assert _hex_stats(montecarlo._granule_stats(values)) == _hex_stats(expected)
+
+
+def _bool_granules(rng, size):
+    """A bet mask whose full granules cycle through all False, all True and
+    mixed; the ragged rest stays mixed."""
+    mask = rng.random(size) < 0.3
+    for j, i in enumerate(range(0, size - size % GRANULE, GRANULE)):
+        if j % 3 < 2:
+            mask[i : i + GRANULE] = bool(j % 3)
+    return mask
+
+
+@pytest.mark.parametrize("size", [*BLOCK_SIZES, 2 * GRANULE + 8, 5 * GRANULE + 4001])
+def test_bool_block_stats_are_counts_with_the_float_means(size):
+    rng = np.random.default_rng([size, 11])
+    for _ in range(3):
+        mask = _bool_granules(rng, size)
+        counted = montecarlo._granule_stats(mask)
+        valued = montecarlo._granule_stats(mask.astype(np.float64))
+        assert [(c, mean.hex(), zeros) for c, mean, _, zeros in counted] == [
+            (c, mean.hex(), zeros) for c, mean, _, zeros in valued
+        ]
+        for c, _, m2, zeros in counted:
+            assert m2 == (c - zeros) * zeros / c
 
 
 def test_one_stats_call_per_task(monkeypatch):

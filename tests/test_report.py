@@ -173,6 +173,17 @@ class TestSweep:
             comparison_csv(rows)
             comparison_json(rows, 12, 4096, timestamp=False)
 
+    def test_zero_spread_row_marked_invalid_not_fatal(self):
+        # At sigma = 400 the forward insider bets on the stock only where
+        # b > a = 200, which no draw reaches: its estimate is 1.0 with zero
+        # spread, while the closed form is 2.0.  The sigma = 0.5 row is the
+        # one a lone point gives.
+        base = validate_params(1, 0, 0, 1, 1)
+        rows = run_sweep(base, "sigma", (0.5, 400.0), 4096, 12)
+        assert rows[0] == run_sweep(base, "sigma", (0.5,), 4096, 12)[0]
+        assert rows[1].regime == "invalid" and not rows[1].ordering_pass
+        assert rows[1].error == "zero-spread estimate 1.0 does not match reference 2.0"
+
     def test_grid_validation(self):
         base = validate_params(1, 0.05, 0.1, 0.2, 1)
         with pytest.raises(OutOfDomainError):

@@ -18,6 +18,7 @@ from insidermc.market import classify_regime
 from insidermc.samplers import (
     _band,
     _insider_values,
+    _uniform_bet,
     _uniform_insider_values,
     forward_euler_values,
     forward_insider_values,
@@ -194,10 +195,11 @@ def test_overflowing_bond_leg_raises(sampler):
 
 
 def front_readings(p: MarketParams, u: np.ndarray, a: float, wick_only: bool = False) -> list:
-    """Skorokhod, forward and indicator values of the uniform front at u (only
-    the first with ``wick_only``), each paired with today's b-space reading of
-    b = sqrt(T) ndtri(u): the samplers' kernel, and 1{b > a} as a float.  A
-    reading is the values' bytes, or the message of the overflow it raised."""
+    """Skorokhod and forward values of the uniform front at u, and its bet mask
+    as a float (only the first with ``wick_only``), each paired with today's
+    b-space reading of b = sqrt(T) ndtri(u): the samplers' kernel, and
+    1{b > a} as a float.  A reading is the values' bytes, or the message of
+    the overflow it raised."""
     b_t = ndtri(u)
     b_t *= math.sqrt(p.T)
     scratch = np.empty(u.size)
@@ -206,7 +208,7 @@ def front_readings(p: MarketParams, u: np.ndarray, a: float, wick_only: bool = F
          lambda: _insider_values(p, b_t, a, True)),
         (lambda v: _uniform_insider_values(p, v, a, False, scratch),
          lambda: _insider_values(p, b_t, a, False)),
-        (lambda v: _uniform_insider_values(p, v, a, False, scratch, bond=0.0, stock=1.0),
+        (lambda v: _uniform_bet(p, v, a).astype(np.float64),
          lambda: (b_t > a).astype(np.float64)),
     ]
 
