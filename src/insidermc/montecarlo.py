@@ -93,15 +93,6 @@ class MCEstimate:
 _Stats = tuple[int, float, float, int]
 
 
-def _count_true(mask: np.ndarray) -> np.ndarray:
-    """The True count of each row of a 2-D bool array.  numpy stores a bool
-    as one 0/1 byte, so a granule-wide row is 512 whole 64-bit words, whose
-    popcounts sum to the count exactly; a ragged row is counted as is."""
-    if mask.shape[1] != GRANULE:
-        return np.count_nonzero(mask, axis=1)
-    return np.add.reduce(np.bitwise_count(mask.view(np.uint64)), axis=1, dtype=np.intp)
-
-
 def _granule_stats(values: np.ndarray) -> list[_Stats]:
     """Stats of each granule of ``values`` in order, the last one possibly
     short.  Each statistic is one reduction over the rows of all full
@@ -121,12 +112,12 @@ def _granule_stats(values: np.ndarray) -> list[_Stats]:
             continue
         count = rows.shape[1]
         if rows.dtype == np.bool_:
-            ones = _count_true(rows)
+            ones = np.count_nonzero(rows, axis=1)
             zeros = count - ones
             stats += zip([count] * len(rows), (ones / count).tolist(),
                          (ones * zeros / count).tolist(), zeros.tolist())
             continue
-        zeros = _count_true(rows == 0.0)
+        zeros = np.count_nonzero(rows == 0.0, axis=1)
         mean = rows.min(axis=1)
         m2 = np.zeros(len(rows))
         # A constant granule keeps its min as the mean and a spread of
