@@ -28,12 +28,12 @@ from .errors import (
 from .market import (
     MarketParams,
     Regime,
+    Trader,
     indicator_threshold,
     validate_params,
 )
 from .special import erf, inverse_normal_cdf, normal_cdf
 from .sampling import RngStream, derive_seed, standard_normal_block
-from .samplers import Trader
 from .closedform import (
     ClosedFormReport,
     compare_closed_form,
@@ -64,13 +64,11 @@ __all__ = [
     "OutOfDomainError", "BadSampleCountError", "UnknownTraderError",
     "WealthOverflowError", "IndexOverflowError", "DegenerateEstimateError",
     # market
-    "MarketParams", "Regime", "validate_params", "indicator_threshold",
+    "MarketParams", "Regime", "Trader", "validate_params", "indicator_threshold",
     # special functions
     "erf", "normal_cdf", "inverse_normal_cdf",
     # sampling
     "RngStream", "standard_normal_block", "derive_seed",
-    # samplers
-    "Trader",
     # closed forms
     "ClosedFormReport", "honest_expected_wealth", "skorokhod_expected_wealth",
     "forward_expected_wealth", "compare_closed_form",

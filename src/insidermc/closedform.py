@@ -7,10 +7,10 @@ trader kernel of :mod:`~insidermc.samplers` betting at a:
 
     E[S(T)] = M Phi(a/sqrt(T)) e^{rho T} + M Phi(s - a/sqrt(T)) e^{mu T}
 
-with a = ``honest_threshold(p)`` for the honest trader (-inf or +inf, which
-gives M e^{max(rho, mu) T}) and a = ``indicator_threshold(p)`` for the
-insider, and s = sigma sqrt(T) except under the Skorokhod (Wick) reading,
-where s = 0.  Under the stock measure B_T has mean sigma T, so the forward
+with (a, wick) the trader's ``Trader.reading(p)``: a = -inf or +inf for the
+honest trader, which gives M e^{max(rho, mu) T}, ``indicator_threshold(p)``
+for the insider; s = sigma sqrt(T), or 0 under the Skorokhod (Wick) reading.
+Under the stock measure B_T has mean sigma T, so the forward
 (Russo-Vallois) stock leg keeps the covariance between the bet and the stock
 growth; the Wick reading shifts the stock event by exactly sigma T, which
 cancels it: its stock leg is the bet probability times the plain GBM mean.
@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import EXP_MAX, WealthOverflowError
-from .market import MarketParams, Regime, classify_regime, honest_threshold, indicator_threshold
+from .market import MarketParams, Regime, Trader, classify_regime, indicator_threshold
 from .special import _log_normal_cdf, erf, normal_cdf
 
 __all__ = [
@@ -77,17 +77,17 @@ def honest_expected_wealth(p: MarketParams) -> float:
 
     In the marginal regime every split has the same expectation.
     """
-    return _kernel_mean(p, honest_threshold(p), False)
+    return _kernel_mean(p, *Trader.HONEST_OPTIMAL.reading(p))
 
 
 def skorokhod_expected_wealth(p: MarketParams) -> float:
     """Insider expectation under the Skorokhod (Wick) interpretation."""
-    return _kernel_mean(p, indicator_threshold(p), True)
+    return _kernel_mean(p, *Trader.SKOROKHOD_UNBIASED.reading(p))
 
 
 def forward_expected_wealth(p: MarketParams) -> float:
     """Insider expectation under the Russo-Vallois forward interpretation."""
-    return _kernel_mean(p, indicator_threshold(p), False)
+    return _kernel_mean(p, *Trader.FORWARD_INSIDER.reading(p))
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,8 @@ threshold on the Brownian terminal value::
     {S1_bar(T) > S0_bar(T)}  =  {B_T > a},   a = (rho - mu + sigma^2/2) * T / sigma
 
 The honest optimum, all-in on the asset with the larger rate, is the same
-bet at a = -inf (stock) or +inf (bond): :func:`honest_threshold`.
+bet at a = -inf (stock) or +inf (bond): :func:`honest_threshold`.  Every
+module takes a trader's reading of the bet, (a, wick), from :meth:`Trader.reading`.
 
 Everything here is immutable after construction and safe to share across
 concurrent workers.
@@ -30,6 +31,7 @@ from .errors import NegativeRateError, NonPositiveError, NotFiniteError
 __all__ = [
     "MarketParams",
     "Regime",
+    "Trader",
     "validate_params",
     "indicator_threshold",
     "honest_threshold",
@@ -131,6 +133,21 @@ def honest_threshold(p: MarketParams) -> float:
     """The honest bet level, blind to B_T: -inf in a bull market (all-in on
     the stock), +inf otherwise (all-in on the bond)."""
     return -math.inf if classify_regime(p) is Regime.BULL else math.inf
+
+
+class Trader(enum.Enum):
+    """Which wealth model an estimator samples."""
+
+    HONEST_OPTIMAL = "honest-optimal"
+    FORWARD_INSIDER = "forward-insider"
+    SKOROKHOD_UNBIASED = "skorokhod-unbiased"
+
+    def reading(self, p: MarketParams) -> tuple[float, bool]:
+        """(a, wick): the level at which this trader bets on B_T, and whether
+        its stock event is shifted by sigma T (the Skorokhod reading)."""
+        if self is Trader.HONEST_OPTIMAL:
+            return honest_threshold(p), False
+        return indicator_threshold(p), self is Trader.SKOROKHOD_UNBIASED
 
 
 def classify_regime(p: MarketParams) -> Regime:

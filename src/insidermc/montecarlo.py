@@ -28,9 +28,8 @@ from .errors import (
     UnknownTraderError,
     WealthOverflowError,
 )
-from .market import MarketParams, honest_threshold, indicator_threshold
+from .market import MarketParams, Trader, indicator_threshold
 from .samplers import (
-    Trader,
     _bond_value,
     _stock_values,
     _uniform_bet,
@@ -230,6 +229,15 @@ def _check_counts(n: int, chunks: int, draws: int) -> None:
     _check_range(0, int(n) * draws)
 
 
+def _stock_leg(p: MarketParams, m1: float, stream: RngStream, start: int):
+    """The ``make_values`` of the stock leg of m1, on B_T at counters from start."""
+    def make_values(offset: int, count: int, workspace: Workspace) -> tuple[np.ndarray, int]:
+        b_t = brownian_terminal_block(stream, start + offset, count, p.T, out=workspace)
+        return _stock_values(p, m1, b_t), 0
+
+    return make_values
+
+
 def estimate_mean(
     trader: Trader,
     p: MarketParams,
@@ -237,7 +245,7 @@ def estimate_mean(
     seed: int,
     chunks: int = 1,
 ) -> MCEstimate:
-    """Mean terminal wealth of ``trader`` over draw indices 0..n-1.
+    """Mean terminal wealth of the kernel at ``trader``'s reading, over draws 0..n-1.
 
     The result is bitwise independent of ``chunks``.
     """
@@ -247,30 +255,22 @@ def estimate_mean(
     except ValueError as exc:
         raise UnknownTraderError(f"unknown trader tag {trader!r}") from exc
     stream = RngStream(seed)
-    if trader is Trader.HONEST_OPTIMAL:
-        if honest_threshold(p) == math.inf:
-            # Every value is the bond, M e^{rho T}: Chan's merge of equal
-            # means with M2 = 0 is exact, so this is the estimate the draws
-            # would give, and none is made.
-            return MCEstimate(int(n), _bond_value(p, p.M), 0.0, 0.0)
-        # Every value is on the stock.  The bond is still checked once, so a
-        # point whose bond leaves the double range raises as the kernel does.
-        _bond_value(p, p.M)
-    a, wick = indicator_threshold(p), trader is Trader.SKOROKHOD_UNBIASED
+    a, wick = trader.reading(p)
+    bond = _bond_value(p, p.M)  # checked at every level, as the kernel does
+    if a == math.inf:
+        # Every value is the bond, and Chan's merge of equal means with M2 = 0
+        # is exact: this is the estimate the draws would give, and none is made.
+        return MCEstimate(int(n), bond, 0.0, 0.0)
 
     # Generators and samplers are looked up by module name per block, never
     # bound once, so a wrapper patched onto this module's attributes sees
-    # every call.  The insiders bet on uniforms through the kernel's front,
-    # which forms b only where a value reads it; the gathered draws go to
-    # the workspace's scratch, free once the uniforms are formed.
-    def make_values(offset: int, count: int, workspace: Workspace) -> tuple[np.ndarray, int]:
-        if trader is Trader.HONEST_OPTIMAL:
-            b_t = brownian_terminal_block(stream, offset, count, p.T, out=workspace)
-            return _stock_values(p, p.M, b_t), 0
+    # every call.  The front forms b only where a value reads it, in the
+    # workspace's scratch; at a = -inf every value is the stock leg.
+    def front(offset: int, count: int, workspace: Workspace) -> tuple[np.ndarray, int]:
         u = uniform_block(stream, offset, count, out=workspace)
-        scratch = workspace.scratch.view(np.float64)
-        return _uniform_insider_values(p, u, a, wick, scratch), 0
+        return _uniform_insider_values(p, u, a, wick, workspace.scratch.view(np.float64)), 0
 
+    make_values = _stock_leg(p, p.M, stream, 0) if a == -math.inf else front
     stats, _ = _stats_over_blocks(make_values, n, chunks)
     return _finalize(stats)
 
@@ -332,10 +332,7 @@ def skorokhod_factorized_estimate(
         u = uniform_block(stream, offset, count, out=workspace)
         return _uniform_bet(p, u, a), 0
 
-    def gbm_values(offset: int, count: int, workspace: Workspace) -> tuple[np.ndarray, int]:
-        b_t = brownian_terminal_block(stream, n + offset, count, p.T, out=workspace)
-        return _stock_values(p, 1.0, b_t), 0
-
+    gbm_values = _stock_leg(p, 1.0, stream, n)
     _, p_hat, _, _ = _merge_tree(_stats_over_blocks(bet, n, chunks)[0])
     _, g_hat, m2_g, _ = _merge_tree(_stats_over_blocks(gbm_values, n, chunks)[0])
     mean = p.M * ((1.0 - p_hat) * bond + p_hat * g_hat)

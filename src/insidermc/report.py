@@ -24,9 +24,8 @@ from dataclasses import asdict, dataclass
 from . import __version__
 from .closedform import ClosedFormReport, compare_closed_form, forward_expected_wealth
 from .errors import DegenerateEstimateError, OutOfDomainError, WealthOverflowError
-from .market import MarketParams, validate_params
+from .market import MarketParams, Trader, validate_params
 from .montecarlo import estimate_euler_mean, estimate_mean, z_score
-from .samplers import Trader
 from .sampling import RngStream, derive_seed
 
 __all__ = [

@@ -6,10 +6,10 @@ the sample mean over the stream must reproduce the matching closed form,
 which is what the estimator harness and the acceptance battery check.
 
 Every trader is one kernel: M on the bond where b <= a, M on the stock
-where b - shift > a, exactly 0 between.  The insider bets at
-a = :func:`~insidermc.market.indicator_threshold`, the honest trader at
-a = :func:`~insidermc.market.honest_threshold` (-inf or +inf), and the
-Euler scheme bets on its row sums with its own stock leg.
+where b - shift > a, exactly 0 between, with (a, wick) the trader's
+:meth:`~insidermc.market.Trader.reading` and shift = sigma T under the Wick
+reading, else 0.  The Euler scheme reads the forward insider's, betting on
+its row sums with its own stock leg.
 
 The Skorokhod model needs a word of caution.  Its solution is a Wick
 product, which has no pathwise reading, so :func:`skorokhod_unbiased_values`
@@ -55,17 +55,15 @@ full block, so every value is bitwise the b-space sampler's.
 
 from __future__ import annotations
 
-import enum
 import math
 
 import numpy as np
 
 from .errors import EXP_MAX, OutOfDomainError, WealthOverflowError
-from .market import MarketParams, honest_threshold, indicator_threshold
+from .market import MarketParams, Trader
 from .special import _inverse_normal_cdf_array, normal_cdf
 
 __all__ = [
-    "Trader",
     "honest_values",
     "forward_insider_values",
     "skorokhod_unbiased_values",
@@ -75,14 +73,6 @@ __all__ = [
 
 # Relative half-width of the uniform front's guard bands (module docstring).
 _BAND = 2.0**-23
-
-
-class Trader(enum.Enum):
-    """Which wealth model an estimator samples."""
-
-    HONEST_OPTIMAL = "honest-optimal"
-    FORWARD_INSIDER = "forward-insider"
-    SKOROKHOD_UNBIASED = "skorokhod-unbiased"
 
 
 def _bond_value(p: MarketParams, m0: float) -> float:
@@ -114,14 +104,12 @@ def _stock_values(p: MarketParams, m1: float, b_t: np.ndarray) -> np.ndarray:
 
 
 def _insider_values(p: MarketParams, b_t: np.ndarray, a: float, wick: bool,
-                    stock_leg=None, bond: float | None = None) -> np.ndarray:
+                    stock_leg=None) -> np.ndarray:
     """M on the bond where b <= a, on the stock where b - shift > a, exactly
     0 between, shift = sigma T under the Wick reading, else 0; built in the
     array that first holds b - shift, never in b_t.  ``stock_leg(on)`` gives
-    the stock values of the rows in the mask ``on`` (default: GBM leg at b);
-    ``bond`` is the bond leg's value (default: M e^{rho T})."""
-    if bond is None:
-        bond = _bond_value(p, p.M)
+    the stock values of the rows in the mask ``on`` (default: GBM leg at b)."""
+    bond = _bond_value(p, p.M)
     b_t = np.asarray(b_t, dtype=np.float64)
     values = np.subtract(b_t, p.sigma * p.T if wick else 0.0)
     stock = values > a
@@ -173,7 +161,7 @@ def _uniform_insider_values(p: MarketParams, u: np.ndarray, a: float, wick: bool
     if at.size:
         _inverse_normal_cdf_array(b_t, out=b_t)
         b_t *= root_t  # as brownian_terminal_block scales its normals
-        u[at] = _insider_values(p, b_t, a, wick, bond=bond)
+        u[at] = _insider_values(p, b_t, a, wick)
     return u
 
 
@@ -195,8 +183,8 @@ def _uniform_bet(p: MarketParams, u: np.ndarray, a: float) -> np.ndarray:
 
 def honest_values(p: MarketParams, b_t: np.ndarray) -> np.ndarray:
     """Vectorized honest terminal wealth: all of M on the asset with the
-    larger rate, the insider kernel at :func:`~insidermc.market.honest_threshold`."""
-    return _insider_values(p, b_t, honest_threshold(p), False)
+    larger rate, the insider kernel at -inf or +inf."""
+    return _insider_values(p, b_t, *Trader.HONEST_OPTIMAL.reading(p))
 
 
 def forward_insider_values(p: MarketParams, b_t: np.ndarray) -> np.ndarray:
@@ -205,14 +193,14 @@ def forward_insider_values(p: MarketParams, b_t: np.ndarray) -> np.ndarray:
     All of M rides the stock when b > a, the bond otherwise; the boundary
     b == a goes to the bond: the insider kernel with no shift.
     """
-    return _insider_values(p, b_t, indicator_threshold(p), False)
+    return _insider_values(p, b_t, *Trader.FORWARD_INSIDER.reading(p))
 
 
 def skorokhod_unbiased_values(p: MarketParams, b_t: np.ndarray) -> np.ndarray:
     """Vectorized translation-form Skorokhod sample (see module docstring):
     the insider kernel shifted by sigma T, exactly 0 on a < b <= a + sigma T.
     """
-    return _insider_values(p, b_t, indicator_threshold(p), True)
+    return _insider_values(p, b_t, *Trader.SKOROKHOD_UNBIASED.reading(p))
 
 
 def forward_euler_values(
@@ -256,7 +244,7 @@ def forward_euler_values(
         return np.where(hit, 0.0, s1[:, -1]) + 0.0
 
     b_t = increments.sum(axis=1)
-    return _insider_values(p, b_t, indicator_threshold(p), False, euler_leg), clamped
+    return _insider_values(p, b_t, *Trader.FORWARD_INSIDER.reading(p), euler_leg), clamped
 
 
 def _overflow_precedes_clamp(products: np.ndarray, negative: np.ndarray) -> bool:

@@ -16,11 +16,12 @@ trusts the code under test to produce its own expected values.
 Criterion 8 (Euler weak convergence) is seed-sensitive.  At 10^6 paths a
 level's standard error (about 1.9e-3) exceeds the true bias at 256 steps
 (about 6.8e-4), so "monotone biases with a 16->256 ratio above 4" is close
-to a coin flip.  The archived seed 42 passes (256-step error 8.07e-05,
-ratio 97.5), but with correct code seeds 3, 6, 7, 8 and 10 of seeds 1-10
-fail it; at seed 3 the biases read 9.92e-03 -> 4.57e-04 -> 2.70e-03,
-ratio 3.7.  A c08 failure at another seed is not by itself evidence of a
-defect.  The criterion keeps its seed, sample count and bounds.
+to a coin flip: with correct code seed 42 passes (ratio 97.5), but seeds 3,
+6, 7, 8 and 10 of 1-10 fail (at seed 3 the biases read 9.92e-03 -> 4.57e-04
+-> 2.70e-03).  A level more than 3 SE off its exact mean is evidence of a
+defect; ``tests/test_acceptance.py`` freezes those means (Isserlis'
+theorem, mpmath) and checks c08's levels against them.  The criterion keeps
+its seed, sample count and bounds.
 """
 
 from __future__ import annotations

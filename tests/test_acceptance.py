@@ -14,8 +14,52 @@ from insidermc.verify import DEFAULT_SEED, CriterionResult, VerifySummary, run_v
 
 
 @pytest.fixture(scope="module")
-def summary():
-    return run_verify(DEFAULT_SEED)
+def battery():
+    """The battery at the archived seed, and every row list that it read
+    from ``run_convergence``."""
+    levels = []
+
+    def spy(*args, **kwargs):
+        levels.append(real(*args, **kwargs))
+        return levels[-1]
+
+    real = verify.run_convergence
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verify, "run_convergence", spy)
+        return run_verify(DEFAULT_SEED), levels
+
+
+@pytest.fixture(scope="module")
+def summary(battery):
+    return battery[0]
+
+
+# Exact means of the unclamped forward-Euler level at the showcase point
+# (M, rho, mu, sigma, T) = (1, 0, 0.5, 1, 1), where a = 0, computed with
+# mpmath at 60 and again at 90 digits.  With X_k iid N(0, dt), dt = T/N,
+# S = sum X_k and c = 1 + mu dt, the increments given S = s are s/N plus a
+# Gaussian of covariance dt (I - J/N), so Isserlis' theorem gives
+#     E[prod_k (c + sigma X_k) | S = s]
+#         = sum_{m even} C(N, m) (m-1)!! (-dt/N)^(m/2) sigma^m (c + sigma s/N)^(N-m),
+# and the level mean is M Phi(a/sqrt T) e^{rho T} plus M times the
+# integral of that over s > a against the N(0, T) density.
+EULER_LEVEL_MEANS = {
+    16: 1.8763206370216701584,
+    64: 1.8844374309223550771,
+    256: 1.8864659359540003096,
+}
+
+
+def test_euler_levels_lie_within_3_se_of_their_exact_means(battery):
+    # c08 reads one run_convergence at 16, 64 and 256 steps.  Its clamps
+    # move a level's mean by far less than one standard error, so each
+    # level must cover the unclamped scheme's exact mean.
+    _, levels = battery
+    (rows,) = levels
+    assert [row.n_steps for row in rows] == list(EULER_LEVEL_MEANS)
+    for row in rows:
+        z = (row.mc_mean - EULER_LEVEL_MEANS[row.n_steps]) / row.mc_se
+        assert abs(z) <= 3.0, (row.n_steps, z)
 
 
 CRITERIA = [

@@ -9,6 +9,7 @@ from insidermc import (
     NonPositiveError,
     NotFiniteError,
     Regime,
+    Trader,
     indicator_threshold,
     validate_params,
 )
@@ -70,6 +71,17 @@ def test_honest_threshold_ignores_the_draw():
     assert honest_threshold(validate_params(1, 0.05, 0.1, 0.2, 1)) == -math.inf
     assert honest_threshold(validate_params(1, 0.1, 0.05, 0.2, 1)) == math.inf
     assert honest_threshold(validate_params(1, 0.07, 0.07, 0.2, 1)) == math.inf
+
+
+@pytest.mark.parametrize(
+    "raw,honest", [((1, 0.05, 0.1, 0.2, 1), -math.inf), ((1, 0.1, 0.05, 0.2, 1), math.inf),
+                   ((1, 0.07, 0.07, 0.2, 1), math.inf)], ids=["bull", "bear", "marginal"])
+def test_trader_reading_is_its_level_and_wick_flag(raw, honest):
+    p = validate_params(*raw)
+    a = indicator_threshold(p)
+    assert Trader.HONEST_OPTIMAL.reading(p) == (honest, False)
+    assert Trader.FORWARD_INSIDER.reading(p) == (a, False)
+    assert Trader.SKOROKHOD_UNBIASED.reading(p) == (a, True)
 
 
 _rates = st.floats(min_value=0.0, max_value=0.5)

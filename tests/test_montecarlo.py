@@ -32,7 +32,7 @@ import insidermc.montecarlo as montecarlo
 import insidermc.samplers as samplers
 import insidermc.special as special
 from insidermc.montecarlo import GRANULE
-from insidermc.samplers import forward_insider_values, honest_values
+from insidermc.samplers import forward_insider_values, honest_values, skorokhod_unbiased_values
 from insidermc.sampling import Workspace, brownian_terminal_block
 
 SHOWCASE = validate_params(1, 0, 0.5, 1, 1)
@@ -105,6 +105,10 @@ def test_deterministic_honest_bond():
 
 
 MARGINAL = validate_params(1, 0.07, 0.07, 0.2, 1)
+# sigma^2/2 overflows, so the insider's level a is +inf; a = (rho - mu) T/sigma
+# overflows to -inf at a subnormal sigma.
+LEVEL_UP = validate_params(1, 0.1, 0.05, 1e200, 1)
+LEVEL_DOWN = validate_params(1, 0, 0.5, 1e-309, 1)
 
 
 def _refuse(monkeypatch, module, *names):
@@ -116,10 +120,16 @@ def _refuse(monkeypatch, module, *names):
         monkeypatch.setattr(module, name, refused)
 
 
-@pytest.mark.parametrize("p", [BEAR, MARGINAL], ids=["bear", "marginal"])
-def test_all_bond_honest_bet_generates_no_draws(monkeypatch, p):
-    # Off the bull regime every honest value is M e^{rho T} whatever b is, so
-    # the estimate is the stats of a block of bonds, with nothing generated,
+@pytest.mark.parametrize(
+    "trader,p",
+    [(Trader.HONEST_OPTIMAL, BEAR), (Trader.HONEST_OPTIMAL, MARGINAL),
+     (Trader.FORWARD_INSIDER, LEVEL_UP), (Trader.SKOROKHOD_UNBIASED, LEVEL_UP)],
+    ids=["bear", "marginal", "forward-level-inf", "skorokhod-level-inf"],
+)
+def test_all_bond_honest_bet_generates_no_draws(monkeypatch, trader, p):
+    # At a = +inf every value is M e^{rho T} whatever b is: the honest trader
+    # off the bull regime, or an insider whose level overflows.  So the
+    # estimate is the stats of a block of bonds, with nothing generated,
     # valued or statted.
     n = 3 * montecarlo._TASK_TARGET + 7  # four blocks
     bond = p.M * math.exp(p.rho * p.T)
@@ -128,20 +138,29 @@ def test_all_bond_honest_bet_generates_no_draws(monkeypatch, p):
             "_stock_values", "_uniform_insider_values", "_stats_over_blocks", "_granule_stats")
     _refuse(monkeypatch, samplers, "honest_values", "_insider_values")
     for count, chunks in [(n, 1), (n, 2), (np.int64(n), 1)]:
-        est = estimate_mean(Trader.HONEST_OPTIMAL, p, count, 4, chunks)
+        est = estimate_mean(trader, p, count, 4, chunks)
         assert est == expected
         assert est.mean.hex() == bond.hex() and est.stderr.hex() == (0.0).hex()
         assert est.zero_fraction == 0.0 and type(est.n) is int
 
 
 @pytest.mark.parametrize("chunks", [1, 2])
-def test_bull_honest_estimate_is_the_b_space_sampler(chunks):
-    # The honest bull values are the stock leg alone, bitwise honest_values
-    # on the same draws, at a ragged n of several blocks.
+def test_bull_honest_estimate_is_the_b_space_sampler(monkeypatch, chunks):
+    # At a = -inf the values are the stock leg alone, formed without the
+    # uniform front and bitwise the b-space sampler on the same draws, at a
+    # ragged n of several blocks: the honest bull trader, and an insider
+    # whose level overflows.
     n = 2 * montecarlo._TASK_TARGET + GRANULE + 5
-    b_t = brownian_terminal_block(RngStream(8), 0, n, SHOWCASE.T)
-    expected = montecarlo._finalize(montecarlo._granule_stats(honest_values(SHOWCASE, b_t)))
-    assert estimate_mean(Trader.HONEST_OPTIMAL, SHOWCASE, n, 8, chunks) == expected
+    for trader, p, sampler in [
+        (Trader.HONEST_OPTIMAL, SHOWCASE, honest_values),
+        (Trader.FORWARD_INSIDER, LEVEL_DOWN, forward_insider_values),
+        (Trader.SKOROKHOD_UNBIASED, LEVEL_DOWN, skorokhod_unbiased_values),
+    ]:
+        b_t = brownian_terminal_block(RngStream(8), 0, n, p.T)
+        expected = montecarlo._finalize(montecarlo._granule_stats(sampler(p, b_t)))
+        with monkeypatch.context() as patch:
+            _refuse(patch, montecarlo, "uniform_block", "_uniform_insider_values")
+            assert estimate_mean(trader, p, n, 8, chunks) == expected
 
 
 @pytest.mark.parametrize(

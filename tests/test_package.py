@@ -77,6 +77,43 @@ def test_only_special_evaluates_erf(module):
         assert _erf_uses(module) == []
 
 
+def _callers(module, name: str) -> list[str]:
+    """The qualified name of the function or method around each call of
+    ``name`` in a module's source."""
+    callers = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if called == name:
+                    callers.append(".".join(scope) or "<module>")
+            visit(child, scope)
+
+    visit(ast.parse(Path(module.__file__).read_text(encoding="utf-8")), [])
+    return callers
+
+
+def test_one_reading_per_trader():
+    # A trader becomes a kernel level in Trader.reading alone, so the
+    # closed forms, the samplers and the estimators cannot drift apart on
+    # it; the estimator branches on the level, never on the trader.
+    callers = [(m.__name__, c) for m in MODULES for c in _callers(m, "honest_threshold")]
+    assert callers == [("insidermc.market", "Trader.reading")]
+    montecarlo = insidermc.montecarlo
+    tree = ast.parse(Path(montecarlo.__file__).read_text(encoding="utf-8"))
+    members = [
+        node.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id == "Trader"
+    ]
+    assert members == []
+
+
 def test_every_public_package_attribute_is_exported():
     public = [
         name for name, value in vars(insidermc).items()
