@@ -9,9 +9,19 @@ and only the forward one beats the honest trader.  This package provides
 the closed-form expectations of all three models, pathwise samplers whose
 Monte Carlo means reproduce them, a bit-reproducible estimator harness, and
 comparison/sweep/convergence reports.
+
+Only the Monte Carlo side needs numpy and scipy, so ``import insidermc``
+loads neither: the errors, the market, the closed forms and the scalar
+special functions import eagerly, while the exports of ``sampling``,
+``montecarlo``, ``report`` and ``verify``, and those submodules and
+``samplers`` themselves, resolve on first access.
 """
 
+import importlib
+
 __version__ = "0.1.0"
+# The master seed of every command that draws.
+DEFAULT_SEED = 42
 
 from .errors import (
     BadSampleCountError,
@@ -33,7 +43,6 @@ from .market import (
     validate_params,
 )
 from .special import erf, inverse_normal_cdf, normal_cdf
-from .sampling import RngStream, derive_seed, standard_normal_block
 from .closedform import (
     ClosedFormReport,
     compare_closed_form,
@@ -41,21 +50,33 @@ from .closedform import (
     honest_expected_wealth,
     skorokhod_expected_wealth,
 )
-from .montecarlo import (
-    MCEstimate,
-    estimate_euler_mean,
-    estimate_mean,
-    skorokhod_factorized_estimate,
-    z_score,
-)
-from .report import (
-    ComparisonRow,
-    ConvergenceRow,
-    run_compare,
-    run_convergence,
-    run_sweep,
-)
-from .verify import DEFAULT_SEED, run_verify
+
+# The Monte Carlo side's exports by home module, each imported on first access.
+_LAZY = {
+    "sampling": ("RngStream", "standard_normal_block", "derive_seed"),
+    "montecarlo": ("MCEstimate", "estimate_mean", "estimate_euler_mean",
+                   "skorokhod_factorized_estimate", "z_score"),
+    "report": ("ComparisonRow", "ConvergenceRow", "run_compare", "run_sweep",
+               "run_convergence"),
+    "verify": ("run_verify",),
+}
+_HOME = {name: module for module, names in _LAZY.items() for name in names}
+_SUBMODULES = ("sampling", "samplers", "montecarlo", "report", "verify")
+
+
+def __getattr__(name):
+    # Called only for names not bound yet.  An export is looked up in its
+    # home module on every access, so it is always that module's object.
+    if name in _SUBMODULES:
+        return importlib.import_module(f".{name}", __name__)
+    if name in _HOME:
+        return getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_SUBMODULES})
+
 
 __all__ = [
     "__version__",

@@ -14,6 +14,7 @@ import argparse
 import os
 import sys
 
+from . import DEFAULT_SEED
 from .errors import (
     DegenerateEstimateError,
     IndexOverflowError,
@@ -33,7 +34,6 @@ from .report import (
     run_sweep,
 )
 from .closedform import compare_closed_form
-from .verify import DEFAULT_SEED, run_verify
 
 USAGE_ERROR, VALIDATION_ERROR, VERIFY_FAILURE = 1, 2, 3
 
@@ -229,6 +229,8 @@ def main(argv: list[str] | None = None) -> int:
 
 def _dispatch(args) -> int:
     if args.command == "verify":
+        from .verify import run_verify  # numpy is loaded only by commands that draw
+
         summary = run_verify(args.seed, args.chunks)
         _emit(summary.render(), args.out)
         return 0 if summary.passed else VERIFY_FAILURE

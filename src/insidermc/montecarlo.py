@@ -116,14 +116,20 @@ def _granule_stats(values: np.ndarray) -> list[_Stats]:
             stats += zip([count] * len(rows), (ones / count).tolist(),
                          (ones * zeros / count).tolist(), zeros.tolist())
             continue
-        zeros = np.count_nonzero(rows == 0.0, axis=1)
-        mean = rows.min(axis=1)
+        mean, top = rows.min(axis=1), rows.max(axis=1)
+        # Only a granule whose range holds 0 can hold a zero, so only those
+        # are compared.  (A NaN fails both bounds, and its mean raises.)
+        zeros = np.zeros(len(rows), dtype=np.intp)
+        straddle = (mean <= 0.0) & (top >= 0.0)
+        if straddle.any():
+            held = rows if straddle.all() else rows[straddle]
+            zeros[straddle] = np.count_nonzero(held == 0.0, axis=1)
         m2 = np.zeros(len(rows))
         # A constant granule keeps its min as the mean and a spread of
         # exactly zero.  (The pairwise sum of a non-power-of-two count of
         # equal values can round, which would leak a bogus ~1e-16 spread
         # into z-scores of deterministic samplers.)
-        varied = mean != rows.max(axis=1)
+        varied = mean != top
         spread = rows if varied.all() else rows[varied]
         row_mean = np.add.reduce(spread, axis=1) / count
         deviation = spread - row_mean[:, None]

@@ -10,6 +10,9 @@ with 17 significant digits so parsing the file reproduces the doubles
 exactly.  JSON mirrors the CSV fields per row plus a metadata object.
 Identical inputs, including the seed, produce byte-identical output; the
 timestamp is the only non-deterministic field and can be switched off.
+
+The runs import the Monte Carlo modules when called, so the closed-form
+emitters need no numpy.
 """
 
 from __future__ import annotations
@@ -25,8 +28,6 @@ from . import __version__
 from .closedform import ClosedFormReport, compare_closed_form, forward_expected_wealth
 from .errors import DegenerateEstimateError, OutOfDomainError, WealthOverflowError
 from .market import MarketParams, Trader, validate_params
-from .montecarlo import estimate_euler_mean, estimate_mean, z_score
-from .sampling import RngStream, derive_seed
 
 __all__ = [
     "ComparisonRow",
@@ -119,6 +120,9 @@ def run_compare(
     """Closed forms plus the honest, Skorokhod and forward estimators at one
     parameter point, on the child seeds of ordinals first, first+1, first+2
     of ``seed``, so their draws are decorrelated."""
+    from .montecarlo import estimate_mean, z_score
+    from .sampling import derive_seed
+
     report = compare_closed_form(p)
     traders = (Trader.HONEST_OPTIMAL, Trader.SKOROKHOD_UNBIASED, Trader.FORWARD_INSIDER)
     est_honest, est_sk, est_rs = (
@@ -164,6 +168,8 @@ def run_sweep(
     is reported as an invalid row that keeps the error's message, instead of
     aborting the sweep.
     """
+    from .sampling import RngStream
+
     if field not in ("rho", "mu", "sigma", "T"):
         raise OutOfDomainError(f"sweep field must be one of rho/mu/sigma/T, got {field!r}")
     points = [validate_params(**{**asdict(p), field: float(value)}) for value in grid]
@@ -189,6 +195,9 @@ def run_convergence(
     share draws.  An empty step list raises OutOfDomainError rather than
     yielding an empty report.
     """
+    from .montecarlo import estimate_euler_mean
+    from .sampling import derive_seed
+
     steps = list(steps)
     if not steps:
         raise OutOfDomainError("convergence needs at least one step count")

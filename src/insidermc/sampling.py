@@ -70,8 +70,10 @@ class Workspace:
     normals and Brownian values.  ``scratch`` takes the shifted terms of the
     splitmix64 rounds, then ``uniform_block``'s shifted words, and, viewed
     as float64, the draws the insiders' uniform front gathers once the
-    uniforms are formed.  ``ramp`` is the constant 0..size-1.  One workspace
-    serves one thread at a time, and each block overwrites the last.
+    uniforms are formed.  ``ramp`` is the constant k * GOLDEN (mod 2^64),
+    k = 0..size-1, the Weyl steps of a block, computed once per workspace.
+    One workspace serves one thread at a time, and each block overwrites
+    the last.
     """
 
     __slots__ = ("words", "scratch", "ramp")
@@ -80,6 +82,7 @@ class Workspace:
         self.words = np.empty(size, dtype=np.uint64)
         self.scratch = np.empty(size, dtype=np.uint64)
         self.ramp = np.arange(size, dtype=np.uint64)
+        self.ramp *= np.uint64(_GOLDEN)
 
 
 def _words(seed: int, start: int, count: int, out: Workspace) -> np.ndarray:
@@ -89,8 +92,7 @@ def _words(seed: int, start: int, count: int, out: Workspace) -> np.ndarray:
         raise OutOfDomainError(f"block of {count} draws exceeds the workspace ({out.words.size})")
     # uint64 arithmetic wraps mod 2^64 exactly, so any grouping gives the same words.
     z, t = out.words[:count], out.scratch[:count]
-    np.multiply(out.ramp[:count], np.uint64(_GOLDEN), out=z)
-    z += np.uint64((seed + (start + 1) * _GOLDEN) & _MASK64)
+    np.add(out.ramp[:count], np.uint64((seed + (start + 1) * _GOLDEN) & _MASK64), out=z)
     for shift, mix in ((30, _MIX1), (27, _MIX2), (31, None)):
         np.right_shift(z, np.uint64(shift), out=t)
         z ^= t
@@ -122,10 +124,12 @@ def uniform_block(
         out = Workspace(count)
     w = _words(stream.seed, start, count, out)
     # Shift into the scratch: a float64 result cast over its own uint64
-    # input would make numpy copy the input first.
+    # input would make numpy copy the input first.  The shifted words are
+    # below 2^53, so read as int64 they convert exactly, and faster than
+    # uint64 does.
     t = out.scratch[:count]
     np.right_shift(w, np.uint64(11), out=t)
-    u = np.add(t, 0.5, out=w.view(np.float64))
+    u = np.add(t.view(np.int64), 0.5, out=w.view(np.float64))
     u *= _TO_UNIT
     return u
 

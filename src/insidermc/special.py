@@ -12,8 +12,9 @@ folds its tails on 1 - u itself; it is exactly antisymmetric about 0.5 on
 the doubles where 1 - u is exact, and checked against a frozen 50-digit
 oracle table over u in [1e-300, 1 - 2^-53] to 1e-14 relative error.
 
-``ndtri`` is bound on its first call, so ``import insidermc`` and the
-closed forms never load scipy; the first Monte Carlo block does.
+numpy is imported, and ``ndtri`` bound, on the first inverse CDF call, so
+``import insidermc`` and the closed forms load neither numpy nor scipy; the
+first Monte Carlo block does.
 
 Scalar calls and the vectorized helpers used by the sampling pipeline share
 one array core, so a scalar result is bit-identical to the matching entry of
@@ -23,10 +24,12 @@ a block evaluation.
 from __future__ import annotations
 
 import math
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import NotFiniteError, OutOfDomainError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["erf", "normal_cdf", "inverse_normal_cdf"]
 
@@ -134,4 +137,6 @@ def inverse_normal_cdf(u: float) -> float:
     u = float(u)
     if not 0.0 < u < 1.0:  # NaN fails the comparison and lands here too
         raise OutOfDomainError(f"u must lie strictly in (0, 1), got {u!r}")
+    import numpy as np
+
     return float(_inverse_normal_cdf_array(np.array([u]))[0])

@@ -33,6 +33,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import DEFAULT_SEED
 from .closedform import compare_closed_form
 from .market import MarketParams, validate_params
 from .montecarlo import estimate_euler_mean, skorokhod_factorized_estimate
@@ -41,8 +42,6 @@ from .sampling import RngStream, derive_seed, uniform_block
 from .special import erf, inverse_normal_cdf, normal_cdf
 
 __all__ = ["CriterionResult", "VerifySummary", "run_verify", "DEFAULT_SEED", "GRID"]
-
-DEFAULT_SEED = 42
 
 # The showcase parameter point (M, rho, mu, sigma, T) = (1, 0, 0.5, 1, 1).
 _SHOWCASE = MarketParams(1.0, 0.0, 0.5, 1.0, 1.0)

@@ -238,7 +238,7 @@ def test_verify_failure_exits_3(monkeypatch, capsys):
         seed=1,
         results=(CriterionResult(1, "closed-form-triple", False, "forced"),),
     )
-    monkeypatch.setattr(cli, "run_verify", lambda seed, chunks: failing)
+    monkeypatch.setattr(verify, "run_verify", lambda seed, chunks: failing)
     assert cli.main(["verify", "--seed", "1"]) == 3
     out = capsys.readouterr().out
     assert "FAIL" in out
@@ -251,7 +251,7 @@ def test_verify_success_exit_code(monkeypatch, capsys):
         seed=1,
         results=(CriterionResult(1, "closed-form-triple", True, "ok"),),
     )
-    monkeypatch.setattr(cli, "run_verify", lambda seed, chunks: passing)
+    monkeypatch.setattr(verify, "run_verify", lambda seed, chunks: passing)
     assert cli.main(["verify", "--seed", "1"]) == 0
     assert "PASS" in capsys.readouterr().out
 

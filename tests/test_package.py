@@ -1,5 +1,5 @@
 """The public surface: every exported name resolves, removed names stay
-removed, and the closed-form paths run without scipy."""
+removed, and the closed-form paths run without numpy or scipy."""
 
 import ast
 import importlib
@@ -114,6 +114,27 @@ def test_one_reading_per_trader():
     assert members == []
 
 
+def test_every_export_is_its_home_modules_object():
+    # A class or function names its home module; the seed and the version
+    # live in the package itself, and verify re-exports the seed.
+    for name in insidermc.__all__:
+        value = getattr(insidermc, name)
+        home = sys.modules[value.__module__] if callable(value) else insidermc
+        assert getattr(home, name) is value, name
+    assert insidermc.verify.DEFAULT_SEED is insidermc.DEFAULT_SEED
+
+
+def test_dir_covers_the_exports_and_lazy_submodules():
+    listed = set(dir(insidermc))
+    assert set(insidermc.__all__) <= listed
+    assert {"sampling", "samplers", "montecarlo", "report", "verify"} <= listed
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        insidermc.no_such_name  # noqa: B018
+
+
 def test_every_public_package_attribute_is_exported():
     public = [
         name for name, value in vars(insidermc).items()
@@ -130,13 +151,19 @@ def test_pyproject_version_is_package_version():
     assert re.findall(r'^version\s*=\s*"([^"]*)"\s*$', project, re.M) == [insidermc.__version__]
 
 
-def _scipy_loaded_after(code: str) -> bool:
-    """Whether a fresh interpreter has imported scipy after running code."""
+def _child_stdout(code: str) -> str:
+    """What a fresh interpreter prints after running code."""
     proc = subprocess.run(
-        [sys.executable, "-c", f"{code}\nimport sys; print('scipy' in sys.modules)"],
+        [sys.executable, "-c", code],
         capture_output=True, text=True, env=CHILD_ENV, timeout=60, check=True,
     )
-    return {"True\n": True, "False\n": False}[proc.stdout]
+    return proc.stdout
+
+
+def _scipy_loaded_after(code: str) -> bool:
+    """Whether a fresh interpreter has imported scipy after running code."""
+    stdout = _child_stdout(f"{code}\nimport sys; print('scipy' in sys.modules)")
+    return {"True\n": True, "False\n": False}[stdout]
 
 
 def test_closed_forms_run_without_scipy():
@@ -152,6 +179,37 @@ def test_closed_forms_run_without_scipy():
     )
 
 
+def test_closed_forms_run_without_numpy():
+    # numpy set to None in sys.modules makes any import of it raise.
+    stdout = _child_stdout(
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "import insidermc\n"
+        "from insidermc.report import closed_form_csv, closed_form_json\n"
+        f"reports = [insidermc.compare_closed_form(insidermc.validate_params(*raw)) "
+        f"for raw in {COLD_POINTS!r}]\n"
+        "assert all(r.ordering_pass for r in reports)\n"
+        "print(closed_form_csv(reports).count('\\n'), closed_form_json(reports)[:1])\n"
+        "try:\n"
+        "    insidermc.estimate_mean(insidermc.Trader.FORWARD_INSIDER, reports[0].params, 4096, 1)\n"
+        "except ImportError as exc:\n"
+        "    print(exc.name)\n"
+    )
+    assert stdout.split() == [str(len(COLD_POINTS) + 1), "{", "numpy"]
+
+
+def test_lazy_submodules_resolve_after_a_bare_import():
+    stdout = _child_stdout(
+        "import sys, types\n"
+        "import insidermc\n"
+        "names = ['montecarlo', 'sampling', 'samplers', 'report', 'verify']\n"
+        "print([f'insidermc.{name}' in sys.modules for name in names])\n"
+        "print([isinstance(getattr(insidermc, name), types.ModuleType) for name in names])\n"
+        "print(insidermc.montecarlo.estimate_mean is insidermc.estimate_mean)\n"
+    )
+    assert stdout.splitlines() == [str([False] * 5), str([True] * 5), "True"]
+
+
 def test_first_estimate_loads_scipy():
     assert _scipy_loaded_after(
         "import insidermc\n"
@@ -162,6 +220,7 @@ def test_first_estimate_loads_scipy():
 
 @pytest.mark.parametrize("args", [["closed-form"], ["--help"]], ids=" ".join)
 def test_cli_cold_paths_import_no_scipy(args):
+    # Nor numpy: only the commands that draw load it.
     proc = subprocess.run(
         [sys.executable, "-X", "importtime", "-m", "insidermc", *args],
         capture_output=True, text=True, env=CHILD_ENV, timeout=60,
@@ -172,4 +231,4 @@ def test_cli_cold_paths_import_no_scipy(args):
         for line in proc.stderr.splitlines() if line.startswith("import time:")
     ]
     assert "insidermc.closedform" in imported
-    assert [name for name in imported if name.split(".")[0] == "scipy"] == []
+    assert [name for name in imported if name.split(".")[0] in ("scipy", "numpy")] == []
