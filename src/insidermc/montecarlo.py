@@ -131,11 +131,14 @@ def _granule_stats(values: np.ndarray) -> list[_Stats]:
         # into z-scores of deterministic samplers.)
         varied = mean != top
         spread = rows if varied.all() else rows[varied]
-        row_mean = np.add.reduce(spread, axis=1) / count
+        # A sum past the double range is inf, and the estimate refuses it.
+        with np.errstate(over="ignore"):
+            row_mean = np.add.reduce(spread, axis=1) / count
         deviation = spread - row_mean[:, None]
         np.square(deviation, out=deviation)
         mean[varied] = row_mean
-        m2[varied] = np.add.reduce(deviation, axis=1)
+        with np.errstate(over="ignore"):
+            m2[varied] = np.add.reduce(deviation, axis=1)
         stats += zip([count] * len(rows), mean.tolist(), m2.tolist(), zeros.tolist())
     return stats
 
@@ -175,10 +178,10 @@ def _run_tasks(task, offsets, chunks: int) -> list:
 
 def _stats_over_blocks(
     make_values, n: int, chunks: int, width: int = 1
-) -> tuple[list[_Stats], int]:
+) -> tuple[_Stats, int]:
     """Evaluate ``make_values(offset, count, workspace) -> (values, tally)``
-    over samples [0, n) and stat each granule of 4096 samples separately,
-    with one :func:`_granule_stats` call per task.
+    over samples [0, n), stat each granule of 4096 samples separately (one
+    :func:`_granule_stats` call per task) and merge them by :func:`_merge_tree`.
     ``width`` is the draws per sample, already range-checked.  Blocks are
     ``max(1, _TASK_TARGET // width)`` samples, so none holds more than
     ``max(_TASK_TARGET, width)`` draws; a task is the whole granules of one
@@ -190,7 +193,7 @@ def _stats_over_blocks(
     call, so the Gaussian layer reuses memory that is already mapped instead
     of faulting fresh temporaries in per block.  A block's values may live
     in the workspace; they are statted or copied before the next block.
-    Returns the per-granule stats and the sum of the integer tallies.
+    Returns the merged (count, mean, M2, zeros) and the sum of the tallies.
     """
     block = max(1, _TASK_TARGET // width)
     step = GRANULE * max(1, block // GRANULE)
@@ -213,11 +216,12 @@ def _stats_over_blocks(
 
     results = _run_tasks(task, range(0, n, step), chunks)
     stats = [s for task_stats, _ in results for s in task_stats]
-    return stats, sum(tally for _, tally in results)
+    return _merge_tree(stats), sum(tally for _, tally in results)
 
 
-def _finalize(stats: list[_Stats], clamp_count: int = 0) -> MCEstimate:
-    n, mean, m2, zeros = _merge_tree(stats)
+def _finalize(stats: _Stats, clamp_count: int) -> MCEstimate:
+    """The estimate of merged stats, with the harness's tally as clamp count."""
+    n, mean, m2, zeros = stats
     # Finite exactly when M2 is, so the record's range check covers M2.
     stderr = math.sqrt(m2 / (n - 1)) / math.sqrt(n)
     return MCEstimate(n, mean, stderr, zeros / n, clamp_count)
@@ -277,8 +281,7 @@ def estimate_mean(
         return _uniform_insider_values(p, u, a, wick, workspace.scratch.view(np.float64)), 0
 
     make_values = _stock_leg(p, p.M, stream, 0) if a == -math.inf else front
-    stats, _ = _stats_over_blocks(make_values, n, chunks)
-    return _finalize(stats)
+    return _finalize(*_stats_over_blocks(make_values, n, chunks))
 
 
 def estimate_euler_mean(
@@ -307,8 +310,7 @@ def estimate_euler_mean(
         values, clamped = forward_euler_values(p, increments)
         return values, int(np.count_nonzero(clamped))
 
-    stats, clamps = _stats_over_blocks(make_values, n, chunks, n_steps)
-    return _finalize(stats, clamps)
+    return _finalize(*_stats_over_blocks(make_values, n, chunks, n_steps))
 
 
 def skorokhod_factorized_estimate(
@@ -339,8 +341,8 @@ def skorokhod_factorized_estimate(
         return _uniform_bet(p, u, a), 0
 
     gbm_values = _stock_leg(p, 1.0, stream, n)
-    _, p_hat, _, _ = _merge_tree(_stats_over_blocks(bet, n, chunks)[0])
-    _, g_hat, m2_g, _ = _merge_tree(_stats_over_blocks(gbm_values, n, chunks)[0])
+    (_, p_hat, _, _), _ = _stats_over_blocks(bet, n, chunks)
+    (_, g_hat, m2_g, _), _ = _stats_over_blocks(gbm_values, n, chunks)
     mean = p.M * ((1.0 - p_hat) * bond + p_hat * g_hat)
     var_p = p_hat * (1.0 - p_hat) / n
     var_g = (m2_g / (n - 1)) / n

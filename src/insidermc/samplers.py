@@ -89,9 +89,16 @@ def _stock_values(p: MarketParams, m1: float, b_t: np.ndarray) -> np.ndarray:
 
     Computed in place over the caller's own array; each step only swaps the
     operands of an IEEE add or multiply, so the bits are the plain formula's.
+    A drift of -inf makes every value +0.0, as exp(-inf) gives: sigma^2 T/2
+    then exceeds sigma |b| for every b the stream can draw, while sigma b
+    alone may overflow and inf - inf would be NaN.
     """
+    drift = (p.mu - 0.5 * p.sigma * p.sigma) * p.T
+    if drift == -math.inf:
+        b_t.fill(0.0)
+        return b_t
     b_t *= p.sigma
-    b_t += (p.mu - 0.5 * p.sigma * p.sigma) * p.T
+    b_t += drift
     if b_t.size and float(b_t.max()) > EXP_MAX:
         raise WealthOverflowError(f"stock exponent exceeds the double range ({EXP_MAX})")
     np.exp(b_t, out=b_t)
@@ -218,8 +225,9 @@ def forward_euler_values(
     dt -> 0.
 
     Returns (values, clamped) with ``clamped`` a boolean mask per path.
-    Raises WealthOverflowError when a stock-leg product leaves the double
-    range before its path is clamped.
+    On a path whose last product is not finite, its first product that is
+    non-finite or negative decides: a non-finite one raises
+    WealthOverflowError, a negative one is a clamp.
     """
     increments = np.asarray(increments, dtype=np.float64)
     if increments.ndim != 2 or increments.shape[1] < 1:
@@ -236,18 +244,15 @@ def forward_euler_values(
         negative = s1 < 0.0
         clamped[on] = hit = negative.any(axis=1)
         # inf and nan absorb every later factor, so a path overflowed iff its
-        # last product is not finite; it counts unless a clamp came strictly first.
+        # last product is not finite; its first bad product decides.
         overflowed = ~np.isfinite(s1[:, -1])
-        if overflowed.any() and _overflow_precedes_clamp(s1[overflowed], negative[overflowed]):
-            raise WealthOverflowError("Euler stock-leg product exceeds the double range")
+        if overflowed.any():
+            rows = s1[overflowed]
+            first = np.argmax(~np.isfinite(rows) | negative[overflowed], axis=1)
+            if not np.isfinite(rows[np.arange(len(rows)), first]).all():
+                raise WealthOverflowError("Euler stock-leg product exceeds the double range")
         # + 0.0: an unclamped -0.0 product reads +0.0, as a step loop gives.
         return np.where(hit, 0.0, s1[:, -1]) + 0.0
 
     b_t = increments.sum(axis=1)
     return _insider_values(p, b_t, *Trader.FORWARD_INSIDER.reading(p), euler_leg), clamped
-
-
-def _overflow_precedes_clamp(products: np.ndarray, negative: np.ndarray) -> bool:
-    first_bad = np.argmax(~np.isfinite(products), axis=1)
-    first_clamp = np.where(negative.any(axis=1), np.argmax(negative, axis=1), products.shape[1])
-    return bool((first_bad <= first_clamp).any())

@@ -332,6 +332,30 @@ def test_euler_overflow_exits_2_without_warning(capsys):
     assert "Euler stock-leg product" in result.stderr
 
 
+def test_sigma_past_the_double_range_reports_as_sigma_1e200(capsys):
+    # Every stock value is +0.0 at both, although at sigma = 1e308 sigma b
+    # overflows too: compare exits alike, and a sweep gives the valid row
+    # and an invalid one with the same error.  Nothing warns.
+    def both(*args):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return [run_cli(capsys, *(a.format(sigma=s) for a in args)) for s in ("1e308", "1e200")]
+
+    huge, large = both("compare", "--sigma", "{sigma}", "--samples", "8192", "--chunks", "1")
+    assert huge == large
+    assert huge.returncode == 2 and huge.stdout == ""
+    assert huge.stderr.startswith("insidermc: zero-spread estimate 0.0 does not match")
+    huge, large = both("sweep", "--sweep-field", "sigma", "--grid", "0.5,{sigma}",
+                       "--samples", "8192", "--format", "json", "--no-timestamp")
+    assert huge.returncode == large.returncode == 0
+    (valid, invalid), (valid_large, invalid_large) = (
+        json.loads(r.stdout)["rows"] for r in (huge, large)
+    )
+    assert valid == valid_large and valid["regime"] == "bull"
+    assert invalid["regime"] == invalid_large["regime"] == "invalid"
+    assert invalid["error"] == invalid_large["error"]
+
+
 def test_index_overflow_exits_2(capsys):
     result = run_cli(capsys, "compare", "--samples", str(10**20))
     assert result.returncode == 2

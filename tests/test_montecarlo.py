@@ -23,6 +23,7 @@ from insidermc import (
     honest_expected_wealth,
     indicator_threshold,
     normal_cdf,
+    run_compare,
     skorokhod_expected_wealth,
     skorokhod_factorized_estimate,
     validate_params,
@@ -111,6 +112,12 @@ LEVEL_UP = validate_params(1, 0.1, 0.05, 1e200, 1)
 LEVEL_DOWN = validate_params(1, 0, 0.5, 1e-309, 1)
 
 
+def _estimate_of(values):
+    """The estimate of a block of values: its granules merged and finalized."""
+    stats = montecarlo._merge_tree(montecarlo._granule_stats(values))
+    return montecarlo._finalize(stats, 0)
+
+
 def _refuse(monkeypatch, module, *names):
     """Make each named generator, sampler or harness step of ``module`` raise."""
     def refused(*args, **kwargs):
@@ -133,7 +140,7 @@ def test_all_bond_honest_bet_generates_no_draws(monkeypatch, trader, p):
     # valued or statted.
     n = 3 * montecarlo._TASK_TARGET + 7  # four blocks
     bond = p.M * math.exp(p.rho * p.T)
-    expected = montecarlo._finalize(montecarlo._granule_stats(np.full(n, bond)))
+    expected = _estimate_of(np.full(n, bond))
     _refuse(monkeypatch, montecarlo, "uniform_block", "brownian_terminal_block",
             "_stock_values", "_uniform_insider_values", "_stats_over_blocks", "_granule_stats")
     _refuse(monkeypatch, samplers, "honest_values", "_insider_values")
@@ -157,7 +164,7 @@ def test_bull_honest_estimate_is_the_b_space_sampler(monkeypatch, chunks):
         (Trader.SKOROKHOD_UNBIASED, LEVEL_DOWN, skorokhod_unbiased_values),
     ]:
         b_t = brownian_terminal_block(RngStream(8), 0, n, p.T)
-        expected = montecarlo._finalize(montecarlo._granule_stats(sampler(p, b_t)))
+        expected = _estimate_of(sampler(p, b_t))
         with monkeypatch.context() as patch:
             _refuse(patch, montecarlo, "uniform_block", "_uniform_insider_values")
             assert estimate_mean(trader, p, n, 8, chunks) == expected
@@ -457,43 +464,96 @@ def test_honest_stock_amount_overflow_raises_without_warning():
             estimate_mean(Trader.HONEST_OPTIMAL, p, 4096, seed=1)
 
 
-def test_task_width_groups_granules_and_sums_tallies():
-    calls = []
+# A point whose stock-leg granule sums leave the double range at n = 4096.
+SUM_OVERFLOW = validate_params(6.559407502634227e155, 5.3207715106409324e-05,
+                               5.3207715106409324e-05, 0.534929234536244, 5.939181763406193)
+
+
+def test_overflowed_granule_sums_raise_without_warning():
+    # A granule sum past the double range is inf, and the estimate refuses
+    # it.  Only the square of the deviations may still warn (ROADMAP item 8).
+    alternating = np.tile([1.0e305, 1.1e305], GRANULE // 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        warnings.filterwarnings("ignore", "overflow encountered in square", RuntimeWarning)
+        with pytest.raises(WealthOverflowError, match="stderr inf"):
+            run_compare(SUM_OVERFLOW, 4096, 1)
+        stats = montecarlo._merge_tree(montecarlo._granule_stats(alternating))
+        with pytest.raises(WealthOverflowError, match="mean inf"):
+            montecarlo._finalize(stats, 0)
+
+
+def _hex_estimate(est):
+    return (est.n, est.mean.hex(), est.stderr.hex(), est.zero_fraction.hex(), est.clamp_count)
+
+
+def test_sigma_past_the_double_range_estimates_as_sigma_1e200():
+    # sigma^2 T/2 overflows at both, so every stock value is +0.0, although
+    # at sigma = 1e308 sigma b overflows too.  Nothing warns.
+    found = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for sigma in (1e308, 1e200):
+            p = validate_params(1, 0, 0.5, sigma, 1)
+            found.append([
+                _hex_estimate(estimate_mean(Trader.HONEST_OPTIMAL, p, 8192, 1)),
+                _hex_estimate(skorokhod_factorized_estimate(p, RngStream(1), 8192)),
+            ])
+    assert found[0] == found[1]
+    assert found[0][1][1:3] == ((1.0).hex(), (0.0).hex())
+
+
+def test_task_width_groups_granules_and_sums_tallies(monkeypatch):
+    calls, granules = [], []
+    real = montecarlo._granule_stats
+
+    def granule_stats(values):
+        granules.append(real(values))
+        return granules[-1]
+
+    monkeypatch.setattr(montecarlo, "_granule_stats", granule_stats)
 
     def make_values(offset, count, workspace):
         calls.append((offset, count))
         return np.full(count, 2.0), 1
 
+    def run(n, width=1):
+        calls.clear()
+        granules.clear()
+        return montecarlo._stats_over_blocks(make_values, n, 1, width)
+
     # One draw per sample: all three granules form one task.
-    stats, tally = montecarlo._stats_over_blocks(make_values, 3 * GRANULE, 1)
-    assert calls == [(0, 3 * GRANULE)] and tally == 1 and len(stats) == 3
+    stats, tally = run(3 * GRANULE)
+    assert calls == [(0, 3 * GRANULE)] and tally == 1
+    assert granules == [[(GRANULE, 2.0, 0.0, 0)] * 3]
+    assert stats == (3 * GRANULE, 2.0, 0.0, 0)
     # A sample as wide as a whole task target: one granule per task.
-    calls.clear()
     wide = montecarlo._TASK_TARGET // GRANULE
-    stats, tally = montecarlo._stats_over_blocks(make_values, 3 * GRANULE, 1, wide)
+    stats, tally = run(3 * GRANULE, wide)
     assert calls == [(0, GRANULE), (GRANULE, GRANULE), (2 * GRANULE, GRANULE)]
     assert tally == 3
-    assert stats == [(GRANULE, 2.0, 0.0, 0)] * 3
+    assert granules == [[(GRANULE, 2.0, 0.0, 0)]] * 3
+    assert stats == (3 * GRANULE, 2.0, 0.0, 0)
     # A range that ends off the granule grid keeps a short last granule.
-    calls.clear()
-    stats, tally = montecarlo._stats_over_blocks(make_values, GRANULE + 3, 1, wide)
+    stats, tally = run(GRANULE + 3, wide)
     assert calls == [(0, GRANULE), (GRANULE, 3)] and tally == 2
-    assert [s[0] for s in stats] == [GRANULE, 3]
+    assert [[s[0] for s in task] for task in granules] == [[GRANULE], [3]]
+    assert stats == (GRANULE + 3, 2.0, 0.0, 0)
     # Four blocks per granule: still one stat per granule, every tally summed.
-    calls.clear()
-    stats, tally = montecarlo._stats_over_blocks(make_values, 3 * GRANULE, 1, 4 * wide)
+    stats, tally = run(3 * GRANULE, 4 * wide)
     quarter = GRANULE // 4
     assert calls == [(i * quarter, quarter) for i in range(12)] and tally == 12
-    assert stats == [(GRANULE, 2.0, 0.0, 0)] * 3
+    assert granules == [[(GRANULE, 2.0, 0.0, 0)]] * 3
+    assert stats == (3 * GRANULE, 2.0, 0.0, 0)
     # 1365-sample blocks do not divide a granule: each granule ends in a 1-sample block.
-    calls.clear()
-    stats, tally = montecarlo._stats_over_blocks(make_values, 2 * GRANULE, 1, 48)
+    stats, tally = run(2 * GRANULE, 48)
     block = montecarlo._TASK_TARGET // 48
     assert calls == [
         (g + i * block, block if i < 3 else 1) for g in (0, GRANULE) for i in range(4)
     ]
     assert tally == 8
-    assert stats == [(GRANULE, 2.0, 0.0, 0)] * 2
+    assert granules == [[(GRANULE, 2.0, 0.0, 0)]] * 2
+    assert stats == (2 * GRANULE, 2.0, 0.0, 0)
 
 
 def reference_granule_stats(values):

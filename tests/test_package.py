@@ -27,11 +27,13 @@ MODULES = [insidermc] + [
 # wealth split that once parametrized it is gone, and its threshold lives in
 # market.honest_threshold.  A sweep takes plain arguments, like the other
 # report runs.  Every estimate covers draws 0..n-1, so none is merged.  The
-# erf forms restated the Phi forms, which the 50-digit oracles check.
+# erf forms restated the Phi forms, which the 50-digit oracles check.  An
+# Euler path's first bad product decides overflow against clamp in place.
 REMOVED = (
     "Allocation", "AllocationMismatchError", "honest_optimal_allocation", "SweepSpec",
     "honest_ignores_draws", "merge_estimates",
     "skorokhod_expected_wealth_erf_form", "forward_expected_wealth_erf_form",
+    "_overflow_precedes_clamp",
 )
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -112,6 +114,13 @@ def test_one_reading_per_trader():
         and node.value.id == "Trader"
     ]
     assert members == []
+
+
+def test_only_the_harness_merges_granules():
+    # _stats_over_blocks hands back one merged statistic per leg, so no
+    # estimator merges granules of its own.
+    callers = [(m.__name__, c) for m in MODULES for c in _callers(m, "_merge_tree")]
+    assert callers == [("insidermc.montecarlo", "_stats_over_blocks")]
 
 
 def test_every_export_is_its_home_modules_object():

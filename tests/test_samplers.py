@@ -66,6 +66,19 @@ class TestHonest:
             honest_values(p, np.array([800.0]))
 
 
+def test_stock_leg_past_the_double_range_is_zero_without_warning():
+    # At sigma = 1e308 sigma b overflows for |b| > 1.8 and the drift
+    # (mu - sigma^2/2) T is -inf: every stock value is +0.0, the bits
+    # sigma = 1e200 gets.
+    b_t = brownian_terminal_block(RngStream(1), 0, 8192, 1.0)
+    assert np.abs(b_t).max() > 1.8
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        found = [honest_values(validate_params(1, 0, 0.5, sigma, 1), b_t).tolist()
+                 for sigma in (1e308, 1e200)]
+    assert [v.hex() for v in found[0]] == [v.hex() for v in found[1]] == ["0x0.0p+0"] * b_t.size
+
+
 class TestForwardInsider:
     def test_indicator_selects_bond_below_threshold(self):
         a = indicator_threshold(SHOWCASE)
