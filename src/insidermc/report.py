@@ -193,9 +193,10 @@ def run_convergence(
 
     Level ``j`` runs on the child seed of ordinal ``j`` so levels do not
     share draws.  An empty step list raises OutOfDomainError rather than
-    yielding an empty report.
+    yielding an empty report.  A level with zero spread that misses the
+    closed form raises DegenerateEstimateError, as in :func:`run_compare`.
     """
-    from .montecarlo import estimate_euler_mean
+    from .montecarlo import estimate_euler_mean, z_score
     from .sampling import derive_seed
 
     steps = list(steps)
@@ -208,6 +209,8 @@ def run_convergence(
         for j, n_steps in enumerate(steps)
     ]
     reference = forward_expected_wealth(p)
+    for est in ests:
+        z_score(est, reference)  # the exact-match rule of a zero-spread level
     return [
         ConvergenceRow(
             n_steps=int(n_steps),  # a plain int once the estimator accepted it

@@ -8,8 +8,8 @@ which is what the estimator harness and the acceptance battery check.
 Every trader is one kernel: M on the bond where b <= a, M on the stock
 where b - shift > a, exactly 0 between, with (a, wick) the trader's
 :meth:`~insidermc.market.Trader.reading` and shift = sigma T under the Wick
-reading, else 0.  The Euler scheme reads the forward insider's, betting on
-its row sums with its own stock leg.
+reading, else 0.  The Euler sampler bets on its row sums at the forward
+insider's level and values its own paths, without the kernel.
 
 The Skorokhod model needs a word of caution.  Its solution is a Wick
 product, which has no pathwise reading, so :func:`skorokhod_unbiased_values`
@@ -110,12 +110,10 @@ def _stock_values(p: MarketParams, m1: float, b_t: np.ndarray) -> np.ndarray:
     return b_t
 
 
-def _insider_values(p: MarketParams, b_t: np.ndarray, a: float, wick: bool,
-                    stock_leg=None) -> np.ndarray:
-    """M on the bond where b <= a, on the stock where b - shift > a, exactly
-    0 between, shift = sigma T under the Wick reading, else 0; built in the
-    array that first holds b - shift, never in b_t.  ``stock_leg(on)`` gives
-    the stock values of the rows in the mask ``on`` (default: GBM leg at b)."""
+def _insider_values(p: MarketParams, b_t: np.ndarray, a: float, wick: bool) -> np.ndarray:
+    """M on the bond where b <= a, on the GBM stock leg at b where
+    b - shift > a, exactly 0 between, shift = sigma T under the Wick reading,
+    else 0; built in the array that first holds b - shift, never in b_t."""
     bond = _bond_value(p, p.M)
     b_t = np.asarray(b_t, dtype=np.float64)
     values = np.subtract(b_t, p.sigma * p.T if wick else 0.0)
@@ -124,12 +122,12 @@ def _insider_values(p: MarketParams, b_t: np.ndarray, a: float, wick: bool,
     # path, and so do nearly all blocks of the insiders' uniform fronts:
     # their gathered draws are all on the stock side unless one lands in a
     # guard band.
-    if stock_leg is None and stock.all():
+    if stock.all():
         np.copyto(values, b_t)
         return _stock_values(p, p.M, values)
     np.multiply(b_t <= a, bond, out=values)
     if stock.any():
-        values[stock] = stock_leg(stock) if stock_leg else _stock_values(p, p.M, b_t[stock])
+        values[stock] = _stock_values(p, p.M, b_t[stock])
     return values
 
 
@@ -215,14 +213,14 @@ def forward_euler_values(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Explicit Euler discretization of the forward-model stock leg.
 
-    ``increments`` has shape (n_paths, n_steps).  The forward kernel bets on
-    the row sums b_T, with the exact bond leg; its stock leg, formed only on
-    the rows whose bet is on, is S1 = M prod_k (1 + mu dt + sigma dB_k), left
-    to right by one ``multiply.accumulate`` per row, so every partial product
-    is the one an explicit step loop would form.  A partial product below 0
-    is a coarse-grid artifact: the path is clamped at 0 from that step on and
-    flagged, so convergence studies can watch the clamp count vanish as
-    dt -> 0.
+    ``increments`` has shape (n_paths, n_steps).  It bets on the row sums b_T
+    at the forward insider's level a: the exact bond leg where b_T <= a, 0
+    where b_T is NaN, and on the rows where b_T > a the stock leg
+    S1 = M prod_k (1 + mu dt + sigma dB_k), left to right by one
+    ``multiply.accumulate`` per row, so every partial product is the one an
+    explicit step loop would form.  A partial product below 0 is a coarse-grid
+    artifact: the path is clamped at 0 from that step on and flagged, so
+    convergence studies can watch the clamp count vanish as dt -> 0.
 
     Returns (values, clamped) with ``clamped`` a boolean mask per path.
     On a path whose last product is not finite, its first product that is
@@ -232,27 +230,28 @@ def forward_euler_values(
     increments = np.asarray(increments, dtype=np.float64)
     if increments.ndim != 2 or increments.shape[1] < 1:
         raise OutOfDomainError("increments must have shape (n_paths, n_steps >= 1)")
-    clamped = np.zeros(increments.shape[0], dtype=bool)
-
-    def euler_leg(on: np.ndarray) -> np.ndarray:
-        s1 = increments[on]
-        with np.errstate(over="ignore", invalid="ignore"):
-            s1 *= p.sigma
-            s1 += 1.0 + p.mu * (p.T / s1.shape[1])
-            s1[:, 0] *= p.M
-            np.multiply.accumulate(s1, axis=1, out=s1)
-        negative = s1 < 0.0
-        clamped[on] = hit = negative.any(axis=1)
-        # inf and nan absorb every later factor, so a path overflowed iff its
-        # last product is not finite; its first bad product decides.
-        overflowed = ~np.isfinite(s1[:, -1])
-        if overflowed.any():
-            rows = s1[overflowed]
-            first = np.argmax(~np.isfinite(rows) | negative[overflowed], axis=1)
-            if not np.isfinite(rows[np.arange(len(rows)), first]).all():
-                raise WealthOverflowError("Euler stock-leg product exceeds the double range")
-        # + 0.0: an unclamped -0.0 product reads +0.0, as a step loop gives.
-        return np.where(hit, 0.0, s1[:, -1]) + 0.0
-
+    bond = _bond_value(p, p.M)
+    a, _ = Trader.FORWARD_INSIDER.reading(p)
     b_t = increments.sum(axis=1)
-    return _insider_values(p, b_t, *Trader.FORWARD_INSIDER.reading(p), euler_leg), clamped
+    on = b_t > a
+    values = np.multiply(b_t <= a, bond)  # not ~on: a NaN row sum gives 0.0
+    clamped = np.zeros(increments.shape[0], dtype=bool)
+    s1 = increments[on]
+    with np.errstate(over="ignore", invalid="ignore"):
+        s1 *= p.sigma
+        s1 += 1.0 + p.mu * (p.T / s1.shape[1])
+        s1[:, 0] *= p.M
+        np.multiply.accumulate(s1, axis=1, out=s1)
+    negative = s1 < 0.0
+    clamped[on] = hit = negative.any(axis=1)
+    # inf and nan absorb every later factor, so a path overflowed iff its
+    # last product is not finite; its first bad product decides.
+    overflowed = ~np.isfinite(s1[:, -1])
+    if overflowed.any():
+        rows = s1[overflowed]
+        first = np.argmax(~np.isfinite(rows) | negative[overflowed], axis=1)
+        if not np.isfinite(rows[np.arange(len(rows)), first]).all():
+            raise WealthOverflowError("Euler stock-leg product exceeds the double range")
+    # + 0.0: an unclamped -0.0 product reads +0.0, as a step loop gives.
+    values[on] = np.where(hit, 0.0, s1[:, -1]) + 0.0
+    return values, clamped

@@ -372,6 +372,18 @@ def test_degenerate_estimate_exits_2(capsys):
     assert result.stderr.count("\n") == 1
 
 
+def test_zero_spread_convergence_level_exits_2(capsys):
+    # At sigma = 50 no path bets on the stock: each level is the bond alone,
+    # off the closed form, and convergence refuses it as compare does.
+    for chunks in ("1", "2"):
+        result = run_cli(capsys, "convergence", "--sigma", "50", "--steps", "3,16",
+                         "--samples", "4096", "--chunks", chunks)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == (
+            "insidermc: zero-spread estimate 1.0 does not match reference 2.648721270700128\n")
+
+
 def test_zero_spread_sweep_point_is_an_invalid_row(capsys):
     # At sigma = 400 the forward estimate has zero spread off its closed
     # form (tests/test_report.py): that point is an invalid row, and the

@@ -3,6 +3,7 @@ removed, and the closed-form paths run without numpy or scipy."""
 
 import ast
 import importlib
+import inspect
 import math
 import os
 import pkgutil
@@ -121,6 +122,18 @@ def test_only_the_harness_merges_granules():
     # estimator merges granules of its own.
     callers = [(m.__name__, c) for m in MODULES for c in _callers(m, "_merge_tree")]
     assert callers == [("insidermc.montecarlo", "_stats_over_blocks")]
+
+
+def test_the_euler_sampler_forms_its_own_product():
+    # forward_euler_values bets on its row sums and forms its Euler product
+    # inline, in no nested function.
+    callers = [(m.__name__, c) for m in MODULES for c in _callers(m, "accumulate")]
+    assert callers == [("insidermc.samplers", "forward_euler_values")]
+
+
+def test_the_trader_kernel_takes_no_callback():
+    kernel = inspect.signature(insidermc.samplers._insider_values)
+    assert list(kernel.parameters) == ["p", "b_t", "a", "wick"]
 
 
 def test_every_export_is_its_home_modules_object():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from insidermc import (
+    DegenerateEstimateError,
     NonPositiveError,
     OutOfDomainError,
     Trader,
@@ -249,3 +250,17 @@ class TestConvergence:
         (row,) = run_convergence(validate_params(1, 0, 0.5, 1, 1), [1], 8192, seed=5)
         assert row.n_steps == 1
         assert math.isfinite(row.abs_bias)
+
+    def test_zero_spread_level_off_its_reference_raises(self):
+        # At sigma = 50 the forward insider bets on the stock only where
+        # b > a = 24.99, which no draw reaches: each level is the bond alone,
+        # 1.0 with zero spread, off the closed form, as run_compare refuses.
+        with pytest.raises(DegenerateEstimateError) as exc:
+            run_convergence(validate_params(1, 0, 0.5, 50, 1), [3, 16], 4096, seed=5)
+        assert str(exc.value) == "zero-spread estimate 1.0 does not match reference 2.648721270700128"
+
+    def test_zero_spread_level_on_its_reference_is_a_row(self):
+        # At a = +inf every path and the closed form take the bond alone.
+        p = validate_params(1, 0.5, 0, 1e-310, 1)
+        rows = run_convergence(p, [3, 16], 4096, seed=5)
+        assert [(r.mc_mean, r.mc_se, r.abs_bias) for r in rows] == [(math.exp(0.5), 0.0, 0.0)] * 2

@@ -331,6 +331,18 @@ class TestForwardEuler:
         assert clamped[0]
         assert values[0] == 0.0  # stock leg clamped, bond leg off (b_t > a)
 
+    def test_nan_row_sum_takes_neither_leg(self):
+        # A NaN b_T is neither <= a nor > a: the path reads 0.0, unclamped,
+        # as the forward kernel reads b = NaN.
+        inc = np.array([[np.nan, 1.0], [1.0, np.nan], [2.0, 1.0], [-1.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values, clamped = forward_euler_values(SHOWCASE, inc)
+            kernel = forward_insider_values(SHOWCASE, np.array([np.nan, np.nan]))
+        assert values[:2].tobytes() == kernel.tobytes() == np.zeros(2).tobytes()
+        assert values[2] > 0.0 and values[3] == SHOWCASE.M * math.exp(SHOWCASE.rho * SHOWCASE.T)
+        assert not clamped.any()
+
     def test_weak_agreement_with_closed_form(self):
         from insidermc import forward_expected_wealth
         from insidermc.montecarlo import estimate_euler_mean
