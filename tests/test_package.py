@@ -240,6 +240,105 @@ def test_first_estimate_loads_scipy():
     )
 
 
+FIRST_ESTIMATE = (
+    "import sys\n"
+    "import insidermc\n"
+    "from insidermc import special\n"
+    "def first_estimate(chunks=1):\n"
+    "    e = insidermc.estimate_mean(insidermc.Trader.FORWARD_INSIDER, "
+    "insidermc.validate_params(1, 0, 0.5, 1, 1), 1 << 17, 1, chunks)\n"
+    "    return e.mean.hex(), e.stderr.hex()\n"
+)
+# The normals' bits, printed as one digest line.
+NORMALS_DIGEST = (
+    "import hashlib\n"
+    "from insidermc.sampling import RngStream, standard_normal_block\n"
+    "z = standard_normal_block(RngStream(3), 0, 1 << 16)\n"
+    "print(hashlib.sha256(z.tobytes()).hexdigest())\n"
+)
+
+
+def test_first_estimate_loads_only_the_ndtri_extension():
+    # The package __init__ never runs: only scipy.special._ufuncs is loaded,
+    # and no stand-in package is left behind.
+    stdout = _child_stdout(
+        FIRST_ESTIMATE + "first_estimate()\n"
+        "print('scipy.special' in sys.modules, 'scipy.special._ufuncs' in sys.modules)\n"
+        "print(special._ndtri is sys.modules['scipy.special._ufuncs'].ndtri)\n"
+    )
+    assert stdout.splitlines() == ["False True", "True"]
+
+
+def test_a_later_scipy_special_import_shares_the_ufunc():
+    stdout = _child_stdout(
+        FIRST_ESTIMATE + "first_estimate()\n"
+        "import scipy.special, scipy.stats\n"
+        "print(special._ndtri is scipy.special.ndtri)\n"
+        "print(scipy.stats.norm.ppf(0.3) == scipy.special.ndtri(0.3) < 0)\n"
+    )
+    assert stdout.splitlines() == ["True", "True"]
+
+
+def test_an_imported_scipy_special_is_used_as_it_is():
+    stdout = _child_stdout(
+        "import scipy.special\n" + FIRST_ESTIMATE
+        + "lean_loads, lean = [], special._ufuncs_ndtri\n"
+        "special._ufuncs_ndtri = lambda: lean_loads.append(1) or lean()\n"
+        "first_estimate()\n"
+        "print(special._ndtri is scipy.special.ndtri, lean_loads)\n"
+    )
+    assert stdout.splitlines() == ["True []"]
+
+
+def test_a_failing_lean_load_falls_back_to_the_public_import():
+    stdout = _child_stdout(
+        FIRST_ESTIMATE
+        + "def refuse():\n"
+        "    raise ImportError('lean load refused')\n"
+        "special._ufuncs_ndtri = refuse\n"
+        + NORMALS_DIGEST
+        + "print(special._ndtri is sys.modules['scipy.special'].ndtri)\n"
+    )
+    lean = _child_stdout(FIRST_ESTIMATE + NORMALS_DIGEST)
+    digest, bound = stdout.splitlines()
+    assert bound == "True"
+    assert digest == lean.strip()
+
+
+def test_pool_threads_racing_to_the_first_normals_bind_ndtri_once():
+    # Two pool threads reach the load together: the first holds the lock
+    # until the second has arrived at it.  os.cpu_count is raised so that
+    # chunks=2 runs two threads on any host.
+    stdout = _child_stdout(
+        FIRST_ESTIMATE
+        + "import os, threading, time\n"
+        "os.cpu_count = lambda: 2\n"
+        "class Door:\n"
+        "    def __init__(self, lock):\n"
+        "        self.lock, self.arrived = lock, []\n"
+        "    def __enter__(self):\n"
+        "        self.arrived.append(threading.current_thread().name)\n"
+        "        return self.lock.__enter__()\n"
+        "    def __exit__(self, *exc):\n"
+        "        return self.lock.__exit__(*exc)\n"
+        "door = special._NDTRI_LOCK = Door(special._NDTRI_LOCK)\n"
+        "loads, load = [], special._load_ndtri\n"
+        "def held_load():\n"
+        "    deadline = time.monotonic() + 10\n"
+        "    while len(door.arrived) < 2 and time.monotonic() < deadline:\n"
+        "        time.sleep(0.001)\n"
+        "    loads.append(threading.current_thread().name)\n"
+        "    return load()\n"
+        "special._load_ndtri = held_load\n"
+        "racing = first_estimate(chunks=2)\n"
+        "print(len(set(door.arrived)), len(loads))\n"
+        "print('scipy.special' in sys.modules)\n"
+        "print(special._ndtri is sys.modules['scipy.special._ufuncs'].ndtri)\n"
+        "print(racing == first_estimate(chunks=1))\n"
+    )
+    assert stdout.splitlines() == ["2 1", "False", "True", "True"]
+
+
 @pytest.mark.parametrize("args", [["closed-form"], ["--help"]], ids=" ".join)
 def test_cli_cold_paths_import_no_scipy(args):
     # Nor numpy: only the commands that draw load it.
