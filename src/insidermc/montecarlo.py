@@ -40,6 +40,7 @@ from .sampling import (
     RngStream,
     Workspace,
     _check_range,
+    _require_steps,
     brownian_increments_block,
     brownian_terminal_block,
     uniform_block,
@@ -275,10 +276,10 @@ def estimate_mean(
     # Generators and samplers are looked up by module name per block, never
     # bound once, so a wrapper patched onto this module's attributes sees
     # every call.  The front forms b only where a value reads it, in the
-    # workspace's scratch; at a = -inf every value is the stock leg.
+    # workspace; at a = -inf every value is the stock leg.
     def front(offset: int, count: int, workspace: Workspace) -> tuple[np.ndarray, int]:
         u = uniform_block(stream, offset, count, out=workspace)
-        return _uniform_insider_values(p, u, a, wick, workspace.scratch.view(np.float64)), 0
+        return _uniform_insider_values(p, u, a, wick, workspace), 0
 
     make_values = _stock_leg(p, p.M, stream, 0) if a == -math.inf else front
     return _finalize(*_stats_over_blocks(make_values, n, chunks))
@@ -297,9 +298,7 @@ def estimate_euler_mean(
     so distinct paths and distinct step counts use disjoint index ranges.
     The harness generates and steps paths in blocks of width ``n_steps``.
     """
-    if not isinstance(n_steps, numbers.Integral) or n_steps < 1:
-        raise OutOfDomainError(f"n_steps must be an integer >= 1, got {n_steps!r}")
-    n_steps = int(n_steps)
+    n_steps = _require_steps(n_steps)
     _check_counts(n, chunks, n_steps)
     stream = RngStream(seed)
 
@@ -338,7 +337,7 @@ def skorokhod_factorized_estimate(
     def bet(offset: int, count: int, workspace: Workspace) -> tuple[np.ndarray, int]:
         # 1{b > a} as a bool mask, statted by counts: a normal only in the band.
         u = uniform_block(stream, offset, count, out=workspace)
-        return _uniform_bet(p, u, a), 0
+        return _uniform_bet(p, u, a, workspace), 0
 
     gbm_values = _stock_leg(p, 1.0, stream, n)
     (_, p_hat, _, _), _ = _stats_over_blocks(bet, n, chunks)

@@ -5,9 +5,9 @@ The three runs take plain arguments: ``run_compare(p, n, seed, chunks)``,
 ``run_sweep(p, field, grid, n, seed, chunks)`` and
 ``run_convergence(p, steps, n, seed, chunks)``.
 
-The CSV schema is fixed (header row, column order below); reals are written
-with 17 significant digits so parsing the file reproduces the doubles
-exactly.  JSON mirrors the CSV fields per row plus a metadata object.
+The CSV schema is fixed: a header row, then the row types' fields in
+order.  Reals are written with 17 significant digits so parsing the file
+reproduces the doubles exactly.  JSON mirrors the CSV fields per row plus a metadata object.
 Identical inputs, including the seed, produce byte-identical output; the
 timestamp is the only non-deterministic field and can be switched off.
 
@@ -22,7 +22,7 @@ import datetime
 import io
 import json
 from collections.abc import Iterable
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 from . import __version__
 from .closedform import ClosedFormReport, compare_closed_form, forward_expected_wealth
@@ -44,21 +44,6 @@ __all__ = [
     "COMPARISON_COLUMNS",
 ]
 
-COMPARISON_COLUMNS = [
-    "M", "rho", "mu", "sigma", "T", "regime",
-    "cf_honest", "cf_skorokhod", "cf_forward",
-    "mc_honest", "mc_honest_se", "mc_sk", "mc_sk_se", "mc_rs", "mc_rs_se",
-    "z_honest", "z_sk", "z_rs", "ordering_pass", "zero_fraction",
-]
-
-CLOSED_FORM_COLUMNS = [
-    "M", "rho", "mu", "sigma", "T", "regime",
-    "cf_honest", "cf_skorokhod", "cf_forward", "ordering_pass",
-]
-
-CONVERGENCE_COLUMNS = [
-    "n_steps", "mc_mean", "mc_se", "cf_forward", "abs_bias", "clamp_count",
-]
 
 @dataclass(frozen=True)
 class ComparisonRow:
@@ -67,8 +52,7 @@ class ComparisonRow:
     The ordering verdict comes from the closed forms alone; Monte Carlo
     noise never flips the reported theorem check.  ``error`` is set (and the
     stochastic fields are NaN) when the point overflowed instead of
-    evaluating.  The fields from ``regime`` to ``zero_fraction`` are named
-    and ordered as the CSV columns after ``T``.
+    evaluating.
     """
 
     params: MarketParams
@@ -92,8 +76,7 @@ class ComparisonRow:
 
 @dataclass(frozen=True)
 class ConvergenceRow:
-    """One discretization level of the forward-Euler study; its fields are
-    the CSV columns, in order."""
+    """One discretization level of the forward-Euler study."""
 
     n_steps: int
     mc_mean: float
@@ -101,6 +84,11 @@ class ConvergenceRow:
     cf_forward: float
     abs_bias: float
     clamp_count: int
+
+
+COMPARISON_COLUMNS = [f.name for f in (*fields(MarketParams), *fields(ComparisonRow)[1:-1])]
+CLOSED_FORM_COLUMNS = [*COMPARISON_COLUMNS[:9], "ordering_pass"]
+CONVERGENCE_COLUMNS = [f.name for f in fields(ConvergenceRow)]
 
 
 def _closed_form_fields(report: ClosedFormReport) -> dict:
@@ -232,9 +220,9 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _cells(params: MarketParams, fields: dict) -> dict:
+def _cells(params: MarketParams, values: dict) -> dict:
     # The JSON-only keys ride along; the CSV picks its cells by column.
-    return {**asdict(params), **fields, "rate_boundary": params.rate_boundary}
+    return {**asdict(params), **values, "rate_boundary": params.rate_boundary}
 
 
 def _comparison_cells(row: ComparisonRow) -> dict:

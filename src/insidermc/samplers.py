@@ -30,27 +30,17 @@ a < b <= a + sigma T, where the sample is exactly 0, the pathwise face of
 the model's financial paradox; its mass is tracked.
 
 The estimators bet on uniforms, through the kernel's uniform front
-:func:`_uniform_insider_values`.  b = sqrt(T) Phi^{-1}(u) is increasing in
-u, so {b <= a} is {u <= Phi(a/sqrt T)} and {b - shift > a} is
-{u > Phi((a + shift)/sqrt T)}, up to rounding.  Each of the two thresholds
-gets a guard band [Phi(x) (1 - 2^-23), Phi(x) (1 + 2^-23)], a relative
-half-width of about 1.2e-7.  Below the first band a draw is surely on the bond,
-and between the bands it is surely in the dead zone; those draws take their
-value without a normal.  The rest, the bands and the stock side, are
-gathered, turned into b exactly as
-:func:`~insidermc.sampling.brownian_terminal_block` does, and valued by
-:func:`_insider_values`, the kernel's b-space decision.  The factorized
-Skorokhod estimate's bet 1{b > a} is the same front at the one level a,
-:func:`_uniform_bet`: a bool mask, with a normal only in the band.  The band
-is exact, not a tolerance.  Each side is at least 2^29 ulps of u wide,
-while the errors it must cover are a few ulps of u or of x: ``ndtri``'s and
-Phi's, and the roundings of a/sqrt T, of sqrt(T) x and of the band edges.
-Over the range of the uniforms, |x| <= 8.3, a relative band of 2^-23 in u
-is at least 6e-9 in x.  The rounding of b - sigma T, which does not scale
-with x, needs no band: rounding is monotone, so b < a + sigma T gives
-fl(b - sigma T) <= a, and the Wick stock side, the only one it could move,
-is never pruned.  ``ndtri`` of a gathered draw has the bits it has in the
-full block, so every value is bitwise the b-space sampler's.
+:func:`_uniform_insider_values`.  Its levels a and a + shift get guard bands
+in u (:func:`~insidermc.sampling._uniform_band`, where their exactness is
+argued).  Below the first band a draw is surely on the bond, and between
+the bands surely in the dead zone; those draws take their value without a
+normal.  The rest are made into b by :func:`~insidermc.sampling._brownian_at`
+and valued by :func:`_insider_values`.  The factorized Skorokhod estimate's
+bet 1{b > a} is the same front at the one level a, :func:`_uniform_bet`.
+The rounding of b - sigma T needs no band: rounding is monotone, so
+b < a + sigma T gives fl(b - sigma T) <= a, and the Wick stock side, the
+only one it could move, is never pruned.  So every value is bitwise the
+b-space sampler's.
 """
 
 from __future__ import annotations
@@ -61,7 +51,7 @@ import numpy as np
 
 from .errors import EXP_MAX, OutOfDomainError, WealthOverflowError
 from .market import MarketParams, Trader
-from .special import _inverse_normal_cdf_array, normal_cdf
+from .sampling import Workspace, _brownian_at, _uniform_band
 
 __all__ = [
     "honest_values",
@@ -69,10 +59,6 @@ __all__ = [
     "skorokhod_unbiased_values",
     "forward_euler_values",
 ]
-
-
-# Relative half-width of the uniform front's guard bands (module docstring).
-_BAND = 2.0**-23
 
 
 def _bond_value(p: MarketParams, m0: float) -> float:
@@ -131,58 +117,43 @@ def _insider_values(p: MarketParams, b_t: np.ndarray, a: float, wick: bool) -> n
     return values
 
 
-def _band(t: float, root_t: float) -> tuple[float, float]:
-    """The guard band [lo, hi] in u of the level t in b: a draw with u < lo
-    surely has b < t, one with u > hi surely b > t."""
-    phi = normal_cdf(t / root_t)
-    return phi * (1.0 - _BAND), phi * (1.0 + _BAND)
-
-
 def _uniform_insider_values(p: MarketParams, u: np.ndarray, a: float, wick: bool,
-                            scratch: np.ndarray) -> np.ndarray:
+                            out: Workspace) -> np.ndarray:
     """The kernel of :func:`_insider_values` on the uniforms ``u`` of
     b = sqrt(T) Phi^{-1}(u), bitwise; the values are built over ``u``.
 
     Draws below the bond band take the bond leg and draws between the bands
-    take 0 without a normal (module docstring).  The rest are gathered into
-    ``scratch``, float64 memory of at least u's size, made into b and valued
-    by :func:`_insider_values`.
+    take 0 without a normal (module docstring).  The rest are made into b
+    in ``out``, a workspace of at least u's size, and valued by
+    :func:`_insider_values`.
     """
     bond = _bond_value(p, p.M)
-    root_t = math.sqrt(p.T)
-    lo_a, hi_a = _band(a, root_t)
-    lo_s, hi_s = _band(a + (p.sigma * p.T if wick else 0.0), root_t)
+    lo_a, hi_a = _uniform_band(a, p.T)
+    lo_s, hi_s = _uniform_band(a + (p.sigma * p.T if wick else 0.0), p.T)
     below = u < lo_a
     exact = ~below
     if hi_a < lo_s:  # a dead zone between the bands
         exact &= (u <= hi_a) | (u >= lo_s)
     # Gathers and scatters by index: a boolean mask of a random half of a
-    # block mispredicts a branch per draw, several times the cost.  Every
-    # index is in range, so no take mode changes a value; "raise" would
-    # buffer the output.
+    # block mispredicts a branch per draw, several times the cost.
     at = np.flatnonzero(exact)
-    b_t = u.take(at, out=scratch[: at.size], mode="wrap")
+    b_t = _brownian_at(u, at, p.T, out)
     np.multiply(below, bond, out=u)
     if at.size:
-        _inverse_normal_cdf_array(b_t, out=b_t)
-        b_t *= root_t  # as brownian_terminal_block scales its normals
         u[at] = _insider_values(p, b_t, a, wick)
     return u
 
 
-def _uniform_bet(p: MarketParams, u: np.ndarray, a: float) -> np.ndarray:
+def _uniform_bet(p: MarketParams, u: np.ndarray, a: float, out: Workspace) -> np.ndarray:
     """The forward bet 1{b > a} on the uniforms ``u`` of
     b = sqrt(T) Phi^{-1}(u), bitwise, as a new bool mask: u above the band
     of a is surely on, u below it surely off, and only the draws in the band
-    take a normal (module docstring)."""
-    root_t = math.sqrt(p.T)
-    lo, hi = _band(a, root_t)
+    take a normal, in ``out``."""
+    lo, hi = _uniform_band(a, p.T)
     bet = u > hi
     at = np.flatnonzero((u >= lo) & (u <= hi))
     if at.size:
-        b_t = _inverse_normal_cdf_array(u[at])
-        b_t *= root_t  # as brownian_terminal_block scales its normals
-        bet[at] = b_t > a
+        bet[at] = _brownian_at(u, at, p.T, out) > a
     return bet
 
 

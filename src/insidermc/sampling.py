@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IndexOverflowError, NonPositiveError, NotFiniteError, OutOfDomainError
-from .special import _inverse_normal_cdf_array
+from .special import _inverse_normal_cdf_array, normal_cdf
 
 __all__ = [
     "RngStream",
@@ -69,8 +69,8 @@ class Workspace:
     ``words`` holds a block's words and then, in place, its uniforms,
     normals and Brownian values.  ``scratch`` takes the shifted terms of the
     splitmix64 rounds, then ``uniform_block``'s shifted words, and, viewed
-    as float64, the draws the insiders' uniform front gathers once the
-    uniforms are formed.  ``ramp`` is the constant k * GOLDEN (mod 2^64),
+    as float64, the draws :func:`_brownian_at` gathers once the uniforms
+    are formed.  ``ramp`` is the constant k * GOLDEN (mod 2^64),
     k = 0..size-1, the Weyl steps of a block, computed once per workspace.
     One workspace serves one thread at a time, and each block overwrites
     the last.
@@ -161,6 +161,46 @@ def brownian_terminal_block(
     return z
 
 
+# The insiders' uniform fronts bet on u, not on b = sqrt(T) z with
+# z = Phi^{-1}(u), which is increasing in u.  A level x in b gets a guard
+# band in u of relative half-width 2^-23 around Phi(x/sqrt T): a draw
+# outside it is surely on its side of x, and only the draws that need b are
+# made into it.  The band is exact, not a tolerance.  Each side is at least
+# 2^29 ulps of u wide, while the errors it must cover are a few ulps of u or
+# of x: ``ndtri``'s and Phi's, and the roundings of x/sqrt T, of sqrt(T) z
+# and of the band edges.  Over the range of the uniforms, |z| <= 8.3, a
+# relative band of 2^-23 in u is at least 6e-9 in x.  ``ndtri`` of a
+# gathered draw has the bits it has in the full block, so every gathered b
+# is bitwise brownian_terminal_block's.
+_BAND = 2.0**-23
+
+
+def _uniform_band(level: float, T: float) -> tuple[float, float]:
+    """The guard band [lo, hi] in u of ``level`` in b = sqrt(T) Phi^{-1}(u):
+    a draw with u < lo surely has b < level, one with u > hi surely b > level."""
+    phi = normal_cdf(level / math.sqrt(T))
+    return phi * (1.0 - _BAND), phi * (1.0 + _BAND)
+
+
+def _brownian_at(u: np.ndarray, at: np.ndarray, T: float, out: Workspace) -> np.ndarray:
+    """b = sqrt(T) Phi^{-1}(u) at the indices ``at`` of ``u``, bitwise
+    :func:`brownian_terminal_block`'s, in ``out``'s scratch; an empty
+    gather takes no normal."""
+    # Every index is in range, so no take mode changes a value; "raise"
+    # would buffer the output.
+    b_t = u.take(at, out=out.scratch.view(np.float64)[: at.size], mode="wrap")
+    if at.size:
+        _inverse_normal_cdf_array(b_t, out=b_t)
+        b_t *= math.sqrt(T)
+    return b_t
+
+
+def _require_steps(n_steps: int) -> int:
+    if not isinstance(n_steps, numbers.Integral) or n_steps < 1:
+        raise OutOfDomainError(f"n_steps must be an integer >= 1, got {n_steps!r}")
+    return int(n_steps)
+
+
 def brownian_increments_block(
     stream: RngStream,
     start: int,
@@ -176,12 +216,10 @@ def brownian_increments_block(
     never share a counter.
     """
     T = _require_horizon(T)
-    if not isinstance(n_steps, numbers.Integral) or n_steps < 1:
-        raise OutOfDomainError(f"n_steps must be an integer >= 1, got {n_steps!r}")
+    n_steps = _require_steps(n_steps)
     # Python ints, so the flattened counters cannot wrap; standard_normal_block
     # range-checks them.
     start, count = _check_range(start, count)
-    n_steps = int(n_steps)
     z = standard_normal_block(stream, start * n_steps, count * n_steps, out)
     z *= math.sqrt(T / n_steps)
     return z.reshape(count, n_steps)

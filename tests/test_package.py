@@ -136,6 +136,55 @@ def test_the_trader_kernel_takes_no_callback():
     assert list(kernel.parameters) == ["p", "b_t", "a", "wick"]
 
 
+# Each module's imports from inside the package.  Only sampling turns
+# uniforms into normals: a sampler or the harness that reached past it to
+# special would break the fronts' bitwise contract unseen.
+PACKAGE_IMPORTS = {
+    "insidermc": {"closedform", "errors", "market", "special"},
+    "insidermc.cli": {"insidermc", "closedform", "errors", "market", "report", "verify"},
+    "insidermc.closedform": {"errors", "market", "special"},
+    "insidermc.errors": set(),
+    "insidermc.market": {"errors"},
+    "insidermc.montecarlo": {"errors", "market", "samplers", "sampling"},
+    "insidermc.report": {"insidermc", "closedform", "errors", "market", "montecarlo", "sampling"},
+    "insidermc.samplers": {"errors", "market", "sampling"},
+    "insidermc.sampling": {"errors", "special"},
+    "insidermc.special": {"errors"},
+    "insidermc.verify": {
+        "insidermc", "closedform", "market", "montecarlo", "report", "sampling", "special",
+    },
+}
+
+
+def _package_imports(module) -> set[str]:
+    """The package modules a module's source imports from, ``from . import``
+    read as the package itself."""
+    return {
+        node.module or "insidermc"
+        for node in ast.walk(ast.parse(Path(module.__file__).read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and node.level
+    }
+
+
+def test_each_module_imports_only_its_layers():
+    assert {m.__name__: _package_imports(m) for m in MODULES} == PACKAGE_IMPORTS
+
+
+def test_only_sampling_turns_uniforms_into_normals():
+    callers = {m.__name__ for m in MODULES if _callers(m, "_inverse_normal_cdf_array")}
+    assert callers == {"insidermc.special", "insidermc.sampling"}
+
+
+def test_the_harness_reads_no_workspace_memory():
+    # montecarlo hands a worker's Workspace on whole; sampling alone lays it out.
+    tree = ast.parse(Path(insidermc.montecarlo.__file__).read_text(encoding="utf-8"))
+    reads = [
+        node.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in ("words", "scratch", "ramp")
+    ]
+    assert reads == []
+
+
 def test_every_export_is_its_home_modules_object():
     # A class or function names its home module; the seed and the version
     # live in the package itself, and verify re-exports the seed.

@@ -16,7 +16,6 @@ from insidermc import (
 )
 from insidermc.market import classify_regime
 from insidermc.samplers import (
-    _band,
     _insider_values,
     _uniform_bet,
     _uniform_insider_values,
@@ -25,7 +24,13 @@ from insidermc.samplers import (
     honest_values,
     skorokhod_unbiased_values,
 )
-from insidermc.sampling import RngStream, brownian_increments_block, brownian_terminal_block
+from insidermc.sampling import (
+    RngStream,
+    Workspace,
+    _uniform_band,
+    brownian_increments_block,
+    brownian_terminal_block,
+)
 from insidermc.special import normal_cdf
 from insidermc.verify import GRID
 
@@ -215,13 +220,13 @@ def front_readings(p: MarketParams, u: np.ndarray, a: float, wick_only: bool = F
     message of the overflow it raised; :func:`same_reading` compares two."""
     b_t = ndtri(u)
     b_t *= math.sqrt(p.T)
-    scratch = np.empty(u.size)
+    workspace = Workspace(u.size)
     cases = [
-        (lambda v: _uniform_insider_values(p, v, a, True, scratch),
+        (lambda v: _uniform_insider_values(p, v, a, True, workspace),
          lambda: _insider_values(p, b_t, a, True)),
-        (lambda v: _uniform_insider_values(p, v, a, False, scratch),
+        (lambda v: _uniform_insider_values(p, v, a, False, workspace),
          lambda: _insider_values(p, b_t, a, False)),
-        (lambda v: _uniform_bet(p, v, a).astype(np.float64),
+        (lambda v: _uniform_bet(p, v, a, workspace).astype(np.float64),
          lambda: (b_t > a).astype(np.float64)),
     ]
 
@@ -251,8 +256,8 @@ def front_edges(p: MarketParams, a: float) -> list[float]:
     root_t = math.sqrt(p.T)
     shift = p.sigma * p.T
     return [
-        normal_cdf(a / root_t), *_band(a, root_t),
-        normal_cdf((a + shift) / root_t), *_band(a + shift, root_t),
+        normal_cdf(a / root_t), *_uniform_band(a, p.T),
+        normal_cdf((a + shift) / root_t), *_uniform_band(a + shift, p.T),
     ]
 
 

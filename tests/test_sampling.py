@@ -17,8 +17,10 @@ from insidermc import (
     standard_normal_block,
     validate_params,
 )
+from insidermc import special
 from insidermc.sampling import (
     Workspace,
+    _brownian_at,
     brownian_increments_block,
     brownian_terminal_block,
     uniform_block,
@@ -271,3 +273,31 @@ def test_workspace_refuses_a_block_it_cannot_hold():
         standard_normal_block(STREAM, 0, 9, Workspace(8))
     with pytest.raises(OutOfDomainError):
         brownian_increments_block(STREAM, 0, 3, 1.0, 3, Workspace(8))
+
+
+@pytest.mark.parametrize("pick", ["random", "full", "empty"])
+def test_brownian_at_is_bitwise_the_terminal_block(pick, monkeypatch):
+    # The uniform fronts' b: a gather of the uniforms, then the block's own
+    # inverse CDF and scaling.  An empty gather takes no normal.
+    count, T = 5000, 2.7
+    at = {
+        "random": np.random.default_rng(5).integers(0, count, 1500),
+        "full": np.arange(count),
+        "empty": np.arange(0),
+    }[pick]
+    expected = brownian_terminal_block(STREAM, 11, count, T)[at]
+    u = uniform_block(STREAM, 11, count)
+    kept = u.copy()
+    drawn = []
+
+    def spy(x, out=None):
+        drawn.append(x.size)
+        return ndtri(x, out=out)
+
+    monkeypatch.setattr(special, "_ndtri", spy)
+    workspace = Workspace(count)
+    b_t = _brownian_at(u, at, T, workspace)
+    assert b_t.tobytes() == expected.tobytes()
+    assert drawn == ([at.size] if at.size else [])
+    assert u.tobytes() == kept.tobytes()
+    assert at.size == 0 or np.shares_memory(b_t, workspace.scratch)
