@@ -10,9 +10,11 @@ the closed-form expectations of all three models, pathwise samplers whose
 Monte Carlo means reproduce them, a bit-reproducible estimator harness, and
 comparison/sweep/convergence reports.
 
-Only the Monte Carlo side needs numpy and scipy, so ``import insidermc``
-loads neither: the errors, the market, the closed forms and the scalar
-special functions import eagerly, while the exports of ``sampling``,
+Only the Monte Carlo side needs numpy, the one runtime dependency, so
+``import insidermc`` does not load it: the errors, the market, the closed
+forms and the scalar special functions import eagerly (the inverse normal
+CDF, the package's own, loads numpy at its first call), while the exports
+of ``sampling``,
 ``montecarlo``, ``report`` and ``verify``, and those submodules and
 ``samplers`` themselves, resolve on first access.
 """

@@ -65,6 +65,14 @@ GRANULE = 4096
 # the cheap word operations of the generation calls that they ran slower
 # than one.  (The stats take a fixed handful of calls per task.)
 _TASK_TARGET = 1 << 16
+# Draws per block when two or more workers run.  The inverse CDF makes about
+# a hundred numpy calls per block, each of which may wait for the GIL that
+# the other worker holds between its own calls; twice the draws per block
+# halve those handoffs per draw and lengthen each call.  On a 2-core Xeon,
+# run_compare at the showcase point with 2^24 draws and chunks=2 fell from
+# 1.26-1.40 s to 1.08-1.14 s (three alternating rounds), where scipy's
+# ndtri, one call per block, took 0.88-1.09 s.
+_POOL_TASK_TARGET = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -184,8 +192,9 @@ def _stats_over_blocks(
     over samples [0, n), stat each granule of 4096 samples separately (one
     :func:`_granule_stats` call per task) and merge them by :func:`_merge_tree`.
     ``width`` is the draws per sample, already range-checked.  Blocks are
-    ``max(1, _TASK_TARGET // width)`` samples, so none holds more than
-    ``max(_TASK_TARGET, width)`` draws; a task is the whole granules of one
+    ``max(1, target // width)`` samples, so none holds more than
+    ``max(target, width)`` draws, with ``target`` _TASK_TARGET for one
+    worker and _POOL_TASK_TARGET for more; a task is the whole granules of one
     block, or one granule generated block by block.  The counter-based
     streams make every result bit independent of the cut.
 
@@ -196,14 +205,15 @@ def _stats_over_blocks(
     in the workspace; they are statted or copied before the next block.
     Returns the merged (count, mean, M2, zeros) and the sum of the tallies.
     """
-    block = max(1, _TASK_TARGET // width)
+    target = _TASK_TARGET if min(chunks, os.cpu_count() or 1) == 1 else _POOL_TASK_TARGET
+    block = max(1, target // width)
     step = GRANULE * max(1, block // GRANULE)
     local = threading.local()
 
     def task(offset: int) -> tuple[list[_Stats], int]:
         workspace = getattr(local, "workspace", None)
         if workspace is None:
-            workspace = local.workspace = Workspace(max(_TASK_TARGET, width))
+            workspace = local.workspace = Workspace(max(target, width))
         stop = min(offset + step, n)
         if stop - offset <= block:
             values, tally = make_values(offset, stop - offset, workspace)

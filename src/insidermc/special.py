@@ -7,33 +7,52 @@ are the standard library's ``math.erf`` and ``math.erfc``.  Against a
 40-digit mpmath oracle at 3000 random arguments in [-12, 26.5],
 ``math.erfc`` stayed within 1.9 ulp wherever its result is a normal double,
 where scipy's ``erfc`` reached 483 ulp in Phi's lower tail; ``math.erf``
-stayed within 0.75 ulp on [-6, 6].  The inverse is scipy's ``ndtri``, which
-folds its tails on 1 - u itself; it is exactly antisymmetric about 0.5 on
-the doubles where 1 - u is exact, and checked against a frozen 50-digit
-oracle table over u in [1e-300, 1 - 2^-53] to 1e-14 relative error.
+stayed within 0.75 ulp on [-6, 6].
 
-numpy is imported, and ``ndtri`` bound, on the first inverse CDF call, so
-``import insidermc`` and the closed forms load neither numpy nor scipy; the
-first Monte Carlo block does.  That block loads only the ``ndtri`` ufunc's
-extension, ``scipy.special._ufuncs``, not the ``scipy.special`` package:
-with scipy 1.17 the extension took 0.02 s and 5 MB of RSS, the package
-0.24 s and 25.7 MB (:func:`_load_ndtri`).
+The inverse is the package's own, built from numpy's add, subtract,
+multiply, divide, sqrt, minimum, frexp and copysign, which are correctly
+rounded or exact on every CPU, so its bits depend neither on numpy's CPU
+dispatch nor on the libm.  It has three rational pieces after Wichura
+(Algorithm AS 241, Appl. Stat. 37, 1988): a central one in q = u - 0.5 and
+two tail pieces in r = sqrt(-log min(u, 1 - u)), the log itself from an
+exact mantissa and exponent split and a short series.
+tools/fit_inverse_normal.py fits their coefficients at 50 digits and writes
+them to ``_inverse_normal_coefficients``.  Against that script's frozen
+table of 2320 50-digit quantiles over u in [1e-300, 1 - 2^-53], the
+relative error stays within 2.8e-16 (2.3 ulp); the values are exactly
+antisymmetric about 0.5 wherever 1 - u is exact, and non-decreasing across
+every piece edge.  A block takes about a hundred numpy calls where scipy's
+``ndtri`` took one, and with two Monte Carlo workers each call may wait for
+the GIL (ROADMAP item 19).
 
-Scalar calls and the vectorized helpers used by the sampling pipeline share
-one array core, so a scalar result is bit-identical to the matching entry of
-a block evaluation.
+numpy is imported on the first inverse CDF call, so ``import insidermc``
+and the closed forms do not load it, and nothing here loads scipy.  Scalar
+calls and the vectorized helpers used by the sampling pipeline share one
+array core, so a scalar result is bit-identical to the matching entry of a
+block evaluation.
 """
 
 from __future__ import annotations
 
-import importlib
 import math
-import os
-import sys
-import threading
-import types
 from typing import TYPE_CHECKING
 
+from ._inverse_normal_coefficients import (
+    CENTRAL_P,
+    CENTRAL_Q,
+    FAR_TAIL_P,
+    FAR_TAIL_Q,
+    LN2_HI,
+    LN2_LO,
+    MINUS_LOG_THREE_QUARTERS,
+    R_EDGE,
+    R_LO,
+    TAIL_P,
+    TAIL_Q,
+    U_HI,
+    U_LO,
+    W_EDGE,
+)
 from .errors import NotFiniteError, OutOfDomainError
 
 if TYPE_CHECKING:
@@ -46,11 +65,14 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2_LO = 6.268583589525109e-17
 _HALF_LOG_2PI = 0.9189385332046728
 _TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
-
-# scipy's ndtri ufunc, bound once by the first inverse CDF call under the
-# lock: that call can come from several pool threads at once.
-_ndtri = None
-_NDTRI_LOCK = threading.Lock()
+# 2/21, 2/19, ..., 2/3, 2/1: 2 atanh(s) = s (2 + 2 s^2/3 + 2 s^4/5 + ...),
+# cut after s^21.  For |s| <= 0.2 the first term left out, 2 s^23/23, is
+# below 8e-18, against an ulp of 4.4e-16 of the smallest -log p it enters.
+_ATANH_SERIES = tuple(2.0 / k for k in range(21, 0, -2))
+# The most draws the central piece takes at once, and the most gathered
+# tail draws: a Monte Carlo block, and its tails for a few blocks.
+_PIECE = 1 << 16
+_TAIL_PIECE = 1 << 17
 
 
 def erf(x: float) -> float:
@@ -122,50 +144,118 @@ def _log_normal_cdf(x: float) -> float:
     return -0.5 * x * x - math.log(-x) - _HALF_LOG_2PI + math.log1p(series)
 
 
-def _inverse_normal_cdf_array(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Vectorized inverse CDF; expects a float64 array strictly inside (0, 1).
-    ``out`` may be ``u`` itself."""
-    global _ndtri
-    if _ndtri is None:
-        with _NDTRI_LOCK:
-            if _ndtri is None:
-                _ndtri = _load_ndtri()
-    return _ndtri(u, out=out)
+def _ratio(t: np.ndarray, p: tuple, q: tuple, num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """p(t)/q(t) by Horner's rule, into ``num`` (``den`` is scratch):
+    ascending coefficients, q monic."""
+    import numpy as np
+
+    np.multiply(t, p[-1], out=num)
+    num += p[-2]
+    for a in p[-3::-1]:
+        num *= t
+        num += a
+    np.add(t, q[-2], out=den)
+    for b in q[-3::-1]:
+        den *= t
+        den += b
+    num /= den
+    return num
 
 
-def _load_ndtri():
-    """scipy's ``ndtri`` ufunc, without running ``scipy.special``'s ``__init__``.
+def _minus_log(p: np.ndarray) -> np.ndarray:
+    """-log p for 0 < p < 0.125, from basic operations alone: p = m 2^e
+    exactly, log m = log 0.75 + 2 atanh(s) with s = (m - 0.75)/(m + 0.75)
+    in [-0.2, 1/7), and -e log 2 in Cody and Waite's two parts."""
+    import numpy as np
 
-    A bare package module with the real ``__path__`` stands in for
-    ``scipy.special`` while its extension ``_ufuncs`` is imported, and is
-    removed after.  ``_ufuncs`` stays in ``sys.modules``, so a later
-    ``import scipy.special`` builds the real package around the same ufunc.
-    An already imported package is used as it is, and any failure of the
-    lean path falls back to the public import.
+    m, e = np.frexp(p)
+    s = np.subtract(m, 0.75)  # exact: m lies in [0.5, 1)
+    m += 0.75
+    s /= m
+    z = np.multiply(s, s, out=m)
+    series = np.multiply(z, _ATANH_SERIES[0])
+    for c in _ATANH_SERIES[1:-1]:
+        series += c
+        series *= z
+    series += _ATANH_SERIES[-1]
+    series *= s  # 2 atanh(s)
+    low = np.multiply(e, -LN2_LO, out=z)
+    low += MINUS_LOG_THREE_QUARTERS
+    low -= series
+    high = np.multiply(e, -LN2_HI, out=series)  # exact: LN2_HI has 32 bits
+    high += low
+    return high
+
+
+def _tail_magnitude(p: np.ndarray) -> np.ndarray:
+    """|Phi^{-1}(p)| for 0 < p < U_LO, in place: r + h(r) with
+    r = sqrt(-log p), the second tail piece past R_EDGE."""
+    import numpy as np
+
+    r = _minus_log(p)
+    np.sqrt(r, out=r)
+    t = np.subtract(r, R_LO, out=p)
+    h = _ratio(t, TAIL_P, TAIL_Q, np.empty_like(t), np.empty_like(t))
+    far = np.flatnonzero(r > R_EDGE)
+    if far.size:
+        t = r.take(far)
+        t -= R_EDGE
+        h[far] = _ratio(t, FAR_TAIL_P, FAR_TAIL_Q, np.empty_like(t), np.empty_like(t))
+    return np.add(r, h, out=p)
+
+
+def _inverse_normal_cdf_array(
+    u: np.ndarray, out: np.ndarray | None = None, work: np.ndarray | None = None
+) -> np.ndarray:
+    """Vectorized inverse CDF of a float64 vector strictly inside (0, 1).
+    ``out`` may be ``u`` itself.  ``work``, a float64 array of shape
+    (3, >= min(u.size, _PIECE)), takes the central piece's temporaries,
+    which are fresh without it.
+
+    The draws outside [U_LO, U_HI] are gathered first, before ``out`` is
+    written.  The central piece, x = 2q + q S(W_EDGE - q^2) with
+    q = u - 0.5, then runs over every draw, _PIECE at a time so that its
+    temporaries stay in cache; the tails, |x| = r + h(r) with
+    r = sqrt(-log min(u, 1 - u)), run over the gathered draws in as few
+    calls as their memory allows, since each numpy call may have to wait for
+    the GIL.  Each value is a fixed sequence of IEEE operations on its own u,
+    so its bits do not depend on the other draws of the call.
     """
-    if "scipy.special" in sys.modules:
-        return sys.modules["scipy.special"].ndtri
-    try:
-        return _ufuncs_ndtri()
-    except Exception:
-        from scipy.special import ndtri
+    import numpy as np
 
-        return ndtri
+    if out is None:
+        out = np.empty_like(u)
+    if work is None:
+        work = np.empty((3, min(u.size, _PIECE)))
+    tails = np.flatnonzero((u < U_LO) | (u > U_HI))
+    u_tails = u.take(tails)
+    for start in range(0, u.size, _PIECE):
+        _central(u[start : start + _PIECE], out[start : start + _PIECE], work)
+    if tails.size:
+        x = np.subtract(1.0, u_tails)  # exact wherever it is the minimum
+        np.minimum(x, u_tails, out=x)
+        for start in range(0, x.size, _TAIL_PIECE):
+            _tail_magnitude(x[start : start + _TAIL_PIECE])
+        u_tails -= 0.5
+        np.copysign(x, u_tails, out=x)
+        out[tails] = x
+    return out
 
 
-def _ufuncs_ndtri():
-    """``ndtri`` of ``scipy.special._ufuncs``, imported under a stand-in
-    ``scipy.special``."""
-    import scipy
+def _central(u: np.ndarray, out: np.ndarray, work: np.ndarray) -> None:
+    """x = 2q + q S(W_EDGE - q^2), q = u - 0.5, into ``out``.  The dominant
+    term 2q is exact, which keeps x non-decreasing across adjacent doubles
+    although S's own rounding is not monotone."""
+    import numpy as np
 
-    stub = types.ModuleType("scipy.special")
-    stub.__path__ = [os.path.join(root, "special") for root in scipy.__path__]
-    sys.modules["scipy.special"] = stub
-    try:
-        return importlib.import_module("scipy.special._ufuncs").ndtri
-    finally:
-        if sys.modules.get("scipy.special") is stub:
-            del sys.modules["scipy.special"]
+    w, num, den = work[:, : u.size]
+    q = np.subtract(u, 0.5, out=out)
+    np.multiply(q, q, out=w)
+    np.subtract(W_EDGE, w, out=w)
+    s = _ratio(w, CENTRAL_P, CENTRAL_Q, num, den)
+    s *= q
+    q += q
+    q += s
 
 
 def inverse_normal_cdf(u: float) -> float:

@@ -70,8 +70,8 @@ GOLDEN = {
     "sweep": (
         _sweep,
         (
-            "6679af254048b1602b383adca3e50d78543f8ca5ba5cba240bca6a676dfb0bbe",
-            "3a291a2b84da977cc05a7acdf757fd2984f0d070ba0e9ca10c36afd7a0bce39a",
+            "cbab35832432569265602247b7575faa65aaee7f7c91a07698091282613ba4c3",
+            "5b2e0e290ebcfef5d36b8d27b493dc3617adea1aba7d14888a3d6f022e2d06cc",
         ),
     ),
     "convergence": (

@@ -31,7 +31,7 @@ from insidermc import (
 )
 import insidermc.montecarlo as montecarlo
 import insidermc.samplers as samplers
-import insidermc.special as special
+import insidermc.sampling as sampling
 from insidermc.montecarlo import GRANULE
 from insidermc.samplers import forward_insider_values, honest_values, skorokhod_unbiased_values
 from insidermc.sampling import Workspace, brownian_terminal_block
@@ -233,24 +233,22 @@ def test_estimators_refuse_unreachable_counters_before_drawing(monkeypatch, name
         estimate(2**63 // draws + 1)
 
 
-class _CountingNdtri:
-    """scipy's ndtri as the special module binds it, counting its draws."""
+class _CountingNormals:
+    """The inverse CDF as sampling binds it, counting its draws."""
 
     def __init__(self):
-        from scipy.special import ndtri
+        self._inverse, self.draws = sampling._inverse_normal_cdf_array, 0
 
-        self._ndtri, self.draws = ndtri, 0
-
-    def __call__(self, u, out=None):
+    def __call__(self, u, out=None, work=None):
         self.draws += np.size(u)
-        return self._ndtri(u, out=out)
+        return self._inverse(u, out=out, work=work)
 
 
 def test_insiders_take_normals_only_where_a_value_reads_them(monkeypatch):
     # Pr{B_T > a} = 1/2 and Pr{B_T > a + sigma T} = 0.16 at the showcase point.
     n = 1 << 18
-    counter = _CountingNdtri()
-    monkeypatch.setattr(special, "_ndtri", counter)
+    counter = _CountingNormals()
+    monkeypatch.setattr(sampling, "_inverse_normal_cdf_array", counter)
     a, root_t = indicator_threshold(SHOWCASE), math.sqrt(SHOWCASE.T)
     for trader, level in [
         (Trader.FORWARD_INSIDER, a),
@@ -342,14 +340,15 @@ def test_factorized_degenerate_all_stock():
     assert est.mean == p.M * float(g.mean())
 
 
-# Recorded with the GBM leg on its own counter range n..2n-1.  n = 4096 + 17
-# leaves a short last granule in each leg; n = 2^16 + 4099 spans two tasks.
+# Recorded with the GBM leg on its own counter range n..2n-1, on the
+# package's own inverse CDF.  n = 4096 + 17 leaves a short last granule in
+# each leg; n = 2^16 + 4099 spans two tasks.
 FACTORIZED_FROZEN = [
     # (point, n, mean, stderr)
-    (SHOWCASE, 4113, "0x1.50fd125d21918p+0", "0x1.21c56ab146ffcp-6"),
+    (SHOWCASE, 4113, "0x1.50fd125d21918p+0", "0x1.21c56ab146ffbp-6"),
     (SHOWCASE, 69635, "0x1.546f114cc49efp+0", "0x1.19b5f6981d689p-8"),
     (BEAR, 4113, "0x1.2f3e8e8590b74p+0", "0x1.cdc986ecb068dp-10"),
-    (BEAR, 69635, "0x1.2f7e2cd75236ep+0", "0x1.c0f8376ff12d2p-12"),
+    (BEAR, 69635, "0x1.2f7e2cd75236ep+0", "0x1.c0f8376ff12d5p-12"),
 ]
 
 
@@ -368,17 +367,18 @@ def test_euler_estimate_determinism_and_clamps():
     assert e1.zero_fraction == (e1.clamp_count / 50_000)
 
 
-# Recorded on the whole-granule Euler code at sigma = 2 (a clamping point)
-# and n = 4096 + 17, so the short last granule and sub-blocks that do not
-# divide a granule (3, 48 and 1000 steps) are both covered.
+# Recorded on the whole-granule Euler code and the package's own inverse
+# CDF at sigma = 2 (a clamping point) and n = 4096 + 17, so the short last
+# granule and sub-blocks that do not divide a granule (3, 48 and 1000
+# steps) are both covered.
 EULER_POINT = validate_params(1, 0, 0.5, 2, 1)
 EULER_N = GRANULE + 17
 EULER_FROZEN = [
     # (n_steps, mean, stderr, zero paths, clamp_count)
     (3, "0x1.233bc7d7e56ffp+1", "0x1.ada30aea14c82p-5", 41, 41),
-    (48, "0x1.4b986a1a05f52p+1", "0x1.8f9cfe4276859p-3", 2, 2),
-    (256, "0x1.34e850542eea1p+1", "0x1.36f355d440767p-3", 0, 0),
-    (1000, "0x1.0604cd42a6265p+1", "0x1.fd19f9a50f128p-4", 0, 0),
+    (48, "0x1.4b986a1a05f51p+1", "0x1.8f9cfe4276858p-3", 2, 2),
+    (256, "0x1.34e850542eea0p+1", "0x1.36f355d440764p-3", 0, 0),
+    (1000, "0x1.0604cd42a6265p+1", "0x1.fd19f9a50f12fp-4", 0, 0),
 ]
 
 
@@ -691,14 +691,17 @@ def test_one_workspace_serves_every_block_of_a_call(monkeypatch, width):
 
 
 def test_workspaces_are_never_shared_between_threads(monkeypatch):
-    serial = estimate_mean(Trader.FORWARD_INSIDER, SHOWCASE, 10**6, seed=4)
+    # 2 * 10^6 draws make 16 pool blocks of _POOL_TASK_TARGET draws.
+    n = 2 * 10**6
+    assert -(-n // montecarlo._POOL_TASK_TARGET) == 16
+    serial = estimate_mean(Trader.FORWARD_INSIDER, SHOWCASE, n, seed=4)
     seen = _record_workspaces(monkeypatch, "uniform_block")  # the insiders bet on uniforms
     # More workers than cores, switching threads as often as the interpreter can.
     monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        pooled = estimate_mean(Trader.FORWARD_INSIDER, SHOWCASE, 10**6, seed=4, chunks=8)
+        pooled = estimate_mean(Trader.FORWARD_INSIDER, SHOWCASE, n, seed=4, chunks=8)
     finally:
         sys.setswitchinterval(interval)
     assert pooled == serial

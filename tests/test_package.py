@@ -1,5 +1,5 @@
 """The public surface: every exported name resolves, removed names stay
-removed, and the closed-form paths run without numpy or scipy."""
+removed, the closed-form paths run without numpy, and no path loads scipy."""
 
 import ast
 import importlib
@@ -30,11 +30,13 @@ MODULES = [insidermc] + [
 # report runs.  Every estimate covers draws 0..n-1, so none is merged.  The
 # erf forms restated the Phi forms, which the 50-digit oracles check.  An
 # Euler path's first bad product decides overflow against clamp in place.
+# The inverse CDF is the package's own, so no scipy ufunc is loaded or bound.
 REMOVED = (
     "Allocation", "AllocationMismatchError", "honest_optimal_allocation", "SweepSpec",
     "honest_ignores_draws", "merge_estimates",
     "skorokhod_expected_wealth_erf_form", "forward_expected_wealth_erf_form",
     "_overflow_precedes_clamp",
+    "_ndtri", "_NDTRI_LOCK", "_load_ndtri", "_ufuncs_ndtri",
 )
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -78,6 +80,39 @@ def test_only_special_evaluates_erf(module):
         assert set(_erf_uses(module)) == {"math.erf", "math.erfc"}
     else:
         assert _erf_uses(module) == []
+
+
+# numpy's transcendental ufuncs are dispatched by CPU and may differ in
+# their last bits between hosts; the inverse CDF is built without them.
+NUMPY_TRANSCENDENTALS = ("log", "log1p", "log2", "exp", "expm1", "power")
+
+
+def test_special_calls_no_numpy_transcendental():
+    # Modelled on the erf check: no np.log, np.exp, ... read in special's
+    # source, by attribute or by import.
+    tree = ast.parse(Path(insidermc.special.__file__).read_text(encoding="utf-8"))
+    uses = [
+        node.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in NUMPY_TRANSCENDENTALS
+        and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")
+    ]
+    uses += [
+        alias.name for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy"
+        for alias in node.names if alias.name in NUMPY_TRANSCENDENTALS
+    ]
+    assert uses == []
+    assert "np.frexp" in ast.unparse(tree)  # the check reads the array core's source
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
+def test_no_module_imports_scipy(module):
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names]
+    imported += [node.module for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and not node.level]
+    assert [name for name in imported if name.split(".")[0] == "scipy"] == []
 
 
 def _callers(module, name: str) -> list[str]:
@@ -149,7 +184,8 @@ PACKAGE_IMPORTS = {
     "insidermc.report": {"insidermc", "closedform", "errors", "market", "montecarlo", "sampling"},
     "insidermc.samplers": {"errors", "market", "sampling"},
     "insidermc.sampling": {"errors", "special"},
-    "insidermc.special": {"errors"},
+    "insidermc.special": {"_inverse_normal_coefficients", "errors"},
+    "insidermc._inverse_normal_coefficients": set(),
     "insidermc.verify": {
         "insidermc", "closedform", "market", "montecarlo", "report", "sampling", "special",
     },
@@ -214,12 +250,21 @@ def test_every_public_package_attribute_is_exported():
     assert [name for name in public if name not in insidermc.__all__] == []
 
 
-def test_pyproject_version_is_package_version():
-    # Every JSON report prints __version__ as tool_version.  Read as text:
-    # tomllib needs Python 3.11, and the package supports 3.10.
+def _pyproject_project() -> str:
+    # Read as text: tomllib needs Python 3.11, and the package supports 3.10.
     text = (Path(SRC).parent / "pyproject.toml").read_text(encoding="utf-8")
-    project = text.split("\n[project]\n", 1)[1].split("\n[", 1)[0]
+    return text.split("\n[project]\n", 1)[1].split("\n[", 1)[0]
+
+
+def test_pyproject_version_is_package_version():
+    # Every JSON report prints __version__ as tool_version.
+    project = _pyproject_project()
     assert re.findall(r'^version\s*=\s*"([^"]*)"\s*$', project, re.M) == [insidermc.__version__]
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    dependencies = _pyproject_project().split("dependencies = [", 1)[1].split("]", 1)[0]
+    assert re.findall(r'"([^"]*)"', dependencies) == ["numpy>=1.24"]
 
 
 def _child_stdout(code: str) -> str:
@@ -281,111 +326,21 @@ def test_lazy_submodules_resolve_after_a_bare_import():
     assert stdout.splitlines() == [str([False] * 5), str([True] * 5), "True"]
 
 
-def test_first_estimate_loads_scipy():
-    assert _scipy_loaded_after(
+@pytest.mark.parametrize("draw", [
+    "insidermc.estimate_mean(insidermc.Trader.FORWARD_INSIDER, p, 1 << 17, 1, 1)",
+    "insidermc.estimate_mean(insidermc.Trader.FORWARD_INSIDER, p, 1 << 17, 1, 2)",
+    "insidermc.estimate_euler_mean(p, 16, 4096, 1)",
+    "insidermc.skorokhod_factorized_estimate(p, insidermc.RngStream(1), 4096)",
+], ids=["estimate-chunks-1", "estimate-chunks-2", "euler-level", "factorized"])
+def test_no_scipy_module_loads_after_a_first_estimate(draw):
+    stdout = _child_stdout(
+        "import sys\n"
         "import insidermc\n"
-        "insidermc.estimate_mean(insidermc.Trader.FORWARD_INSIDER, "
-        "insidermc.validate_params(1, 0, 0.5, 1, 1), 4096, seed=1)"
-    )
-
-
-FIRST_ESTIMATE = (
-    "import sys\n"
-    "import insidermc\n"
-    "from insidermc import special\n"
-    "def first_estimate(chunks=1):\n"
-    "    e = insidermc.estimate_mean(insidermc.Trader.FORWARD_INSIDER, "
-    "insidermc.validate_params(1, 0, 0.5, 1, 1), 1 << 17, 1, chunks)\n"
-    "    return e.mean.hex(), e.stderr.hex()\n"
-)
-# The normals' bits, printed as one digest line.
-NORMALS_DIGEST = (
-    "import hashlib\n"
-    "from insidermc.sampling import RngStream, standard_normal_block\n"
-    "z = standard_normal_block(RngStream(3), 0, 1 << 16)\n"
-    "print(hashlib.sha256(z.tobytes()).hexdigest())\n"
-)
-
-
-def test_first_estimate_loads_only_the_ndtri_extension():
-    # The package __init__ never runs: only scipy.special._ufuncs is loaded,
-    # and no stand-in package is left behind.
-    stdout = _child_stdout(
-        FIRST_ESTIMATE + "first_estimate()\n"
-        "print('scipy.special' in sys.modules, 'scipy.special._ufuncs' in sys.modules)\n"
-        "print(special._ndtri is sys.modules['scipy.special._ufuncs'].ndtri)\n"
-    )
-    assert stdout.splitlines() == ["False True", "True"]
-
-
-def test_a_later_scipy_special_import_shares_the_ufunc():
-    stdout = _child_stdout(
-        FIRST_ESTIMATE + "first_estimate()\n"
-        "import scipy.special, scipy.stats\n"
-        "print(special._ndtri is scipy.special.ndtri)\n"
-        "print(scipy.stats.norm.ppf(0.3) == scipy.special.ndtri(0.3) < 0)\n"
-    )
-    assert stdout.splitlines() == ["True", "True"]
-
-
-def test_an_imported_scipy_special_is_used_as_it_is():
-    stdout = _child_stdout(
-        "import scipy.special\n" + FIRST_ESTIMATE
-        + "lean_loads, lean = [], special._ufuncs_ndtri\n"
-        "special._ufuncs_ndtri = lambda: lean_loads.append(1) or lean()\n"
-        "first_estimate()\n"
-        "print(special._ndtri is scipy.special.ndtri, lean_loads)\n"
+        "p = insidermc.validate_params(1, 0, 0.5, 1, 1)\n"
+        f"{draw}\n"
+        "print('numpy' in sys.modules, [m for m in sys.modules if m.split('.')[0] == 'scipy'])\n"
     )
     assert stdout.splitlines() == ["True []"]
-
-
-def test_a_failing_lean_load_falls_back_to_the_public_import():
-    stdout = _child_stdout(
-        FIRST_ESTIMATE
-        + "def refuse():\n"
-        "    raise ImportError('lean load refused')\n"
-        "special._ufuncs_ndtri = refuse\n"
-        + NORMALS_DIGEST
-        + "print(special._ndtri is sys.modules['scipy.special'].ndtri)\n"
-    )
-    lean = _child_stdout(FIRST_ESTIMATE + NORMALS_DIGEST)
-    digest, bound = stdout.splitlines()
-    assert bound == "True"
-    assert digest == lean.strip()
-
-
-def test_pool_threads_racing_to_the_first_normals_bind_ndtri_once():
-    # Two pool threads reach the load together: the first holds the lock
-    # until the second has arrived at it.  os.cpu_count is raised so that
-    # chunks=2 runs two threads on any host.
-    stdout = _child_stdout(
-        FIRST_ESTIMATE
-        + "import os, threading, time\n"
-        "os.cpu_count = lambda: 2\n"
-        "class Door:\n"
-        "    def __init__(self, lock):\n"
-        "        self.lock, self.arrived = lock, []\n"
-        "    def __enter__(self):\n"
-        "        self.arrived.append(threading.current_thread().name)\n"
-        "        return self.lock.__enter__()\n"
-        "    def __exit__(self, *exc):\n"
-        "        return self.lock.__exit__(*exc)\n"
-        "door = special._NDTRI_LOCK = Door(special._NDTRI_LOCK)\n"
-        "loads, load = [], special._load_ndtri\n"
-        "def held_load():\n"
-        "    deadline = time.monotonic() + 10\n"
-        "    while len(door.arrived) < 2 and time.monotonic() < deadline:\n"
-        "        time.sleep(0.001)\n"
-        "    loads.append(threading.current_thread().name)\n"
-        "    return load()\n"
-        "special._load_ndtri = held_load\n"
-        "racing = first_estimate(chunks=2)\n"
-        "print(len(set(door.arrived)), len(loads))\n"
-        "print('scipy.special' in sys.modules)\n"
-        "print(special._ndtri is sys.modules['scipy.special._ufuncs'].ndtri)\n"
-        "print(racing == first_estimate(chunks=1))\n"
-    )
-    assert stdout.splitlines() == ["2 1", "False", "True", "True"]
 
 
 @pytest.mark.parametrize("args", [["closed-form"], ["--help"]], ids=" ".join)

@@ -4,7 +4,6 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.special import ndtri
 
 from insidermc import (
     MarketParams,
@@ -31,7 +30,7 @@ from insidermc.sampling import (
     brownian_increments_block,
     brownian_terminal_block,
 )
-from insidermc.special import normal_cdf
+from insidermc.special import _inverse_normal_cdf_array, normal_cdf
 from insidermc.verify import GRID
 
 SHOWCASE = validate_params(1, 0, 0.5, 1, 1)  # threshold a = 0
@@ -215,12 +214,14 @@ def test_overflowing_bond_leg_raises(sampler):
 def front_readings(p: MarketParams, u: np.ndarray, a: float, wick_only: bool = False) -> list:
     """Skorokhod and forward values of the uniform front at u, and its bet mask
     as a float (only the first with ``wick_only``), each paired with today's
-    b-space reading of b = sqrt(T) ndtri(u): the samplers' kernel, and
-    1{b > a} as a float.  A reading is the values' bits as uint64, or the
-    message of the overflow it raised; :func:`same_reading` compares two."""
-    b_t = ndtri(u)
-    b_t *= math.sqrt(p.T)
+    b-space reading of b = sqrt(T) Phi^{-1}(u): the samplers' kernel, and
+    1{b > a} as a float.  The window's normals are computed once, in the
+    workspace the fronts then reuse, and every case reads them.  A reading
+    is the values' bits as uint64, or the message of the overflow it
+    raised; :func:`same_reading` compares two."""
     workspace = Workspace(u.size)
+    b_t = _inverse_normal_cdf_array(u, work=workspace.work)
+    b_t *= math.sqrt(p.T)
     cases = [
         (lambda v: _uniform_insider_values(p, v, a, True, workspace),
          lambda: _insider_values(p, b_t, a, True)),

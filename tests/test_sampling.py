@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import ndtri
 
 from insidermc import (
     IndexOverflowError,
@@ -17,7 +16,7 @@ from insidermc import (
     standard_normal_block,
     validate_params,
 )
-from insidermc import special
+from insidermc import sampling
 from insidermc.sampling import (
     Workspace,
     _brownian_at,
@@ -25,6 +24,7 @@ from insidermc.sampling import (
     brownian_terminal_block,
     uniform_block,
 )
+from insidermc.special import _inverse_normal_cdf_array
 
 STREAM = RngStream(42)
 SHOWCASE = validate_params(1, 0, 0.5, 1, 1)
@@ -219,14 +219,15 @@ def test_numpy_seeds_are_the_equal_python_ints(to_int):
 
 
 def reference_normals(seed, start, count):
-    """splitmix64 words -> uniforms -> ndtri, one fresh array per step."""
+    """splitmix64 words -> uniforms -> the inverse CDF, one fresh array per
+    step."""
     idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
     z = np.uint64(seed) + idx * np.uint64(0x9E3779B97F4A7C15)
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     z = z ^ (z >> np.uint64(31))
     u = ((z >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-    return u, ndtri(u)
+    return u, _inverse_normal_cdf_array(u)
 
 
 BLOCKS = {
@@ -290,11 +291,11 @@ def test_brownian_at_is_bitwise_the_terminal_block(pick, monkeypatch):
     kept = u.copy()
     drawn = []
 
-    def spy(x, out=None):
+    def spy(x, out=None, work=None):
         drawn.append(x.size)
-        return ndtri(x, out=out)
+        return _inverse_normal_cdf_array(x, out=out, work=work)
 
-    monkeypatch.setattr(special, "_ndtri", spy)
+    monkeypatch.setattr(sampling, "_inverse_normal_cdf_array", spy)
     workspace = Workspace(count)
     b_t = _brownian_at(u, at, T, workspace)
     assert b_t.tobytes() == expected.tobytes()

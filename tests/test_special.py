@@ -1,13 +1,20 @@
+import hashlib
 import math
+import os
+import subprocess
+import sys
+import warnings
+from decimal import Decimal
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from scipy import integrate, special as sc
+from scipy import integrate
 
 from insidermc import NotFiniteError, OutOfDomainError, erf, inverse_normal_cdf, normal_cdf
-from insidermc.sampling import RngStream, uniform_block
-from insidermc.special import _inverse_normal_cdf_array
+from insidermc.sampling import RngStream, standard_normal_block, uniform_block
+from insidermc.special import _PIECE, _inverse_normal_cdf_array
 from insidermc.verify import ERF_ORACLE_POINTS
 
 # mpmath (50 digits) oracle constants, frozen before the implementation:
@@ -131,6 +138,8 @@ INVERSE_ORACLE_POINTS = [
     (0.9999999999999998, 8.125890664701906),
     (0.9999999999999999, 8.209536151601387),
 ]
+# The edges of the stream and of the contract.
+EDGES = [1e-300, 2.0**-54, 0.5 - 2.0**-54, 0.5, 0.5 + 2.0**-53, 1.0 - 2.0**-53]
 
 
 def test_erf_archived_oracle_points():
@@ -217,24 +226,17 @@ def test_inverse_archived_oracle_points():
 
 
 def test_inverse_fold_is_exactly_antisymmetric():
+    # The stream's draws, and the edges above 0.5: below it, an edge's
+    # 1 - u is not a double.
+    edges = [e for e in EDGES if e > 0.5]
     u = uniform_block(RngStream(5), 0, 30_000)
-    u = u[u >= 0.5][:10_000]
-    assert u.size == 10_000
+    u = np.concatenate([u[u >= 0.5][:10_000], edges])
+    assert u.size == 10_000 + len(edges)
     upper = _inverse_normal_cdf_array(u)
     lower = _inverse_normal_cdf_array(1.0 - u)  # 1 - u is exact for u >= 0.5
     assert np.array_equal(upper.view(np.int64), (-lower).view(np.int64))
     center = _inverse_normal_cdf_array(np.array([0.5]))[0]
     assert center == 0.0 and math.copysign(1.0, center) == 1.0
-
-
-def test_fused_fold_matches_select_fold_bitwise():
-    """Bare ndtri == the branchy select fold, sign of zero included."""
-    edges = [1e-300, 2.0**-54, 0.5 - 2.0**-54, 0.5, 0.5 + 2.0**-53, 1.0 - 2.0**-53]
-    u = np.concatenate([uniform_block(RngStream(3), 0, 20_000), edges])
-    upper = u > 0.5
-    x = sc.ndtri(np.where(upper, 1.0 - u, u))
-    reference = np.where(upper, -x, x)
-    assert np.array_equal(_inverse_normal_cdf_array(u).view(np.int64), reference.view(np.int64))
 
 
 def test_inverse_hits_target_probability():
@@ -270,3 +272,118 @@ def test_round_trip_through_representable_tail():
             assert abs(inverse_normal_cdf(normal_cdf(x)) - x) <= 1e-8
         else:
             assert abs(inverse_normal_cdf(normal_cdf(-x)) + x) <= 1e-8
+
+
+# tools/fit_inverse_normal.py's frozen table: label, u, Phi^{-1}(u) to 25
+# digits.  ``python tools/fit_inverse_normal.py --check`` recomputes it.
+ORACLE_TABLE = [
+    (label, float(u), Decimal(x))
+    for label, u, x in (
+        line.split() for line in
+        (Path(__file__).with_name("inverse_normal_oracle.txt")).read_text().splitlines()
+        if not line.startswith("#")
+    )
+]
+
+
+def test_inverse_matches_the_dense_oracle_table():
+    assert len(ORACLE_TABLE) >= 2000
+    u = np.array([row[1] for row in ORACLE_TABLE])
+    assert u.min() == 1e-300 and u.max() == 1.0 - 2.0**-53
+    x = _inverse_normal_cdf_array(u)
+    rel = [abs((Decimal(float(v)) - exact) / exact) if exact else Decimal(float(v) != 0)
+           for v, (_, _, exact) in zip(x, ORACLE_TABLE)]
+    worst = max(range(len(rel)), key=rel.__getitem__)
+    assert rel[worst] <= Decimal("2e-15"), (ORACLE_TABLE[worst], x[worst], rel[worst])
+
+
+def test_inverse_is_nondecreasing_across_every_piece_edge():
+    # The table holds the +-64 doubles around each edge between pieces and
+    # the 16 on each side of 0.5, in increasing order.
+    windows = {}
+    for label, u, _ in ORACLE_TABLE:
+        if label.startswith("edge") or label == "half":
+            windows.setdefault(label, []).append(u)
+    assert sorted(windows) == ["edge-far", "edge-high", "edge-low", "half"]
+    for label, u in windows.items():
+        u = np.array(u)
+        assert np.all(np.diff(u) > 0) and np.all(np.diff(u.view(np.int64)) == 1), label
+        assert np.all(np.diff(_inverse_normal_cdf_array(u)) >= 0), label
+
+
+def test_inverse_is_finite_without_warning_down_to_the_smallest_subnormal():
+    # Every binade of (0, 1/2) at its bottom, middle and top, and every
+    # double 1 - 2^-k.
+    k = np.arange(1, 1075)
+    with np.errstate(under="ignore"):
+        lower = np.concatenate([np.ldexp(1.0, -k), np.ldexp(0.75, -k[:-1]),
+                                np.ldexp(1.0 - 2.0**-53, -k[:-1])])
+    u = np.concatenate([lower[lower > 0.0], 1.0 - np.ldexp(1.0, -np.arange(1, 54))])
+    assert u.min() == 5e-324 and u.max() == 1.0 - 2.0**-53
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        x = _inverse_normal_cdf_array(u)
+    assert np.all(np.isfinite(x))
+    order = np.argsort(u)
+    assert np.all(np.diff(x[order]) >= 0)
+
+
+def test_inverse_is_one_elementwise_core():
+    # A value's bits do not depend on which draws share its call, nor on
+    # where the call's pieces are cut, and the scalar goes through the
+    # same core.
+    u = np.concatenate([uniform_block(RngStream(3), 0, _PIECE + 4099), EDGES,
+                        [row[1] for row in ORACLE_TABLE]])
+    whole = _inverse_normal_cdf_array(u)
+    shuffled = np.random.default_rng(2).permutation(u.size)
+    assert np.array_equal(_inverse_normal_cdf_array(u[shuffled]).view(np.int64),
+                          whole[shuffled].view(np.int64))
+    for start, stop in ((0, 7), (_PIECE - 5, _PIECE + 9), (u.size - 3000, u.size)):
+        part = _inverse_normal_cdf_array(u[start:stop])
+        assert np.array_equal(part.view(np.int64), whole[start:stop].view(np.int64))
+    singles = [inverse_normal_cdf(float(v)) for v in u[::97]]
+    assert np.array_equal(np.array(singles).view(np.int64), whole[::97].view(np.int64))
+    in_place = u.copy()
+    assert _inverse_normal_cdf_array(in_place, out=in_place) is in_place
+    assert np.array_equal(in_place.view(np.int64), whole.view(np.int64))
+
+
+# numpy's runtime switch to its AVX2 kernels on an AVX-512 host; it acts
+# only on the process that sets it.
+AVX2_DISPATCH = "AVX512_SPR AVX512_ICL X86_V4"
+# Stream ranges whose draws reach the central piece and both tails, and the
+# oracle points' quantiles, as digests.
+DISPATCH_DIGESTS = (
+    "import hashlib, sys\n"
+    "import numpy as np\n"
+    "from insidermc import inverse_normal_cdf\n"
+    "from insidermc.sampling import RngStream, standard_normal_block\n"
+    "sys.path.insert(0, {tests!r})\n"
+    "from test_special import INVERSE_ORACLE_POINTS\n"
+    "for seed, start in ((42, 0), (7, 2**40)):\n"
+    "    z = standard_normal_block(RngStream(seed), start, 1 << 16)\n"
+    "    print(hashlib.sha256(z.tobytes()).hexdigest(), z.min() < -3, z.max() > 3)\n"
+    "x = np.array([inverse_normal_cdf(u) for u, _ in INVERSE_ORACLE_POINTS])\n"
+    "print(hashlib.sha256(x.tobytes()).hexdigest())\n"
+)
+
+
+def test_normals_hold_on_another_cpu_dispatch():
+    tests = Path(__file__).resolve().parent
+    src = str(tests.parent / "src")
+    code = DISPATCH_DIGESTS.format(tests=str(tests))
+    env = {
+        **{key: value for key, value in os.environ.items() if key != "NPY_DISABLE_CPU_FEATURES"},
+        "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))),
+    }
+    outputs = []
+    for dispatch in ({}, {"NPY_DISABLE_CPU_FEATURES": AVX2_DISPATCH}):
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**env, **dispatch}, timeout=60, check=True)
+        outputs.append(proc.stdout)
+    native, avx2 = outputs
+    lines = native.splitlines()
+    assert [line.split()[1:] for line in lines[:2]] == [["True", "True"]] * 2
+    z = standard_normal_block(RngStream(42), 0, 1 << 16)
+    assert lines[0].split()[0] == hashlib.sha256(z.tobytes()).hexdigest()
+    assert avx2 == native
