@@ -239,6 +239,16 @@ def test_inverse_fold_is_exactly_antisymmetric():
     assert center == 0.0 and math.copysign(1.0, center) == 1.0
 
 
+def test_fused_fold_matches_select_fold_bitwise():
+    """One call over all of (0, 1) == the branchy select fold, which runs the
+    core on min(u, 1 - u) and negates the upper half, sign of zero included."""
+    u = np.concatenate([uniform_block(RngStream(3), 0, 20_000), EDGES])
+    upper = u > 0.5
+    x = _inverse_normal_cdf_array(np.where(upper, 1.0 - u, u))
+    reference = np.where(upper, -x, x)
+    assert np.array_equal(_inverse_normal_cdf_array(u).view(np.int64), reference.view(np.int64))
+
+
 def test_inverse_hits_target_probability():
     """|Phi(x) - u| <= 1e-12 across the guaranteed domain."""
     us = np.concatenate(
