@@ -63,15 +63,21 @@ GRANULE = 4096
 # Smaller blocks would not pay: with one reused workspace per worker nothing
 # faults at 2^16, and at 2^14 two workers hand the GIL over so often between
 # the cheap word operations of the generation calls that they ran slower
-# than one.  (The stats take a fixed handful of calls per task.)
+# than one.  (The stats take a fixed handful of calls per task.)  Larger
+# ones lose too: on a 2-core Xeon, with one block size of 2^17 for one
+# worker as well, perfbench's euler-levels wall_s median rose from 0.164 to
+# 0.185 s, slower in 4 of 5 alternating pairs (--seconds 30 --trace 0,
+# seeds 951-955), mc-terminal's from 1.171 to 1.178 s (unresolved), and
+# peak_rss_mb by 2.6 MB on mc-terminal and 1.8 MB on euler-levels.
 _TASK_TARGET = 1 << 16
 # Draws per block when two or more workers run.  The inverse CDF makes about
 # a hundred numpy calls per block, each of which may wait for the GIL that
 # the other worker holds between its own calls; twice the draws per block
-# halve those handoffs per draw and lengthen each call.  On a 2-core Xeon,
-# run_compare at the showcase point with 2^24 draws and chunks=2 fell from
-# 1.26-1.40 s to 1.08-1.14 s (three alternating rounds), where scipy's
-# ndtri, one call per block, took 0.88-1.09 s.
+# halve those handoffs per draw and lengthen each call.  On the same host,
+# with one block size of 2^16 for the pool as well, perfbench's
+# mc-terminal-2w wall_s median rose from 0.960 to 1.126 s, slower in 4 of 4
+# alternating pairs (--seconds 30 --trace 0, seeds 1001-1004).  Each side
+# of the fork wins on a benchmark workload, so both stay.
 _POOL_TASK_TARGET = 1 << 17
 
 
@@ -201,8 +207,10 @@ def _stats_over_blocks(
     Each worker thread makes one :class:`~insidermc.sampling.Workspace` of
     one block's draws and passes it to every block it generates in this
     call, so the Gaussian layer reuses memory that is already mapped instead
-    of faulting fresh temporaries in per block.  A block's values may live
-    in the workspace; they are statted or copied before the next block.
+    of faulting fresh temporaries in per block; the inverse CDF keeps its
+    own central temporaries in :mod:`~insidermc.special`, one array per call
+    that runs at once.  A block's values may live in the workspace; they
+    are statted or copied before the next block.
     Returns the merged (count, mean, M2, zeros) and the sum of the tallies.
     """
     target = _TASK_TARGET if min(chunks, os.cpu_count() or 1) == 1 else _POOL_TASK_TARGET

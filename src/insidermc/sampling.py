@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IndexOverflowError, NonPositiveError, NotFiniteError, OutOfDomainError
-from .special import _PIECE, _inverse_normal_cdf_array, normal_cdf
+from .special import _inverse_normal_cdf_array, normal_cdf
 
 __all__ = [
     "RngStream",
@@ -44,7 +44,10 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _MAX_INDEX = 2**63 - 1
-# (word >> 11) has 53 random bits; +0.5 centers each cell so u is never 0 or 1.
+# (word >> 11) has 53 random bits t, and u = (t + 0.5) 2^-53.  Below 2^52,
+# t + 0.5 is exact and centres t's cell; above it, t + 0.5 rounds to even,
+# so those cells are not centred, and the top one, t = 2^53 - 1, would give
+# u = 1: uniform_block clamps it to the largest double below 1.
 _TO_UNIT = 2.0**-53
 
 
@@ -70,18 +73,17 @@ class Workspace:
     normals and Brownian values.  ``scratch`` takes the shifted terms of the
     splitmix64 rounds, then ``uniform_block``'s shifted words, and, viewed
     as float64, the draws :func:`_brownian_at` gathers once the uniforms
-    are formed.  ``work`` holds the inverse CDF's central temporaries.
-    ``ramp`` is the constant k * GOLDEN (mod 2^64), k = 0..size-1, the Weyl
-    steps of a block, computed once per workspace.  One workspace serves one
-    thread at a time, and each block overwrites the last.
+    are formed.  ``ramp`` is the constant k * GOLDEN (mod 2^64),
+    k = 0..size-1, the Weyl steps of a block, computed once per workspace.
+    The inverse CDF owns its temporaries, so none live here.  One workspace
+    serves one thread at a time, and each block overwrites the last.
     """
 
-    __slots__ = ("words", "scratch", "work", "ramp")
+    __slots__ = ("words", "scratch", "ramp")
 
     def __init__(self, size: int):
         self.words = np.empty(size, dtype=np.uint64)
         self.scratch = np.empty(size, dtype=np.uint64)
-        self.work = np.empty((3, min(size, _PIECE)))
         self.ramp = np.arange(size, dtype=np.uint64)
         self.ramp *= np.uint64(_GOLDEN)
 
@@ -132,6 +134,7 @@ def uniform_block(
     np.right_shift(w, np.uint64(11), out=t)
     u = np.add(t.view(np.int64), 0.5, out=w.view(np.float64))
     u *= _TO_UNIT
+    np.minimum(u, 1.0 - _TO_UNIT, out=u)  # the top cell rounds to 1
     return u
 
 
@@ -139,8 +142,7 @@ def standard_normal_block(
     stream: RngStream, start: int, count: int, out: Workspace | None = None
 ) -> np.ndarray:
     """Standard normal draws at counters start..start+count-1."""
-    u = uniform_block(stream, start, count, out)
-    return _inverse_normal_cdf_array(u, out=u, work=None if out is None else out.work)
+    return _inverse_normal_cdf_array(uniform_block(stream, start, count, out))
 
 
 def _require_horizon(T: float) -> float:
@@ -193,7 +195,7 @@ def _brownian_at(u: np.ndarray, at: np.ndarray, T: float, out: Workspace) -> np.
     # would buffer the output.
     b_t = u.take(at, out=out.scratch.view(np.float64)[: at.size], mode="wrap")
     if at.size:
-        _inverse_normal_cdf_array(b_t, out=b_t, work=out.work)
+        _inverse_normal_cdf_array(b_t)
         b_t *= math.sqrt(T)
     return b_t
 

@@ -307,15 +307,18 @@ def _c08_euler(seed: int, chunks: int) -> CriterionResult:
 
 def _c09_determinism(seed: int) -> CriterionResult:
     p = validate_params(1.0, 0.05, 0.1, 0.2, 1.0)
-    n = 65536
+    # Terminal estimates at 2^18 draws are two pool tasks, so chunks=8 opens
+    # a pool; at 2^16 they would be one task, run inline.  Euler's 64 draws
+    # a path make 2^16 paths 16 tasks already.
+    n = 1 << 18
     row1 = run_compare(p, n, seed, chunks=1)
     row8 = run_compare(p, n, seed, chunks=8)
     csv_ok = comparison_csv([row1]) == comparison_csv([row8])
     json_ok = comparison_json([row1], seed, n, timestamp=False) == comparison_json(
         [row8], seed, n, timestamp=False
     )
-    e1 = estimate_euler_mean(_SHOWCASE, 64, n, seed, chunks=1)
-    e8 = estimate_euler_mean(_SHOWCASE, 64, n, seed, chunks=8)
+    e1 = estimate_euler_mean(_SHOWCASE, 64, 1 << 16, seed, chunks=1)
+    e8 = estimate_euler_mean(_SHOWCASE, 64, 1 << 16, seed, chunks=8)
     euler_ok = e1 == e8
     f1 = skorokhod_factorized_estimate(_SHOWCASE, RngStream(seed), n, chunks=1)
     f8 = skorokhod_factorized_estimate(_SHOWCASE, RngStream(seed), n, chunks=8)

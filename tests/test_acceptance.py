@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from insidermc import verify
+from insidermc import montecarlo, verify
 from insidermc.verify import DEFAULT_SEED, CriterionResult, VerifySummary, run_verify
 
 
@@ -94,6 +94,32 @@ def test_battery_verdict(summary):
     # The rendered battery at the archived seed is frozen byte for byte.
     digest = hashlib.sha256(summary.render().encode("utf-8")).hexdigest()
     assert digest == "46251c5ae285b674d065d4767a704f9024d7b6e4d01dd0903d82ad8a8ff6c8b5"
+
+
+def test_c09_compares_pooled_runs(monkeypatch):
+    """Each of c09's six chunks=8 harness calls (run_compare's three
+    estimates, the Euler level and the factorized estimate's two legs) opens
+    a pool of at least 2 workers: a call that ran inline would compare a
+    serial run with itself."""
+    opened = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 8)
+    assert verify._c09_determinism(42).passed
+    assert len(opened) == 6 and min(opened) >= 2, opened
 
 
 def test_line_total_comes_from_summary():

@@ -30,13 +30,14 @@ MODULES = [insidermc] + [
 # report runs.  Every estimate covers draws 0..n-1, so none is merged.  The
 # erf forms restated the Phi forms, which the 50-digit oracles check.  An
 # Euler path's first bad product decides overflow against clamp in place.
-# The inverse CDF is the package's own, so no scipy ufunc is loaded or bound.
+# The inverse CDF is the package's own, so no scipy ufunc is loaded or bound,
+# and its tails run in the central piece's size.
 REMOVED = (
     "Allocation", "AllocationMismatchError", "honest_optimal_allocation", "SweepSpec",
     "honest_ignores_draws", "merge_estimates",
     "skorokhod_expected_wealth_erf_form", "forward_expected_wealth_erf_form",
     "_overflow_precedes_clamp",
-    "_ndtri", "_NDTRI_LOCK", "_load_ndtri", "_ufuncs_ndtri",
+    "_ndtri", "_NDTRI_LOCK", "_load_ndtri", "_ufuncs_ndtri", "_TAIL_PIECE",
 )
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -209,6 +210,17 @@ def test_each_module_imports_only_its_layers():
 def test_only_sampling_turns_uniforms_into_normals():
     callers = {m.__name__ for m in MODULES if _callers(m, "_inverse_normal_cdf_array")}
     assert callers == {"insidermc.special", "insidermc.sampling"}
+
+
+def test_sampling_takes_only_the_core_and_phi_from_special():
+    # The core owns its scratch, so sampling sizes nothing after special.
+    tree = ast.parse(Path(insidermc.sampling.__file__).read_text(encoding="utf-8"))
+    names = {
+        alias.name for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "special"
+        for alias in node.names
+    }
+    assert names == {"_inverse_normal_cdf_array", "normal_cdf"}
 
 
 def test_the_harness_reads_no_workspace_memory():

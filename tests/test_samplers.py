@@ -215,12 +215,12 @@ def front_readings(p: MarketParams, u: np.ndarray, a: float, wick_only: bool = F
     """Skorokhod and forward values of the uniform front at u, and its bet mask
     as a float (only the first with ``wick_only``), each paired with today's
     b-space reading of b = sqrt(T) Phi^{-1}(u): the samplers' kernel, and
-    1{b > a} as a float.  The window's normals are computed once, in the
-    workspace the fronts then reuse, and every case reads them.  A reading
-    is the values' bits as uint64, or the message of the overflow it
-    raised; :func:`same_reading` compares two."""
+    1{b > a} as a float.  The window's normals are computed once, into a
+    copy of u, and every case reads them; the fronts share one workspace.
+    A reading is the values' bits as uint64, or the message of the overflow
+    it raised; :func:`same_reading` compares two."""
     workspace = Workspace(u.size)
-    b_t = _inverse_normal_cdf_array(u, work=workspace.work)
+    b_t = _inverse_normal_cdf_array(u.copy())
     b_t *= math.sqrt(p.T)
     cases = [
         (lambda v: _uniform_insider_values(p, v, a, True, workspace),

@@ -12,6 +12,7 @@ from insidermc import (
     Trader,
     derive_seed,
     estimate_mean,
+    inverse_normal_cdf,
     normal_cdf,
     standard_normal_block,
     validate_params,
@@ -94,6 +95,39 @@ def test_uniforms_open_interval():
     u = uniform_block(STREAM, 0, 100_000)
     assert u.min() > 0.0
     assert u.max() < 1.0
+
+
+def seed_for_word(word: int, counter: int) -> int:
+    """The seed whose stream has ``word`` at ``counter``: the splitmix64
+    finalizer undone step by step, mod 2^64, less the Weyl steps."""
+    z = word
+    z ^= z >> 31 ^ z >> 62
+    z = z * pow(sampling._MIX2, -1, 2**64) & sampling._MASK64
+    z ^= z >> 27 ^ z >> 54
+    z = z * pow(sampling._MIX1, -1, 2**64) & sampling._MASK64
+    z ^= z >> 30 ^ z >> 60
+    return (z - (counter + 1) * sampling._GOLDEN) & sampling._MASK64
+
+
+def test_seed_for_word_inverts_the_finalizer():
+    rng = np.random.default_rng(11)
+    words = rng.integers(0, 2**64, 1000, dtype=np.uint64).tolist()
+    counters = rng.integers(0, 2**63, 1000, dtype=np.int64).tolist()
+    for word, counter in zip(words, counters):
+        seed = seed_for_word(word, counter)
+        assert int(sampling._words(seed, counter, 1, Workspace(1))[0]) == word
+
+
+def test_the_top_uniform_cell_is_clamped_below_one():
+    # The word whose top 53 bits are all ones: t + 0.5 rounds to 2^53, so
+    # unclamped, u would be 1 and its normal finite but wrong.  The clamp
+    # moves no other draw.
+    stream = RngStream(seed_for_word(0xFFFFFFFFFFFFF800, 0))
+    u = uniform_block(stream, 0, 3)
+    assert u[0] == 1.0 - 2.0**-53
+    assert [v.hex() for v in u[1:].tolist()] == ["0x1.d770fbb5ca858p-5", "0x1.5da703f68b2fcp-4"]
+    z = standard_normal_block(stream, 0, 3)
+    assert z[0] == inverse_normal_cdf(1.0 - 2.0**-53) == 8.209536151601387
 
 
 def test_sample_moments():
@@ -227,7 +261,8 @@ def reference_normals(seed, start, count):
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     z = z ^ (z >> np.uint64(31))
     u = ((z >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-    return u, _inverse_normal_cdf_array(u)
+    u = np.minimum(u, 1.0 - 2.0**-53)
+    return u, _inverse_normal_cdf_array(u.copy())
 
 
 BLOCKS = {
@@ -276,6 +311,10 @@ def test_workspace_refuses_a_block_it_cannot_hold():
         brownian_increments_block(STREAM, 0, 3, 1.0, 3, Workspace(8))
 
 
+def test_workspace_holds_no_inverse_cdf_scratch():
+    assert not hasattr(Workspace(8), "work")
+
+
 @pytest.mark.parametrize("pick", ["random", "full", "empty"])
 def test_brownian_at_is_bitwise_the_terminal_block(pick, monkeypatch):
     # The uniform fronts' b: a gather of the uniforms, then the block's own
@@ -291,9 +330,9 @@ def test_brownian_at_is_bitwise_the_terminal_block(pick, monkeypatch):
     kept = u.copy()
     drawn = []
 
-    def spy(x, out=None, work=None):
+    def spy(x):
         drawn.append(x.size)
-        return _inverse_normal_cdf_array(x, out=out, work=work)
+        return _inverse_normal_cdf_array(x)
 
     monkeypatch.setattr(sampling, "_inverse_normal_cdf_array", spy)
     workspace = Workspace(count)

@@ -1,9 +1,12 @@
 import hashlib
+import inspect
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from decimal import Decimal
 from pathlib import Path
 
@@ -13,6 +16,7 @@ from hypothesis import given, strategies as st
 from scipy import integrate
 
 from insidermc import NotFiniteError, OutOfDomainError, erf, inverse_normal_cdf, normal_cdf
+from insidermc import special
 from insidermc.sampling import RngStream, standard_normal_block, uniform_block
 from insidermc.special import _PIECE, _inverse_normal_cdf_array
 from insidermc.verify import ERF_ORACLE_POINTS
@@ -232,7 +236,7 @@ def test_inverse_fold_is_exactly_antisymmetric():
     u = uniform_block(RngStream(5), 0, 30_000)
     u = np.concatenate([u[u >= 0.5][:10_000], edges])
     assert u.size == 10_000 + len(edges)
-    upper = _inverse_normal_cdf_array(u)
+    upper = _inverse_normal_cdf_array(u.copy())
     lower = _inverse_normal_cdf_array(1.0 - u)  # 1 - u is exact for u >= 0.5
     assert np.array_equal(upper.view(np.int64), (-lower).view(np.int64))
     center = _inverse_normal_cdf_array(np.array([0.5]))[0]
@@ -332,7 +336,7 @@ def test_inverse_is_finite_without_warning_down_to_the_smallest_subnormal():
     assert u.min() == 5e-324 and u.max() == 1.0 - 2.0**-53
     with warnings.catch_warnings(), np.errstate(all="raise"):
         warnings.simplefilter("error")
-        x = _inverse_normal_cdf_array(u)
+        x = _inverse_normal_cdf_array(u.copy())
     assert np.all(np.isfinite(x))
     order = np.argsort(u)
     assert np.all(np.diff(x[order]) >= 0)
@@ -344,18 +348,65 @@ def test_inverse_is_one_elementwise_core():
     # same core.
     u = np.concatenate([uniform_block(RngStream(3), 0, _PIECE + 4099), EDGES,
                         [row[1] for row in ORACLE_TABLE]])
-    whole = _inverse_normal_cdf_array(u)
+    whole = _inverse_normal_cdf_array(u.copy())
     shuffled = np.random.default_rng(2).permutation(u.size)
     assert np.array_equal(_inverse_normal_cdf_array(u[shuffled]).view(np.int64),
                           whole[shuffled].view(np.int64))
     for start, stop in ((0, 7), (_PIECE - 5, _PIECE + 9), (u.size - 3000, u.size)):
-        part = _inverse_normal_cdf_array(u[start:stop])
+        part = _inverse_normal_cdf_array(u[start:stop].copy())
         assert np.array_equal(part.view(np.int64), whole[start:stop].view(np.int64))
     singles = [inverse_normal_cdf(float(v)) for v in u[::97]]
     assert np.array_equal(np.array(singles).view(np.int64), whole[::97].view(np.int64))
-    in_place = u.copy()
-    assert _inverse_normal_cdf_array(in_place, out=in_place) is in_place
-    assert np.array_equal(in_place.view(np.int64), whole.view(np.int64))
+
+
+def test_core_takes_the_vector_alone_and_transforms_it_in_place():
+    assert list(inspect.signature(_inverse_normal_cdf_array).parameters) == ["x"]
+    u = uniform_block(RngStream(3), 0, 5000)
+    x = u.copy()
+    assert _inverse_normal_cdf_array(x) is x
+    assert np.array_equal(x, standard_normal_block(RngStream(3), 0, 5000))
+    assert not np.array_equal(x, u)
+
+
+def test_a_second_call_on_one_thread_allocates_no_central_scratch():
+    # The central temporaries, (3, _PIECE) doubles on a 64-byte boundary,
+    # come from the spare list the first call filled; the second call's
+    # whole peak stays below them.
+    u = uniform_block(RngStream(4), 0, _PIECE)
+    _inverse_normal_cdf_array(u.copy())
+    spares = [id(work) for work in special._SPARE_WORK]
+    x = u.copy()
+    tracemalloc.start()
+    try:
+        _inverse_normal_cdf_array(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * _PIECE * 8
+    assert [id(work) for work in special._SPARE_WORK] == spares != []
+    assert all(work.ctypes.data % 64 == 0 for work in special._SPARE_WORK)
+
+
+def test_concurrent_calls_never_share_a_central_scratch(monkeypatch):
+    # Switching threads every microsecond interleaves the calls' numpy
+    # passes; a shared scratch would mix their temporaries.  Each call
+    # spans several central pieces.
+    monkeypatch.setattr(special, "_SPARE_WORK", [])
+    u = uniform_block(RngStream(8), 0, 3 * _PIECE + 123)
+    serial = _inverse_normal_cdf_array(u.copy())
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(pool.map(lambda _: _inverse_normal_cdf_array(u.copy()), range(16),
+                                    timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    for x in results:
+        assert np.array_equal(x.view(np.int64), serial.view(np.int64))
+    spares = special._SPARE_WORK
+    assert 1 <= len(spares) <= 4
+    assert len({id(work) for work in spares}) == len(spares)
 
 
 # numpy's runtime switch to its AVX2 kernels on an AVX-512 host; it acts
