@@ -81,7 +81,7 @@ def __dir__():
 
 
 __all__ = [
-    "__version__",
+    "__version__", "DEFAULT_SEED",
     # errors
     "ParameterError", "NonPositiveError", "NegativeRateError", "NotFiniteError",
     "OutOfDomainError", "BadSampleCountError", "UnknownTraderError",
@@ -90,16 +90,9 @@ __all__ = [
     "MarketParams", "Regime", "Trader", "validate_params", "indicator_threshold",
     # special functions
     "erf", "normal_cdf", "inverse_normal_cdf",
-    # sampling
-    "RngStream", "standard_normal_block", "derive_seed",
     # closed forms
     "ClosedFormReport", "honest_expected_wealth", "skorokhod_expected_wealth",
     "forward_expected_wealth", "compare_closed_form",
-    # monte carlo
-    "MCEstimate", "estimate_mean", "estimate_euler_mean",
-    "skorokhod_factorized_estimate", "z_score",
-    # reports
-    "ComparisonRow", "ConvergenceRow", "run_compare", "run_sweep", "run_convergence",
-    # verification
-    "run_verify", "DEFAULT_SEED",
+    # the lazy Monte Carlo exports
+    *_HOME,
 ]

@@ -23,6 +23,7 @@ from .errors import (
 )
 from .market import validate_params
 from .report import (
+    SWEEP_FIELDS,
     closed_form_csv,
     closed_form_json,
     comparison_csv,
@@ -160,7 +161,7 @@ def build_parser() -> _Parser:
     _add_market_flags(p)
     _add_common_flags(p)
     p.add_argument("--sweep-field", dest="sweep_field",
-                   choices=("rho", "mu", "sigma", "T"), default="sigma")
+                   choices=SWEEP_FIELDS, default="sigma")
     p.add_argument("--grid", type=_parse_grid, default=(0.1, 0.2, 0.4),
                    help="comma-separated grid values")
 
@@ -213,13 +214,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         _apply_config(parser, argv)
-    except (ParameterError, OSError) as exc:
-        print(f"insidermc: {exc}", file=sys.stderr)
-        return VALIDATION_ERROR
-    args = parser.parse_args(argv)
-
-    try:
-        return _dispatch(args)
+        return _dispatch(parser.parse_args(argv))
     except (
         ParameterError, WealthOverflowError, IndexOverflowError, DegenerateEstimateError, OSError
     ) as exc:

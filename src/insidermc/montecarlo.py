@@ -5,9 +5,10 @@ Floating-point addition is not associative, so reproducibility across worker
 counts needs a reduction whose shape never depends on scheduling.  Samples
 are statted in granules of 4096 consecutive draw indices and the granule
 summaries (count, mean, M2, zero count) are combined along a fixed
-mid-split binary tree.  The ``chunks`` execution parameter only sets how
-many workers evaluate granule tasks; the numbers that come out are bitwise
-identical for any value.
+mid-split binary tree.  The ``chunks`` execution parameter sets how many
+workers evaluate granule tasks and, through them, the generated block size
+(2^16 draws for one worker, 2^17 for more); the numbers that come out are
+bitwise identical for any worker count and block size.
 """
 
 from __future__ import annotations
@@ -182,9 +183,9 @@ def _merge_tree(stats: list[_Stats]) -> _Stats:
     return merge(0, len(stats))
 
 
-def _run_tasks(task, offsets, chunks: int) -> list:
-    # No more threads than there are tasks or cores; one worker runs inline.
-    workers = min(chunks, len(offsets), os.cpu_count() or 1)
+def _run_tasks(task, offsets, workers: int) -> list:
+    # No more threads than there are tasks; one worker runs inline.
+    workers = min(workers, len(offsets))
     if workers == 1:
         return [task(offset) for offset in offsets]
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -213,7 +214,8 @@ def _stats_over_blocks(
     are statted or copied before the next block.
     Returns the merged (count, mean, M2, zeros) and the sum of the tallies.
     """
-    target = _TASK_TARGET if min(chunks, os.cpu_count() or 1) == 1 else _POOL_TASK_TARGET
+    workers = min(chunks, os.cpu_count() or 1)
+    target = _TASK_TARGET if workers == 1 else _POOL_TASK_TARGET
     block = max(1, target // width)
     step = GRANULE * max(1, block // GRANULE)
     local = threading.local()
@@ -233,7 +235,7 @@ def _stats_over_blocks(
                 tally += part_tally
         return _granule_stats(values), tally
 
-    results = _run_tasks(task, range(0, n, step), chunks)
+    results = _run_tasks(task, range(0, n, step), workers)
     stats = [s for task_stats, _ in results for s in task_stats]
     return _merge_tree(stats), sum(tally for _, tally in results)
 

@@ -42,7 +42,11 @@ __all__ = [
     "closed_form_csv",
     "closed_form_json",
     "COMPARISON_COLUMNS",
+    "SWEEP_FIELDS",
 ]
+
+# The MarketParams fields a sweep may vary.
+SWEEP_FIELDS = ("rho", "mu", "sigma", "T")
 
 
 @dataclass(frozen=True)
@@ -145,7 +149,7 @@ def _invalid_row(p: MarketParams, message: str) -> ComparisonRow:
 def run_sweep(
     p: MarketParams, field: str, grid: tuple[float, ...], n: int, seed: int, chunks: int = 1
 ) -> list[ComparisonRow]:
-    """One comparison row per value of ``field`` (rho, mu, sigma or T) in
+    """One comparison row per value of ``field`` (one of SWEEP_FIELDS) in
     ``grid``, the other parameters those of ``p``.
 
     The field, a nonempty grid, every grid point and the seed are validated
@@ -158,8 +162,10 @@ def run_sweep(
     """
     from .sampling import RngStream
 
-    if field not in ("rho", "mu", "sigma", "T"):
-        raise OutOfDomainError(f"sweep field must be one of rho/mu/sigma/T, got {field!r}")
+    if field not in SWEEP_FIELDS:
+        raise OutOfDomainError(
+            f"sweep field must be one of {'/'.join(SWEEP_FIELDS)}, got {field!r}"
+        )
     points = [validate_params(**{**asdict(p), field: float(value)}) for value in grid]
     if not points:
         raise OutOfDomainError("sweep grid must not be empty")

@@ -43,9 +43,6 @@ from .special import erf, inverse_normal_cdf, normal_cdf
 
 __all__ = ["CriterionResult", "VerifySummary", "run_verify", "DEFAULT_SEED", "GRID"]
 
-# The showcase parameter point (M, rho, mu, sigma, T) = (1, 0, 0.5, 1, 1).
-_SHOWCASE = MarketParams(1.0, 0.0, 0.5, 1.0, 1.0)
-
 # mpmath, 50 digits: M e^{mu T}; M(Phi(0) + Phi(0) e^{mu T}); 0.5 + Phi(1) e^{0.5}.
 ORACLE_HONEST = 1.6487212707001282
 ORACLE_SKOROKHOD = 1.324360635350064
@@ -91,6 +88,8 @@ GRID = [
     (2.0, 0.04, 0.04, 0.5, 3.0),
     (1.5, 0.0, 0.0, 1.0, 0.5),
 ]
+# Grid point 0 is the showcase point (M, rho, mu, sigma, T) = (1, 0, 0.5, 1, 1).
+_SHOWCASE = MarketParams(*GRID[0])
 
 _N_MC = 1_000_000
 _N_DRAWS = 1000

@@ -19,7 +19,8 @@ from insidermc import (
     run_sweep,
     validate_params,
 )
-from insidermc import verify
+from insidermc import report, verify
+from insidermc.errors import OutOfDomainError
 from insidermc.report import (
     closed_form_csv,
     closed_form_json,
@@ -118,6 +119,21 @@ def test_usage_error_exits_1(capsys):
         assert code == 1
         assert message in stderr
         assert "invalid" not in stderr
+
+
+def test_sweep_fields_are_stated_once_in_report(capsys):
+    # The CLI offers the fields run_sweep accepts, from the same tuple.
+    sweep = cli.build_parser().command_parsers["sweep"]
+    (action,) = [a for a in sweep._actions if a.dest == "sweep_field"]
+    assert action.choices is report.SWEEP_FIELDS
+    assert report.SWEEP_FIELDS == ("rho", "mu", "sigma", "T")
+    code, stderr = main_exit(capsys, "sweep", "--sweep-field", "M")
+    assert code == 1
+    assert "invalid choice: 'M'" in stderr
+    message = "sweep field must be one of rho/mu/sigma/T, got 'M'"
+    with pytest.raises(OutOfDomainError) as exc:
+        run_sweep(validate_params(1.0, 0.0, 0.5, 1.0, 1.0), "M", (1.0,), 4096, 42)
+    assert str(exc.value) == message
 
 
 def test_package_runs_as_module():
