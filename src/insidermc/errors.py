@@ -20,6 +20,11 @@ class _FieldError(ParameterError):
         self.field = field
         self.value = value
 
+    def __reduce__(self):
+        # Rebuilt from (field, value), not from the message, so that an error
+        # raised in a pool process reaches the caller as itself.
+        return type(self), (self.field, self.value), vars(self)
+
 
 class NonPositiveError(_FieldError):
     """A field that must be strictly positive is zero or negative."""

@@ -6,19 +6,20 @@ counts needs a reduction whose shape never depends on scheduling.  Samples
 are statted in granules of 4096 consecutive draw indices and the granule
 summaries (count, mean, M2, zero count) are combined along a fixed
 mid-split binary tree.  The ``chunks`` execution parameter sets how many
-workers evaluate granule tasks and, through them, the generated block size
-(2^16 draws for one worker, 2^17 for more); the numbers that come out are
-bitwise identical for any worker count and block size.
+worker processes evaluate the granule tasks, generated in blocks of 2^16
+draws whatever the worker count; the numbers that come out are bitwise
+identical for any worker count.  Workers share no interpreter, so they
+never wait on one another's GIL.
 """
 
 from __future__ import annotations
 
+import atexit
 import math
 import numbers
 import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -61,25 +62,16 @@ __all__ = [
 GRANULE = 4096
 # Draws per generated block (see _stats_over_blocks): 2^16 keeps each
 # workspace array at 512 KiB, within L2, and splits n = 10^6 into 16 tasks.
-# Smaller blocks would not pay: with one reused workspace per worker nothing
-# faults at 2^16, and at 2^14 two workers hand the GIL over so often between
-# the cheap word operations of the generation calls that they ran slower
-# than one.  (The stats take a fixed handful of calls per task.)  Larger
-# ones lose too: on a 2-core Xeon, with one block size of 2^17 for one
-# worker as well, perfbench's euler-levels wall_s median rose from 0.164 to
-# 0.185 s, slower in 4 of 5 alternating pairs (--seconds 30 --trace 0,
-# seeds 951-955), mc-terminal's from 1.171 to 1.178 s (unresolved), and
+# Smaller blocks would not pay: with one reused workspace per slab nothing
+# faults at 2^16, and the stats take a fixed handful of numpy calls per
+# task.  Larger ones lose too: on a 2-core Xeon, with blocks of 2^17,
+# perfbench's euler-levels wall_s median rose from 0.164 to 0.185 s, slower
+# in 4 of 5 alternating pairs (--seconds 30 --trace 0, seeds 951-955), and
 # peak_rss_mb by 2.6 MB on mc-terminal and 1.8 MB on euler-levels.
 _TASK_TARGET = 1 << 16
-# Draws per block when two or more workers run.  The inverse CDF makes about
-# a hundred numpy calls per block, each of which may wait for the GIL that
-# the other worker holds between its own calls; twice the draws per block
-# halve those handoffs per draw and lengthen each call.  On the same host,
-# with one block size of 2^16 for the pool as well, perfbench's
-# mc-terminal-2w wall_s median rose from 0.960 to 1.126 s, slower in 4 of 4
-# alternating pairs (--seconds 30 --trace 0, seeds 1001-1004).  Each side
-# of the fork wins on a benchmark workload, so both stay.
-_POOL_TASK_TARGET = 1 << 17
+# The process-wide worker pool and its process count (see _pool), or None
+# before the first call that runs two or more workers.
+_POOL = None
 
 
 @dataclass(frozen=True)
@@ -183,13 +175,80 @@ def _merge_tree(stats: list[_Stats]) -> _Stats:
     return merge(0, len(stats))
 
 
-def _run_tasks(task, offsets, workers: int) -> list:
-    # No more threads than there are tasks; one worker runs inline.
-    workers = min(workers, len(offsets))
+def _shutdown_pool() -> None:
+    global _POOL
+    if _POOL is not None:
+        _POOL[0].shutdown()
+        _POOL = None
+
+
+atexit.register(_shutdown_pool)
+
+
+def _pool(workers: int):
+    """The process-wide pool, with at least ``workers`` processes.
+
+    It is started by the first call that runs two or more workers and kept
+    for later calls, which then pay only for pickling their slabs and
+    results; a call that needs more processes than it has replaces it.  Its
+    processes are forked where the platform can and this process runs a
+    single thread, so they start with numpy and the package loaded and
+    leave no helper process behind.  A fork of a process that runs other
+    threads may copy a lock that one of them holds, so there, and where the
+    platform cannot fork, they are spawned.  The pool is shut down at exit.
+    """
+    global _POOL
+    if _POOL is None or _POOL[1] < workers:
+        import multiprocessing
+        import threading
+        from concurrent.futures import ProcessPoolExecutor
+
+        _shutdown_pool()
+        fork = "fork" in multiprocessing.get_all_start_methods()
+        method = "fork" if fork and threading.active_count() == 1 else "spawn"
+        _POOL = (ProcessPoolExecutor(workers, multiprocessing.get_context(method)), workers)
+    return _POOL[0]
+
+
+def _run_tasks(run_slab, offsets: range, workers: int) -> list:
+    """``run_slab`` over ``workers`` contiguous slabs of the task offsets, in
+    order; one worker runs a single slab of them all inline."""
+    workers = min(workers, len(offsets))  # no more slabs than tasks
     if workers == 1:
-        return [task(offset) for offset in offsets]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(task, offsets))
+        return [run_slab(offsets)]
+    cuts = [len(offsets) * i // workers for i in range(workers + 1)]
+    slabs = [offsets[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+    from concurrent.futures.process import BrokenProcessPool
+
+    try:
+        return list(_pool(workers).map(run_slab, slabs))
+    except BrokenProcessPool:
+        _shutdown_pool()  # a lost process breaks the pool; the next call starts one
+        raise
+
+
+def _run_slab(make_values, n: int, step: int, block: int, size: int,
+              offsets: range) -> tuple[list[_Stats], int]:
+    """The granule stats and summed tallies of the tasks at ``offsets``, in
+    order, all generated in one workspace of ``size`` draws.  A task covers
+    samples [offset, offset + step) cut at n, generated in blocks of at
+    most ``block`` samples."""
+    workspace = Workspace(size)
+    stats: list[_Stats] = []
+    tally = 0
+    for offset in offsets:
+        stop = min(offset + step, n)
+        if stop - offset <= block:
+            values, task_tally = make_values(offset, stop - offset, workspace)
+        else:
+            values, task_tally = np.empty(stop - offset), 0
+            for i in range(offset, stop, block):
+                part, part_tally = make_values(i, min(block, stop - i), workspace)
+                values[i - offset : i - offset + len(part)] = part
+                task_tally += part_tally
+        stats += _granule_stats(values)
+        tally += task_tally
+    return stats, tally
 
 
 def _stats_over_blocks(
@@ -199,44 +258,28 @@ def _stats_over_blocks(
     over samples [0, n), stat each granule of 4096 samples separately (one
     :func:`_granule_stats` call per task) and merge them by :func:`_merge_tree`.
     ``width`` is the draws per sample, already range-checked.  Blocks are
-    ``max(1, target // width)`` samples, so none holds more than
-    ``max(target, width)`` draws, with ``target`` _TASK_TARGET for one
-    worker and _POOL_TASK_TARGET for more; a task is the whole granules of one
-    block, or one granule generated block by block.  The counter-based
-    streams make every result bit independent of the cut.
+    ``max(1, 2^16 // width)`` samples, so none holds more than
+    ``max(2^16, width)`` draws; a task is the whole granules of one block, or
+    one granule generated block by block.  The counter-based streams make
+    every result bit independent of the cut.
 
-    Each worker thread makes one :class:`~insidermc.sampling.Workspace` of
-    one block's draws and passes it to every block it generates in this
-    call, so the Gaussian layer reuses memory that is already mapped instead
-    of faulting fresh temporaries in per block; the inverse CDF keeps its
-    own central temporaries in :mod:`~insidermc.special`, one array per call
-    that runs at once.  A block's values may live in the workspace; they
-    are statted or copied before the next block.
+    With two or more workers, ``make_values`` must pickle: the tasks are
+    cut into one contiguous slab per worker, and each slab runs in a process
+    of the pool (:func:`_pool`).  Each slab makes one
+    :class:`~insidermc.sampling.Workspace` of one block's draws and passes it
+    to every block it generates, so the Gaussian layer reuses memory that is
+    already mapped instead of faulting fresh temporaries in per block; the
+    inverse CDF keeps its own central temporaries in
+    :mod:`~insidermc.special`.  A block's values may live in the workspace;
+    they are statted or copied before the next block.
     Returns the merged (count, mean, M2, zeros) and the sum of the tallies.
     """
     workers = min(chunks, os.cpu_count() or 1)
-    target = _TASK_TARGET if workers == 1 else _POOL_TASK_TARGET
-    block = max(1, target // width)
+    block = max(1, _TASK_TARGET // width)
     step = GRANULE * max(1, block // GRANULE)
-    local = threading.local()
-
-    def task(offset: int) -> tuple[list[_Stats], int]:
-        workspace = getattr(local, "workspace", None)
-        if workspace is None:
-            workspace = local.workspace = Workspace(max(target, width))
-        stop = min(offset + step, n)
-        if stop - offset <= block:
-            values, tally = make_values(offset, stop - offset, workspace)
-        else:
-            values, tally = np.empty(stop - offset), 0
-            for i in range(offset, stop, block):
-                part, part_tally = make_values(i, min(block, stop - i), workspace)
-                values[i - offset : i - offset + len(part)] = part
-                tally += part_tally
-        return _granule_stats(values), tally
-
-    results = _run_tasks(task, range(0, n, step), workers)
-    stats = [s for task_stats, _ in results for s in task_stats]
+    run_slab = partial(_run_slab, make_values, n, step, block, max(_TASK_TARGET, width))
+    results = _run_tasks(run_slab, range(0, n, step), workers)
+    stats = [s for slab_stats, _ in results for s in slab_stats]
     return _merge_tree(stats), sum(tally for _, tally in results)
 
 
@@ -260,13 +303,41 @@ def _check_counts(n: int, chunks: int, draws: int) -> None:
     _check_range(0, int(n) * draws)
 
 
-def _stock_leg(p: MarketParams, m1: float, stream: RngStream, start: int):
-    """The ``make_values`` of the stock leg of m1, on B_T at counters from start."""
-    def make_values(offset: int, count: int, workspace: Workspace) -> tuple[np.ndarray, int]:
-        b_t = brownian_terminal_block(stream, start + offset, count, p.T, out=workspace)
-        return _stock_values(p, m1, b_t), 0
+# Each estimator's ``make_values`` is one of these, its leading arguments
+# bound by functools.partial, so that it pickles for the pool.  Generators
+# and samplers are looked up by module name per block, never bound, so a
+# wrapper patched onto this module's attributes sees every call made in
+# this process.
 
-    return make_values
+
+def _front(p: MarketParams, stream: RngStream, a: float, wick: bool,
+           offset: int, count: int, workspace: Workspace) -> tuple[np.ndarray, int]:
+    """The kernel at level a on uniforms; b is formed only where a value
+    reads it, in the workspace."""
+    u = uniform_block(stream, offset, count, out=workspace)
+    return _uniform_insider_values(p, u, a, wick, workspace), 0
+
+
+def _stock_leg(p: MarketParams, m1: float, stream: RngStream, start: int,
+               offset: int, count: int, workspace: Workspace) -> tuple[np.ndarray, int]:
+    """The stock leg of m1, on B_T at counters from start."""
+    b_t = brownian_terminal_block(stream, start + offset, count, p.T, out=workspace)
+    return _stock_values(p, m1, b_t), 0
+
+
+def _euler_level(p: MarketParams, n_steps: int, stream: RngStream,
+                 offset: int, count: int, workspace: Workspace) -> tuple[np.ndarray, int]:
+    """Euler paths of n_steps steps, with their clamp count as the tally."""
+    increments = brownian_increments_block(stream, offset, count, p.T, n_steps, out=workspace)
+    values, clamped = forward_euler_values(p, increments)
+    return values, int(np.count_nonzero(clamped))
+
+
+def _bet(p: MarketParams, stream: RngStream, a: float,
+         offset: int, count: int, workspace: Workspace) -> tuple[np.ndarray, int]:
+    """1{b > a} as a bool mask, statted by counts: a normal only in the band."""
+    u = uniform_block(stream, offset, count, out=workspace)
+    return _uniform_bet(p, u, a, workspace), 0
 
 
 def estimate_mean(
@@ -293,15 +364,11 @@ def estimate_mean(
         # is exact: this is the estimate the draws would give, and none is made.
         return MCEstimate(int(n), bond, 0.0, 0.0)
 
-    # Generators and samplers are looked up by module name per block, never
-    # bound once, so a wrapper patched onto this module's attributes sees
-    # every call.  The front forms b only where a value reads it, in the
-    # workspace; at a = -inf every value is the stock leg.
-    def front(offset: int, count: int, workspace: Workspace) -> tuple[np.ndarray, int]:
-        u = uniform_block(stream, offset, count, out=workspace)
-        return _uniform_insider_values(p, u, a, wick, workspace), 0
-
-    make_values = _stock_leg(p, p.M, stream, 0) if a == -math.inf else front
+    # At a = -inf every value is the stock leg.
+    if a == -math.inf:
+        make_values = partial(_stock_leg, p, p.M, stream, 0)
+    else:
+        make_values = partial(_front, p, stream, a, wick)
     return _finalize(*_stats_over_blocks(make_values, n, chunks))
 
 
@@ -320,15 +387,7 @@ def estimate_euler_mean(
     """
     n_steps = _require_steps(n_steps)
     _check_counts(n, chunks, n_steps)
-    stream = RngStream(seed)
-
-    def make_values(offset: int, count: int, workspace: Workspace) -> tuple[np.ndarray, int]:
-        increments = brownian_increments_block(
-            stream, offset, count, p.T, n_steps, out=workspace
-        )
-        values, clamped = forward_euler_values(p, increments)
-        return values, int(np.count_nonzero(clamped))
-
+    make_values = partial(_euler_level, p, n_steps, RngStream(seed))
     return _finalize(*_stats_over_blocks(make_values, n, chunks, n_steps))
 
 
@@ -353,14 +412,8 @@ def skorokhod_factorized_estimate(
         raise OutOfDomainError(f"stream must be an RngStream, got {stream!r}")
     a = indicator_threshold(p)
     bond = _bond_value(p, 1.0)
-
-    def bet(offset: int, count: int, workspace: Workspace) -> tuple[np.ndarray, int]:
-        # 1{b > a} as a bool mask, statted by counts: a normal only in the band.
-        u = uniform_block(stream, offset, count, out=workspace)
-        return _uniform_bet(p, u, a, workspace), 0
-
-    gbm_values = _stock_leg(p, 1.0, stream, n)
-    (_, p_hat, _, _), _ = _stats_over_blocks(bet, n, chunks)
+    (_, p_hat, _, _), _ = _stats_over_blocks(partial(_bet, p, stream, a), n, chunks)
+    gbm_values = partial(_stock_leg, p, 1.0, stream, n)
     (_, g_hat, m2_g, _), _ = _stats_over_blocks(gbm_values, n, chunks)
     mean = p.M * ((1.0 - p_hat) * bond + p_hat * g_hat)
     var_p = p_hat * (1.0 - p_hat) / n

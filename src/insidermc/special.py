@@ -22,8 +22,9 @@ table of 2320 50-digit quantiles over u in [1e-300, 1 - 2^-53], the
 relative error stays within 2.8e-16 (2.3 ulp); the values are exactly
 antisymmetric about 0.5 wherever 1 - u is exact, and non-decreasing across
 every piece edge.  A block takes about a hundred numpy calls where scipy's
-``ndtri`` took one, and with two Monte Carlo workers each call may wait for
-the GIL (ROADMAP item 19).
+``ndtri`` took one; the Monte Carlo workers are processes, so none of those
+calls waits for another worker's GIL, but threads of a caller's own that
+run the core at once still do (ROADMAP item 19).
 
 numpy is imported on the first inverse CDF call, so ``import insidermc``
 and the closed forms do not load it, and nothing here loads scipy.  Scalar
@@ -78,6 +79,8 @@ _PIECE = 1 << 16
 # pops one and appends it back after its central pass; list.pop and
 # list.append are atomic under the GIL, so concurrent calls never share one,
 # and the list holds no more than the most calls that ever ran at once.
+# Concurrent calls come from a caller's own threads: each Monte Carlo worker
+# process holds a list of its own.
 _SPARE_WORK: list = []
 
 

@@ -306,9 +306,9 @@ def _c08_euler(seed: int, chunks: int) -> CriterionResult:
 
 def _c09_determinism(seed: int) -> CriterionResult:
     p = validate_params(1.0, 0.05, 0.1, 0.2, 1.0)
-    # Terminal estimates at 2^18 draws are two pool tasks, so chunks=8 opens
-    # a pool; at 2^16 they would be one task, run inline.  Euler's 64 draws
-    # a path make 2^16 paths 16 tasks already.
+    # Terminal estimates at 2^18 draws are four tasks, so chunks=8 runs them
+    # in pool processes; at 2^16 they would be one task, run inline.  Euler's
+    # 64 draws a path make 2^16 paths 16 tasks already.
     n = 1 << 18
     row1 = run_compare(p, n, seed, chunks=1)
     row8 = run_compare(p, n, seed, chunks=8)

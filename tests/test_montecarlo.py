@@ -1,8 +1,14 @@
 import dataclasses
+import itertools
+import json
 import math
+import os
+import subprocess
 import sys
-import threading
+import time
 import warnings
+from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +18,7 @@ from insidermc import (
     DegenerateEstimateError,
     IndexOverflowError,
     MCEstimate,
+    NotFiniteError,
     OutOfDomainError,
     RngStream,
     Trader,
@@ -152,11 +159,12 @@ def test_all_bond_honest_bet_generates_no_draws(monkeypatch, trader, p):
 
 
 @pytest.mark.parametrize("chunks", [1, 2])
-def test_bull_honest_estimate_is_the_b_space_sampler(monkeypatch, chunks):
+def test_bull_honest_estimate_is_the_b_space_sampler(monkeypatch, recorded_pools, chunks):
     # At a = -inf the values are the stock leg alone, formed without the
     # uniform front and bitwise the b-space sampler on the same draws, at a
     # ragged n of several blocks: the honest bull trader, and an insider
-    # whose level overflows.
+    # whose level overflows.  At chunks=2 the slabs run inline, where the
+    # refusals reach them.
     n = 2 * montecarlo._TASK_TARGET + GRANULE + 5
     for trader, p, sampler in [
         (Trader.HONEST_OPTIMAL, SHOWCASE, honest_values),
@@ -168,6 +176,7 @@ def test_bull_honest_estimate_is_the_b_space_sampler(monkeypatch, chunks):
         with monkeypatch.context() as patch:
             _refuse(patch, montecarlo, "uniform_block", "_uniform_insider_values")
             assert estimate_mean(trader, p, n, 8, chunks) == expected
+    assert recorded_pools == ([2] * 3 if chunks == 2 else [])
 
 
 @pytest.mark.parametrize(
@@ -661,7 +670,7 @@ def _record_workspaces(monkeypatch, name):
     real = getattr(montecarlo, name)
 
     def spy(*args, out=None):
-        seen.append((threading.get_ident(), out))
+        seen.append(out)
         return real(*args, out=out)
 
     monkeypatch.setattr(montecarlo, name, spy)
@@ -680,58 +689,30 @@ def test_one_workspace_serves_every_block_of_a_call(monkeypatch, width):
             return estimate_euler_mean(EULER_POINT, width, n, seed=4)
     run(3 * montecarlo._TASK_TARGET // width + 7)  # four blocks
     assert len(seen) == 4
-    workspace = seen[0][1]
+    workspace = seen[0]
     assert isinstance(workspace, Workspace)
-    assert all(out is workspace for _, out in seen)
+    assert all(out is workspace for out in seen)
     assert workspace.words.size == max(montecarlo._TASK_TARGET, width)
     # The next call makes its own.
     seen.clear()
     run(GRANULE)
-    assert seen[0][1] is not workspace
+    assert seen[0] is not workspace
 
 
-def test_workspaces_are_never_shared_between_threads(monkeypatch):
-    # 2 * 10^6 draws make 16 pool blocks of _POOL_TASK_TARGET draws.
+def test_each_slab_generates_in_one_workspace_of_its_own(monkeypatch, recorded_pools):
+    # 2 * 10^6 draws make 31 tasks of one 2^16-draw block each, the last one
+    # short; eight workers take contiguous slabs of 3 or 4 of them.
     n = 2 * 10**6
-    assert -(-n // montecarlo._POOL_TASK_TARGET) == 16
+    assert -(-n // montecarlo._TASK_TARGET) == 31
     serial = estimate_mean(Trader.FORWARD_INSIDER, SHOWCASE, n, seed=4)
     seen = _record_workspaces(monkeypatch, "uniform_block")  # the insiders bet on uniforms
-    # More workers than cores, switching threads as often as the interpreter can.
-    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 8)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        pooled = estimate_mean(Trader.FORWARD_INSIDER, SHOWCASE, n, seed=4, chunks=8)
-    finally:
-        sys.setswitchinterval(interval)
-    assert pooled == serial
-    owner = {}
-    for thread, out in seen:
-        assert owner.setdefault(id(out), thread) == thread
-    assert len(owner) <= 8 and len(seen) == 16
-
-
-@pytest.fixture
-def recorded_pools(monkeypatch):
-    """Swap the thread pool for one that records max_workers and maps inline."""
-    created = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            created.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingPool)
-    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 8)
-    return created
+    assert estimate_mean(Trader.FORWARD_INSIDER, SHOWCASE, n, seed=4, chunks=8) == serial
+    assert recorded_pools == [8] and len(seen) == 31
+    # seen holds every workspace, so no two of them can share an id.
+    runs = [len(list(blocks)) for _, blocks in itertools.groupby(map(id, seen))]
+    assert runs == [3, 4, 4, 4, 4, 4, 4, 4]
+    assert len(set(map(id, seen))) == 8
+    assert all(out.words.size == montecarlo._TASK_TARGET for out in seen)
 
 
 def test_pool_capped_at_task_count(recorded_pools):
@@ -739,8 +720,20 @@ def test_pool_capped_at_task_count(recorded_pools):
     inline = estimate_mean(Trader.FORWARD_INSIDER, SHOWCASE, 65536, seed=9, chunks=8)
     assert recorded_pools == []
     assert inline == estimate_mean(Trader.FORWARD_INSIDER, SHOWCASE, 65536, seed=9)
-    assert montecarlo._run_tasks(lambda offset: offset, [1, 2], 8) == [1, 2]
-    assert len(recorded_pools) == 1 and recorded_pools[0] <= 2
+    # Two tasks make two one-task slabs, however many workers are asked for.
+    assert montecarlo._run_tasks(list, range(2), 8) == [[0], [1]]
+    assert recorded_pools == [2]
+
+
+def test_slabs_are_contiguous_ranges_of_the_offsets(recorded_pools):
+    # A slab is a slice of the offsets' range, never a list of them: the
+    # counter range of a long estimate holds up to 2^51 tasks.
+    slabs = montecarlo._run_tasks(lambda slab: slab, range(0, 7 * GRANULE, GRANULE), 3)
+    assert all(type(slab) is range for slab in slabs)
+    assert [list(slab) for slab in slabs] == [
+        [0, GRANULE], [2 * GRANULE, 3 * GRANULE], [4 * GRANULE, 5 * GRANULE, 6 * GRANULE]
+    ]
+    assert montecarlo._run_tasks(len, range(2**62), 2) == [2**61, 2**61]
 
 
 def test_two_workers_share_a_million_draws(recorded_pools):
@@ -749,3 +742,156 @@ def test_two_workers_share_a_million_draws(recorded_pools):
     assert recorded_pools == []
     assert estimate_mean(Trader.SKOROKHOD_UNBIASED, SHOWCASE, 10**6, seed=9, chunks=2) == serial
     assert recorded_pools == [2]
+
+
+def _in_process(run_slab, slab):
+    """A slab's result with the id of the process that ran it."""
+    return os.getpid(), run_slab(slab)
+
+
+@pytest.fixture
+def slab_pids(monkeypatch):
+    """The id of the process that ran each pooled slab.  The slabs run in
+    the package's own pool, whose map this only wraps, with 2 cores."""
+    pids = []
+    pool = montecarlo._pool
+
+    class Probe:
+        def __init__(self, workers):
+            self.pool = pool(workers)
+
+        def map(self, run_slab, slabs):
+            for pid, result in self.pool.map(partial(_in_process, run_slab), slabs):
+                pids.append(pid)
+                yield result
+
+    monkeypatch.setattr(montecarlo, "_pool", Probe)
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+    return pids
+
+
+# Each kind of pooled task, at two or more tasks per leg: the uniform front,
+# the stock leg, the Euler level, and the factorized bet and GBM leg.
+POOLED_KINDS = {
+    "front": (lambda chunks: estimate_mean(Trader.FORWARD_INSIDER, SHOWCASE, 1 << 18, 11, chunks), 1),
+    "stock-leg": (lambda chunks: estimate_mean(Trader.HONEST_OPTIMAL, SHOWCASE, 1 << 18, 11, chunks), 1),
+    "euler": (lambda chunks: estimate_euler_mean(SHOWCASE, 16, 1 << 14, 11, chunks), 1),
+    "factorized": (
+        lambda chunks: skorokhod_factorized_estimate(SHOWCASE, RngStream(11), 1 << 18, chunks), 2
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", POOLED_KINDS)
+def test_pooled_slabs_run_in_other_processes(slab_pids, kind):
+    estimate, legs = POOLED_KINDS[kind]
+    serial = estimate(1)
+    assert slab_pids == []
+    assert estimate(2) == serial
+    assert len(slab_pids) == 2 * legs and os.getpid() not in slab_pids
+
+
+def _not_finite_past(limit, offset, count, workspace):
+    if offset >= limit:
+        raise NotFiniteError("T", math.nan)
+    return np.ones(count), 0
+
+
+def test_an_error_in_a_pooled_task_reaches_the_caller_as_itself(slab_pids):
+    n = 4 * montecarlo._TASK_TARGET
+    with pytest.raises(NotFiniteError) as raised:
+        montecarlo._stats_over_blocks(partial(_not_finite_past, n // 2), n, 2)
+    error = raised.value
+    assert (str(error), error.field) == ("T must be finite, got nan", "T")
+    assert math.isnan(error.value)
+    # concurrent.futures chains the worker's traceback to an error it pickled.
+    assert type(error.__cause__).__name__ == "_RemoteTraceback"
+    with pytest.raises(WealthOverflowError, match="stock leg of 1e[+]308") as raised:
+        estimate_mean(Trader.HONEST_OPTIMAL, validate_params(1e308, 0, 1, 1, 1), n, 1, 2)
+    assert type(raised.value.__cause__).__name__ == "_RemoteTraceback"
+    assert slab_pids == [slab_pids[0]]  # the first slab; the second raised
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))),
+}
+# Runs a pooled estimate, then one with more workers than the pool has, and
+# prints what it saw.  With "spawn", an idle helper thread is running when
+# the pool starts.
+POOL_CHILD = """
+import json, multiprocessing, os, sys, threading
+from insidermc import Trader, estimate_mean, validate_params
+if sys.argv[1] == "spawn":
+    threading.Thread(target=threading.Event().wait, daemon=True).start()
+p = validate_params(1, 0, 0.5, 1, 1)
+seen = {"same": []}
+for cores in (2, 3):
+    os.cpu_count = lambda: cores
+    pair = [estimate_mean(Trader.FORWARD_INSIDER, p, 1 << 20, 7, chunks) for chunks in (1, cores)]
+    seen["same"].append(pair[0] == pair[1])
+    children = multiprocessing.active_children()
+    seen[cores] = sorted(c.pid for c in children)
+    seen["kinds"] = sorted({type(c).__name__ for c in children})
+print(json.dumps(seen))
+"""
+
+
+def _running(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("start", ["fork", "spawn"])
+def test_pool_processes_end_with_the_interpreter(start):
+    proc = subprocess.run(
+        [sys.executable, "-c", POOL_CHILD, start],
+        capture_output=True, text=True, env=CHILD_ENV, timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    seen = json.loads(proc.stdout)
+    assert seen["same"] == [True, True]
+    assert seen["kinds"] == [{"fork": "ForkProcess", "spawn": "SpawnProcess"}[start]]
+    # Three workers replaced the pool of two.
+    assert len(seen["2"]) == 2 and len(seen["3"]) == 3
+    assert not set(seen["2"]) & set(seen["3"])
+    pids = seen["2"] + seen["3"]
+    deadline = time.monotonic() + 10.0
+    while any(map(_running, pids)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert [pid for pid in pids if _running(pid)] == []
+
+
+# Kills a worker of a pool that has served a call: the next pooled call
+# fails with the pool, and the one after runs on a new pool.
+LOST_WORKER_CHILD = """
+import multiprocessing, os, signal, time
+from concurrent.futures.process import BrokenProcessPool
+from insidermc import Trader, estimate_mean, validate_params
+os.cpu_count = lambda: 2
+args = (Trader.FORWARD_INSIDER, validate_params(1, 0, 0.5, 1, 1), 1 << 18, 3)
+serial = estimate_mean(*args, 1)
+print(estimate_mean(*args, 2) == serial)
+first = sorted(c.pid for c in multiprocessing.active_children())
+os.kill(first[0], signal.SIGKILL)
+time.sleep(0.2)
+try:
+    estimate_mean(*args, 2)
+except BrokenProcessPool:
+    print("broken")
+print(estimate_mean(*args, 2) == serial)
+print(not set(first) & {c.pid for c in multiprocessing.active_children()})
+"""
+
+
+def test_a_lost_worker_fails_one_call_and_the_next_starts_a_new_pool():
+    proc = subprocess.run(
+        [sys.executable, "-c", LOST_WORKER_CHILD],
+        capture_output=True, text=True, env=CHILD_ENV, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "broken", "True", "True"]

@@ -6,6 +6,7 @@ import importlib
 import inspect
 import math
 import os
+import pickle
 import pkgutil
 import re
 import subprocess
@@ -16,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import insidermc
+from insidermc import errors
 
 # __main__ runs the CLI on import; it exports nothing.
 MODULES = [insidermc] + [
@@ -353,6 +355,55 @@ def test_no_scipy_module_loads_after_a_first_estimate(draw):
         "print('numpy' in sys.modules, [m for m in sys.modules if m.split('.')[0] == 'scipy'])\n"
     )
     assert stdout.splitlines() == ["True []"]
+
+
+def test_the_pool_modules_load_only_with_the_pool():
+    # multiprocessing and concurrent.futures are imported where the pool is
+    # made, so the import and a one-worker estimate stay without them.
+    stdout = _child_stdout(
+        "import sys\n"
+        "def pool_modules():\n"
+        "    return [m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent')]\n"
+        "import insidermc\n"
+        "print(pool_modules())\n"
+        "p = insidermc.validate_params(1, 0, 0.5, 1, 1)\n"
+        "insidermc.estimate_mean(insidermc.Trader.FORWARD_INSIDER, p, 1 << 18, 1, 1)\n"
+        "insidermc.estimate_euler_mean(p, 16, 1 << 14, 1)\n"
+        "print(pool_modules())\n"
+    )
+    assert stdout.splitlines() == ["[]", "[]"]
+
+
+def _error_classes():
+    # _FieldError states no requirement, so only its subclasses are raised.
+    return [
+        value for value in vars(errors).values()
+        if isinstance(value, type) and issubclass(value, BaseException)
+        and value.__module__ == errors.__name__ and value is not errors._FieldError
+    ]
+
+
+@pytest.mark.parametrize("cls", _error_classes(), ids=lambda cls: cls.__name__)
+def test_every_error_survives_pickling(cls):
+    # Errors raised in a pool process reach the caller pickled.
+    if issubclass(cls, errors._FieldError):
+        error = cls("sigma", -0.5)
+    else:
+        error = cls("a message")
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is cls
+    assert str(copy) == str(error) and copy.args == error.args
+    assert vars(copy) == vars(error)
+    if issubclass(cls, errors._FieldError):
+        assert (copy.field, copy.value) == ("sigma", -0.5)
+
+
+def test_a_not_finite_error_pickles_its_nan():
+    copy = pickle.loads(pickle.dumps(errors.NotFiniteError("T", math.nan)))
+    assert (type(copy), str(copy), copy.field) == (
+        errors.NotFiniteError, "T must be finite, got nan", "T"
+    )
+    assert math.isnan(copy.value)
 
 
 @pytest.mark.parametrize("args", [["closed-form"], ["--help"]], ids=" ".join)
