@@ -105,12 +105,8 @@ def _granule_stats(values: np.ndarray) -> list[_Stats]:
     short.  Each statistic is one reduction over the rows of all full
     granules, then over a one-row view of the ragged rest; numpy sums a row
     pairwise exactly as it sums the same values alone, so every granule's
-    stats are bitwise those of statting it by itself.
-
-    A bool block is statted by its counts: a granule of c values with k
-    ones has mean k/c, M2 k(c - k)/c and c - k zeros.  Its mean is bitwise
-    that of the same block as 0.0/1.0: a pairwise sum of 0/1 values is
-    exact, and a constant granule's min is k/c.
+    stats are bitwise those of statting it by itself.  Every block is
+    float64: a bet is counted in its maker's tally, never statted.
     """
     full = values.size - values.size % GRANULE
     stats: list[_Stats] = []
@@ -118,12 +114,6 @@ def _granule_stats(values: np.ndarray) -> list[_Stats]:
         if rows.size == 0:
             continue
         count = rows.shape[1]
-        if rows.dtype == np.bool_:
-            ones = np.count_nonzero(rows, axis=1)
-            zeros = count - ones
-            stats += zip([count] * len(rows), (ones / count).tolist(),
-                         (ones * zeros / count).tolist(), zeros.tolist())
-            continue
         mean, top = rows.min(axis=1), rows.max(axis=1)
         # Only a granule whose range holds 0 can hold a zero, so only those
         # are compared.  (A NaN fails both bounds, and its mean raises.)
@@ -257,10 +247,12 @@ def _stats_over_blocks(
     """Evaluate ``make_values(offset, count, workspace) -> (values, tally)``
     over samples [0, n), stat each granule of 4096 samples separately (one
     :func:`_granule_stats` call per task) and merge them by :func:`_merge_tree`.
-    ``width`` is the draws per sample, already range-checked.  Blocks are
-    ``max(1, 2^16 // width)`` samples, so none holds more than
-    ``max(2^16, width)`` draws; a task is the whole granules of one block, or
-    one granule generated block by block.  The counter-based streams make
+    ``width`` is the draws one generator call makes per sample, already
+    range-checked: n_steps for an Euler path, but 1 for the factorized
+    estimate, whose two draws per sample come from two calls, at counters i
+    and n + i.  Blocks are ``max(1, 2^16 // width)`` samples, so none holds
+    more than ``max(2^16, width)`` draws; a task is the whole granules of one
+    block, or one granule generated block by block.  The counter-based streams make
     every result bit independent of the cut.
 
     With two or more workers, ``make_values`` must pickle: the tasks are
@@ -333,11 +325,13 @@ def _euler_level(p: MarketParams, n_steps: int, stream: RngStream,
     return values, int(np.count_nonzero(clamped))
 
 
-def _bet(p: MarketParams, stream: RngStream, a: float,
-         offset: int, count: int, workspace: Workspace) -> tuple[np.ndarray, int]:
-    """1{b > a} as a bool mask, statted by counts: a normal only in the band."""
+def _factorized_legs(p: MarketParams, stream: RngStream, a: float, n: int,
+                     offset: int, count: int, workspace: Workspace) -> tuple[np.ndarray, int]:
+    """The GBM leg on B_T at counters n + offset.., with the count of bets
+    1{b > a} on at counters offset.. as the tally: a normal only in the band."""
     u = uniform_block(stream, offset, count, out=workspace)
-    return _uniform_bet(p, u, a, workspace), 0
+    ones = int(np.count_nonzero(_uniform_bet(p, u, a, workspace)))
+    return _stock_leg(p, 1.0, stream, n, offset, count, workspace)[0], ones
 
 
 def estimate_mean(
@@ -401,9 +395,12 @@ def skorokhod_factorized_estimate(
 
     The bet probability is estimated from draw indices 0..n-1 and the GBM
     mean factor from indices n..2n-1, disjoint hence independent, as the
-    factorization requires of a product estimator.  The standard error uses
-    the delta method for the product, with the bond/stock covariance through
-    the shared probability estimate included:
+    factorization requires of a product estimator.  Both legs come from one
+    harness pass: each block counts its bets as its tally, so p_hat is the
+    exact count K over n, correctly rounded, and only the GBM leg is statted
+    by granules.  The standard error uses the delta method for the product,
+    with the bond/stock covariance through the shared probability estimate
+    included:
 
         var = M^2 [ (g_hat - e^{rho T})^2 var(p_hat) + p_hat^2 var(g_hat) ]
     """
@@ -412,9 +409,9 @@ def skorokhod_factorized_estimate(
         raise OutOfDomainError(f"stream must be an RngStream, got {stream!r}")
     a = indicator_threshold(p)
     bond = _bond_value(p, 1.0)
-    (_, p_hat, _, _), _ = _stats_over_blocks(partial(_bet, p, stream, a), n, chunks)
-    gbm_values = partial(_stock_leg, p, 1.0, stream, n)
-    (_, g_hat, m2_g, _), _ = _stats_over_blocks(gbm_values, n, chunks)
+    legs = partial(_factorized_legs, p, stream, a, n)
+    (_, g_hat, m2_g, _), ones = _stats_over_blocks(legs, n, chunks)
+    p_hat = ones / n
     mean = p.M * ((1.0 - p_hat) * bond + p_hat * g_hat)
     var_p = p_hat * (1.0 - p_hat) / n
     var_g = (m2_g / (n - 1)) / n

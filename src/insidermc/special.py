@@ -273,7 +273,9 @@ def _central(x: np.ndarray, work: np.ndarray) -> None:
 def inverse_normal_cdf(u: float) -> float:
     """Quantile x with Phi(x) = u, for u strictly in (0, 1).
 
-    Strictly increasing in u.  Over u in [1e-300, 1 - 2^-53], checked
+    Non-decreasing in u, not strictly: adjacent doubles can share a
+    quantile, as 1e-300 and the next double both give -37.0470962993612.
+    Over u in [1e-300, 1 - 2^-53], checked
     against a 50-digit oracle: relative error <= 1e-14 and
     |Phi(x) - u| <= 1e-12.
 

@@ -97,12 +97,12 @@ def test_battery_verdict(summary):
 
 
 def test_c09_compares_pooled_runs(recorded_pools):
-    """Each of c09's six chunks=8 harness calls (run_compare's three
-    estimates, the Euler level and the factorized estimate's two legs) hands
-    slabs to the pool for at least 2 workers: a call that ran inline would
-    compare a serial run with itself."""
+    """Each of c09's five chunks=8 harness calls (run_compare's three
+    estimates, the Euler level and the factorized estimate, whose bet is
+    counted beside its GBM leg) hands slabs to the pool for at least 2
+    workers: a call that ran inline would compare a serial run with itself."""
     assert verify._c09_determinism(42).passed
-    assert len(recorded_pools) == 6 and min(recorded_pools) >= 2, recorded_pools
+    assert len(recorded_pools) == 5 and min(recorded_pools) >= 2, recorded_pools
 
 
 def test_line_total_comes_from_summary():

@@ -5,6 +5,8 @@ or a documented error, and never a zero standard error from a sample that
 varies.  Per point:
 
 - the closed forms are finite, or raise ``WealthOverflowError``;
+- at a bull or bear point whose closed forms are finite, the paper's
+  ordering holds: ``ordering_pass`` is true;
 - ``run_compare`` returns a row with finite z's, or raises a
   ``ParameterError`` or ``WealthOverflowError``;
 - ``run_sweep`` over the point returns that row, or marks it invalid,
@@ -28,6 +30,7 @@ import pytest
 from insidermc import (
     DegenerateEstimateError,
     ParameterError,
+    Regime,
     RngStream,
     Trader,
     WealthOverflowError,
@@ -79,6 +82,9 @@ KNOWN = {
     "so a sample that varies gets a standard error of exactly 0",
     "never-drawn": "ROADMAP item 2: a branch that no draw reached leaves a constant "
     "sample off its closed form, so its z-score raises DegenerateEstimateError",
+    "ordering-flag": "ROADMAP item 20: at small sigma the bull and bear rs_ok flags "
+    "compare two sides near -a^2/2 whose true gap is below their ulp, so "
+    "ordering_pass reads false where the paper's ordering is a theorem",
 }
 
 
@@ -121,6 +127,9 @@ def _check(raw: tuple) -> tuple[list[Violation], bool]:
             if not all(map(math.isfinite, (report.honest_optimal, report.skorokhod,
                                            report.forward))):
                 add("contract", f"non-finite closed form {report}")
+            elif report.regime is not Regime.MARGINAL and not report.ordering_pass:
+                add("ordering-flag", f"{report.regime.value}: sk_ok {report.sk_ok}, "
+                    f"rs_ok {report.rs_ok}")
         except WealthOverflowError:
             report = None
         estimates = _estimates(p, report) if report else []

@@ -350,14 +350,15 @@ def test_factorized_degenerate_all_stock():
 
 
 # Recorded with the GBM leg on its own counter range n..2n-1, on the
-# package's own inverse CDF.  n = 4096 + 17 leaves a short last granule in
-# each leg; n = 2^16 + 4099 spans two tasks.
+# package's own inverse CDF, and the bet probability as the exact count K/n.
+# n = 4096 + 17 leaves a short last granule in each leg; n = 2^16 + 4099
+# spans two tasks.
 FACTORIZED_FROZEN = [
     # (point, n, mean, stderr)
     (SHOWCASE, 4113, "0x1.50fd125d21918p+0", "0x1.21c56ab146ffbp-6"),
-    (SHOWCASE, 69635, "0x1.546f114cc49efp+0", "0x1.19b5f6981d689p-8"),
+    (SHOWCASE, 69635, "0x1.546f114cc49efp+0", "0x1.19b5f6981d68ap-8"),
     (BEAR, 4113, "0x1.2f3e8e8590b74p+0", "0x1.cdc986ecb068dp-10"),
-    (BEAR, 69635, "0x1.2f7e2cd75236ep+0", "0x1.c0f8376ff12d5p-12"),
+    (BEAR, 69635, "0x1.2f7e2cd75236ep+0", "0x1.c0f8376ff12d7p-12"),
 ]
 
 
@@ -366,6 +367,27 @@ def test_factorized_reproduces_frozen_estimates(p, n, mean, stderr):
     est = skorokhod_factorized_estimate(p, RngStream(20240), n, chunks=1)
     assert est == skorokhod_factorized_estimate(p, RngStream(20240), n, chunks=2)
     assert (est.mean, est.stderr) == (float.fromhex(mean), float.fromhex(stderr))
+
+
+@pytest.mark.parametrize("chunks", [1, 2])
+@pytest.mark.parametrize("p", [SHOWCASE, BEAR], ids=["showcase", "bear"])
+def test_factorized_estimate_is_the_bet_count_and_the_gbm_leg_stats(p, chunks):
+    # p_hat is the count K of bets on over n, correctly rounded; only the GBM
+    # leg on counters n..2n-1 goes through the granule stats and the tree.
+    n = 2**16 + 4099
+    a = indicator_threshold(p)
+    ones = int(np.count_nonzero(brownian_terminal_block(RngStream(20240), 0, n, p.T) > a))
+    gbm = samplers._stock_values(p, 1.0, brownian_terminal_block(RngStream(20240), n, n, p.T))
+    _, g_hat, m2_g, _ = montecarlo._merge_tree(montecarlo._granule_stats(gbm))
+    p_hat = ones / n
+    bond = samplers._bond_value(p, 1.0)
+    gap = g_hat - bond
+    var = p.M * p.M * (gap * gap * (p_hat * (1.0 - p_hat) / n)
+                       + p_hat * p_hat * ((m2_g / (n - 1)) / n))
+    est = skorokhod_factorized_estimate(p, RngStream(20240), n, chunks)
+    assert (est.mean.hex(), est.stderr.hex()) == (
+        (p.M * ((1.0 - p_hat) * bond + p_hat * g_hat)).hex(), math.sqrt(var).hex()
+    )
 
 
 def test_euler_estimate_determinism_and_clamps():
@@ -623,30 +645,6 @@ def test_short_granules_are_bitwise_the_per_granule_formula():
         assert _hex_stats(montecarlo._granule_stats(values)) == _hex_stats(expected)
 
 
-def _bool_granules(rng, size):
-    """A bet mask whose full granules cycle through all False, all True and
-    mixed; the ragged rest stays mixed."""
-    mask = rng.random(size) < 0.3
-    for j, i in enumerate(range(0, size - size % GRANULE, GRANULE)):
-        if j % 3 < 2:
-            mask[i : i + GRANULE] = bool(j % 3)
-    return mask
-
-
-@pytest.mark.parametrize("size", [*BLOCK_SIZES, 2 * GRANULE + 8, 5 * GRANULE + 4001])
-def test_bool_block_stats_are_counts_with_the_float_means(size):
-    rng = np.random.default_rng([size, 11])
-    for _ in range(3):
-        mask = _bool_granules(rng, size)
-        counted = montecarlo._granule_stats(mask)
-        valued = montecarlo._granule_stats(mask.astype(np.float64))
-        assert [(c, mean.hex(), zeros) for c, mean, _, zeros in counted] == [
-            (c, mean.hex(), zeros) for c, mean, _, zeros in valued
-        ]
-        for c, _, m2, zeros in counted:
-            assert m2 == (c - zeros) * zeros / c
-
-
 def test_one_stats_call_per_task(monkeypatch):
     calls = []
     real = montecarlo._granule_stats
@@ -770,25 +768,38 @@ def slab_pids(monkeypatch):
     return pids
 
 
-# Each kind of pooled task, at two or more tasks per leg: the uniform front,
-# the stock leg, the Euler level, and the factorized bet and GBM leg.
+# Each kind of pooled task, at two or more tasks per estimate: the uniform
+# front, the stock leg, the Euler level, and the factorized bet counted
+# beside its GBM leg.  Each estimate is one harness pass.
 POOLED_KINDS = {
-    "front": (lambda chunks: estimate_mean(Trader.FORWARD_INSIDER, SHOWCASE, 1 << 18, 11, chunks), 1),
-    "stock-leg": (lambda chunks: estimate_mean(Trader.HONEST_OPTIMAL, SHOWCASE, 1 << 18, 11, chunks), 1),
-    "euler": (lambda chunks: estimate_euler_mean(SHOWCASE, 16, 1 << 14, 11, chunks), 1),
-    "factorized": (
-        lambda chunks: skorokhod_factorized_estimate(SHOWCASE, RngStream(11), 1 << 18, chunks), 2
-    ),
+    "front": lambda chunks: estimate_mean(Trader.FORWARD_INSIDER, SHOWCASE, 1 << 18, 11, chunks),
+    "stock-leg": lambda chunks: estimate_mean(Trader.HONEST_OPTIMAL, SHOWCASE, 1 << 18, 11, chunks),
+    "euler": lambda chunks: estimate_euler_mean(SHOWCASE, 16, 1 << 14, 11, chunks),
+    "factorized": lambda chunks: skorokhod_factorized_estimate(SHOWCASE, RngStream(11), 1 << 18, chunks),
 }
 
 
 @pytest.mark.parametrize("kind", POOLED_KINDS)
 def test_pooled_slabs_run_in_other_processes(slab_pids, kind):
-    estimate, legs = POOLED_KINDS[kind]
+    estimate = POOLED_KINDS[kind]
     serial = estimate(1)
     assert slab_pids == []
     assert estimate(2) == serial
-    assert len(slab_pids) == 2 * legs and os.getpid() not in slab_pids
+    assert len(slab_pids) == 2 and os.getpid() not in slab_pids
+
+
+@pytest.mark.parametrize("kind", POOLED_KINDS)
+def test_every_block_statted_is_float64(monkeypatch, kind):
+    dtypes = []
+    real = montecarlo._granule_stats
+
+    def granule_stats(values):
+        dtypes.append(values.dtype)
+        return real(values)
+
+    monkeypatch.setattr(montecarlo, "_granule_stats", granule_stats)
+    POOLED_KINDS[kind](1)
+    assert len(dtypes) >= 2 and set(dtypes) == {np.dtype(np.float64)}
 
 
 def _not_finite_past(limit, offset, count, workspace):

@@ -33,13 +33,15 @@ MODULES = [insidermc] + [
 # erf forms restated the Phi forms, which the 50-digit oracles check.  An
 # Euler path's first bad product decides overflow against clamp in place.
 # The inverse CDF is the package's own, so no scipy ufunc is loaded or bound,
-# and its tails run in the central piece's size.
+# and its tails run in the central piece's size.  The factorized bet is
+# counted beside its GBM leg, in the same harness pass.
 REMOVED = (
     "Allocation", "AllocationMismatchError", "honest_optimal_allocation", "SweepSpec",
     "honest_ignores_draws", "merge_estimates",
     "skorokhod_expected_wealth_erf_form", "forward_expected_wealth_erf_form",
     "_overflow_precedes_clamp",
     "_ndtri", "_NDTRI_LOCK", "_load_ndtri", "_ufuncs_ndtri", "_TAIL_PIECE",
+    "_bet",
 )
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -160,6 +162,16 @@ def test_only_the_harness_merges_granules():
     # estimator merges granules of its own.
     callers = [(m.__name__, c) for m in MODULES for c in _callers(m, "_merge_tree")]
     assert callers == [("insidermc.montecarlo", "_stats_over_blocks")]
+
+
+def test_every_estimator_makes_one_harness_pass():
+    # Each estimator runs _stats_over_blocks once; the factorized one counts
+    # its bet as the tally of the pass that stats its GBM leg.
+    callers = [(m.__name__, c) for m in MODULES for c in _callers(m, "_stats_over_blocks")]
+    assert callers == [
+        ("insidermc.montecarlo", name)
+        for name in ("estimate_mean", "estimate_euler_mean", "skorokhod_factorized_estimate")
+    ]
 
 
 def test_the_euler_sampler_forms_its_own_product():
