@@ -1,6 +1,6 @@
 """Closed-form expected terminal wealth for the honest trader and for the
-insider under the two anticipating noise interpretations, plus regime-aware
-ordering checks.
+insider under the two anticipating noise interpretations, plus the
+ordering verdict of the regime.
 
 With ``Phi`` the standard normal CDF, each expectation is the mean of the
 trader kernel of :mod:`~insidermc.samplers` betting at a:
@@ -17,8 +17,9 @@ cancels it: its stock leg is the bet probability times the plain GBM mean.
 
 Everything is evaluated in the Phi parametrization (probabilities in
 [0, 1], no cancellation in (1 - erf)/2) through :mod:`~insidermc.special`'s
-``normal_cdf`` and ``_log_normal_cdf``, the one home of Phi and its
-accurate lower tail: no closed form loads scipy.
+``normal_cdf``, the one home of Phi and its accurate lower tail: no closed
+form loads scipy.  The ordering of the three is the paper's theorem, decided
+from the regime, not from the evaluated values (``ClosedFormReport``).
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import EXP_MAX, WealthOverflowError
-from .market import MarketParams, Regime, Trader, classify_regime, indicator_threshold
-from .special import _log_normal_cdf, erf, normal_cdf
+from .market import MarketParams, Regime, Trader, classify_regime
+from .special import normal_cdf
 
 __all__ = [
     "ClosedFormReport",
@@ -40,8 +41,6 @@ __all__ = [
 
 # Relative tolerance for the marginal-regime identity E[S^sk] == E[S^i].
 MARGINAL_RTOL = 1e-12
-
-_TWO_SQRT2 = 2.0 * math.sqrt(2.0)
 
 
 def _check_exp_range(p: MarketParams) -> None:
@@ -95,11 +94,22 @@ class ClosedFormReport:
     """The three expectations, the honest one all-in on the larger rate, plus
     the ordering verdict for the classified regime.
 
-    ``sk_ok`` is E[S^sk] < E[S^i] (bull/bear) or |E[S^sk] - E[S^i]| within
-    1e-12 relative (marginal); ``rs_ok`` is E[S^i] < E[S^rs] strictly.  The
-    strict flags are computed from cancellation-free margin expressions, so
-    they stay decidable where the plain subtraction of two near-equal
-    expectations would round to zero.
+    ``ordering_pass`` is the paper's theorem, E[S^sk] < E[S^i] < E[S^rs]
+    off the margin and E[S^sk] = E[S^i] < E[S^rs] on it, which holds at every
+    valid point.  With x = a/sqrt(T), s = sigma sqrt(T) > 0 and R = Phi/phi
+    the Mills ratio, the insider's threshold gives (mu - rho) T = s^2/2 - x s
+    exactly, so
+
+    - bull: rs - i = M e^{rho T} phi(x) (R(x) - R(x - s)),
+    - bear: rs - i = M e^{mu T} phi(s - x) (R(s - x) - R(-x)),
+    - marginal: rs - i = M e^{rho T} erf(s / (2 sqrt(2))),
+
+    all > 0 since R is strictly increasing, and i - sk = M Phi(+-x)
+    |e^{mu T} - e^{rho T}|, > 0 exactly when ``classify_regime`` finds mu !=
+    rho.  Nothing is left to decide numerically but the marginal identity
+    sk == i on the evaluated forms, within ``MARGINAL_RTOL``; comparing the
+    evaluated forms elsewhere would ask their rounding to resolve gaps far
+    below an ulp.
     """
 
     params: MarketParams
@@ -107,44 +117,19 @@ class ClosedFormReport:
     honest_optimal: float
     skorokhod: float
     forward: float
-    sk_ok: bool
-    rs_ok: bool
 
     @property
     def ordering_pass(self) -> bool:
-        return self.sk_ok and self.rs_ok
+        gap = abs(self.skorokhod - self.honest_optimal)
+        return self.regime is not Regime.MARGINAL or gap <= MARGINAL_RTOL * self.honest_optimal
 
 
 def compare_closed_form(p: MarketParams) -> ClosedFormReport:
-    """Evaluate all three expectations and the regime's ordering flags."""
-    regime = classify_regime(p)
-    honest = honest_expected_wealth(p)
-    sk = skorokhod_expected_wealth(p)
-    rs = forward_expected_wealth(p)
-
-    at = indicator_threshold(p) / math.sqrt(p.T)
-    s = p.sigma * math.sqrt(p.T)
-    if regime is Regime.BULL:
-        # i - sk = M Phi(at) (e^{mu T} - e^{rho T}); Phi(at) > 0 for finite at.
-        sk_ok = p.mu * p.T > p.rho * p.T
-        # rs - i = M [Phi(at) e^{rho T} - Phi(at - s) e^{mu T}], compared in logs.
-        rs_ok = _log_normal_cdf(at) + p.rho * p.T > _log_normal_cdf(at - s) + p.mu * p.T
-    elif regime is Regime.BEAR:
-        # i - sk = M Phi(-at) (e^{rho T} - e^{mu T})
-        sk_ok = p.rho * p.T > p.mu * p.T
-        # rs - i = M [Phi(s - at) e^{mu T} - Phi(-at) e^{rho T}]
-        rs_ok = _log_normal_cdf(s - at) + p.mu * p.T > _log_normal_cdf(-at) + p.rho * p.T
-    else:
-        sk_ok = abs(sk - honest) <= MARGINAL_RTOL * honest
-        # rs - i = M e^{rho T} erf(sigma sqrt(T) / (2 sqrt(2)))
-        rs_ok = erf(s / _TWO_SQRT2) > 0.0
-
+    """Evaluate all three expectations and classify the regime."""
     return ClosedFormReport(
         params=p,
-        regime=regime,
-        honest_optimal=honest,
-        skorokhod=sk,
-        forward=rs,
-        sk_ok=sk_ok,
-        rs_ok=rs_ok,
+        regime=classify_regime(p),
+        honest_optimal=honest_expected_wealth(p),
+        skorokhod=skorokhod_expected_wealth(p),
+        forward=forward_expected_wealth(p),
     )

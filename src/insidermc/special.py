@@ -1,5 +1,5 @@
-"""Error function, standard normal CDF, its logarithm and its inverse: the
-one home of the normal distribution, closed-form lower tail included.
+"""Error function, standard normal CDF and its inverse: the one home of the
+normal distribution, closed-form lower tail included.
 
 Accuracy target is 1e-12 absolute so that special-function error is
 negligible against Monte Carlo tolerances (~1e-4).  The forward functions
@@ -64,9 +64,8 @@ if TYPE_CHECKING:
 __all__ = ["erf", "normal_cdf", "inverse_normal_cdf"]
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
-# mpmath, 50 digits: 1/sqrt(2) - _INV_SQRT2, and log(2 pi)/2.
+# mpmath, 50 digits: 1/sqrt(2) - _INV_SQRT2.
 _INV_SQRT2_LO = 6.268583589525109e-17
-_HALF_LOG_2PI = 0.9189385332046728
 _TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 # 2/21, 2/19, ..., 2/3, 2/1: 2 atanh(s) = s (2 + 2 s^2/3 + 2 s^4/5 + ...),
 # cut after s^21.  For |s| <= 0.2 the first term left out, 2 s^23/23, is
@@ -133,24 +132,6 @@ def normal_cdf(x: float) -> float:
     r = ((hi * _INV_SQRT2_HI - y) + hi * _INV_SQRT2_MID + lo * _INV_SQRT2_HI
          + lo * _INV_SQRT2_MID + x * _INV_SQRT2_LO)
     return 0.5 * (math.erfc(-y) + _TWO_OVER_SQRT_PI * math.exp(-y * y) * r)
-
-
-def _log_normal_cdf(x: float) -> float:
-    """log Phi(x), stable for any finite x (no underflow in the lower tail).
-
-    Within 1e-15 relative of a 50-digit oracle, except for x > 37.5, where
-    log Phi(x) = -Phi(-x) is subnormal.
-    """
-    if x > 0.0:
-        return math.log1p(-normal_cdf(-x))
-    if x >= -37.5:  # Phi(x) is a normal double here
-        return math.log(normal_cdf(x))
-    # Phi(x) = phi(x)/(-x) (1 - 1/x^2 + 3/x^4 - ...), the asymptotic series of
-    # the Mills ratio.  Below -37.5 the first term left out, 10395/x^12, is
-    # under 2e-15, about 1% of an ulp of log Phi(x) < -707.
-    z = 1.0 / (x * x)
-    series = z * (-1.0 + z * (3.0 + z * (-15.0 + z * (105.0 - z * 945.0))))
-    return -0.5 * x * x - math.log(-x) - _HALF_LOG_2PI + math.log1p(series)
 
 
 def _ratio(t: np.ndarray, p: tuple, q: tuple, num: np.ndarray, den: np.ndarray) -> np.ndarray:

@@ -71,6 +71,17 @@ def test_closed_form_defaults_match_oracle(capsys):
     assert parsed["ordering_pass"] == "true"
 
 
+def test_closed_form_ordering_holds_at_small_sigma(capsys):
+    # A bull point (a = -25000) whose evaluated forward and honest
+    # expectations are the same double; the ordering is still the theorem.
+    result = run_cli(capsys, "closed-form", "--M", "1", "--rho", "0", "--mu", "0.5",
+                     "--sigma", "2e-5", "--T", "1")
+    assert result.returncode == 0
+    parsed = next(csv.DictReader(io.StringIO(result.stdout)))
+    assert parsed["regime"] == "bull"
+    assert parsed["ordering_pass"] == "true"
+
+
 def test_validation_error_exits_2(capsys):
     result = run_cli(capsys, "compare", "--sigma", "0", "--samples", "64")
     assert result.returncode == 2

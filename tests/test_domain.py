@@ -82,9 +82,6 @@ KNOWN = {
     "so a sample that varies gets a standard error of exactly 0",
     "never-drawn": "ROADMAP item 2: a branch that no draw reached leaves a constant "
     "sample off its closed form, so its z-score raises DegenerateEstimateError",
-    "ordering-flag": "ROADMAP item 20: at small sigma the bull and bear rs_ok flags "
-    "compare two sides near -a^2/2 whose true gap is below their ulp, so "
-    "ordering_pass reads false where the paper's ordering is a theorem",
 }
 
 
@@ -128,8 +125,7 @@ def _check(raw: tuple) -> tuple[list[Violation], bool]:
                                            report.forward))):
                 add("contract", f"non-finite closed form {report}")
             elif report.regime is not Regime.MARGINAL and not report.ordering_pass:
-                add("ordering-flag", f"{report.regime.value}: sk_ok {report.sk_ok}, "
-                    f"rs_ok {report.rs_ok}")
+                add("contract", f"{report.regime.value} ordering_pass false: {report}")
         except WealthOverflowError:
             report = None
         estimates = _estimates(p, report) if report else []

@@ -34,14 +34,15 @@ MODULES = [insidermc] + [
 # Euler path's first bad product decides overflow against clamp in place.
 # The inverse CDF is the package's own, so no scipy ufunc is loaded or bound,
 # and its tails run in the central piece's size.  The factorized bet is
-# counted beside its GBM leg, in the same harness pass.
+# counted beside its GBM leg, in the same harness pass.  The ordering flag is
+# the paper's theorem, decided from the regime, so no log Phi compares sides.
 REMOVED = (
     "Allocation", "AllocationMismatchError", "honest_optimal_allocation", "SweepSpec",
     "honest_ignores_draws", "merge_estimates",
     "skorokhod_expected_wealth_erf_form", "forward_expected_wealth_erf_form",
     "_overflow_precedes_clamp",
     "_ndtri", "_NDTRI_LOCK", "_load_ndtri", "_ufuncs_ndtri", "_TAIL_PIECE",
-    "_bet",
+    "_bet", "_log_normal_cdf",
 )
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
