@@ -20,13 +20,13 @@ Run: python demos/euler_convergence.py            (~15 s: 3 x 10^6 paths)
 import sys
 import time
 
-from insidermc import forward_expected_wealth, run_convergence, validate_params
+from insidermc import Trader, expected_wealth, run_convergence, validate_params
 
 quick = "--quick" in sys.argv[1:]
 n = 200_000 if quick else 1_000_000
 
 p = validate_params(1.0, 0.0, 0.5, 1.0, 1.0)
-reference = forward_expected_wealth(p)
+reference = expected_wealth(Trader.FORWARD_INSIDER, p)
 
 print("=" * 72)
 print(f"  Euler weak convergence, {n:,} paths per level")

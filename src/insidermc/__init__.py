@@ -48,9 +48,7 @@ from .special import erf, inverse_normal_cdf, normal_cdf
 from .closedform import (
     ClosedFormReport,
     compare_closed_form,
-    forward_expected_wealth,
-    honest_expected_wealth,
-    skorokhod_expected_wealth,
+    expected_wealth,
 )
 
 # The Monte Carlo side's exports by home module, each imported on first access.
@@ -91,8 +89,7 @@ __all__ = [
     # special functions
     "erf", "normal_cdf", "inverse_normal_cdf",
     # closed forms
-    "ClosedFormReport", "honest_expected_wealth", "skorokhod_expected_wealth",
-    "forward_expected_wealth", "compare_closed_form",
+    "ClosedFormReport", "expected_wealth", "compare_closed_form",
     # the lazy Monte Carlo exports
     *_HOME,
 ]

@@ -2,14 +2,14 @@
 insider under the two anticipating noise interpretations, plus the
 ordering verdict of the regime.
 
-With ``Phi`` the standard normal CDF, each expectation is the mean of the
-trader kernel of :mod:`~insidermc.samplers` betting at a:
+``expected_wealth(trader, p)`` is the one closed form per trader.  With
+``Phi`` the standard normal CDF, it is the mean of the trader kernel of
+:mod:`~insidermc.samplers` betting at the trader's ``Trader.reading(p)``,
+(a, wick):
 
     E[S(T)] = M Phi(a/sqrt(T)) e^{rho T} + M Phi(s - a/sqrt(T)) e^{mu T}
 
-with (a, wick) the trader's ``Trader.reading(p)``: a = -inf or +inf for the
-honest trader, which gives M e^{max(rho, mu) T}, ``indicator_threshold(p)``
-for the insider; s = sigma sqrt(T), or 0 under the Skorokhod (Wick) reading.
+with s = sigma sqrt(T), or 0 under the Skorokhod (Wick) reading.
 Under the stock measure B_T has mean sigma T, so the forward
 (Russo-Vallois) stock leg keeps the covariance between the bet and the stock
 growth; the Wick reading shifts the stock event by exactly sigma T, which
@@ -33,9 +33,7 @@ from .special import normal_cdf
 
 __all__ = [
     "ClosedFormReport",
-    "honest_expected_wealth",
-    "skorokhod_expected_wealth",
-    "forward_expected_wealth",
+    "expected_wealth",
     "compare_closed_form",
 ]
 
@@ -71,22 +69,17 @@ def _kernel_mean(p: MarketParams, a: float, wick: bool) -> float:
     ))
 
 
-def honest_expected_wealth(p: MarketParams) -> float:
-    """E[S(T)] = M e^{max(rho, mu) T}: all of M on the asset with the larger rate.
+def expected_wealth(trader: Trader, p: MarketParams) -> float:
+    """E[S(T)] of ``trader``: the kernel's mean at the trader's reading.
 
-    In the marginal regime every split has the same expectation.
+    - Honest: a = -inf (bull) or +inf (bear, marginal), which gives
+      M e^{max(rho, mu) T}, all of M on the asset with the larger rate.  In
+      the marginal regime every split has the same expectation.
+    - Forward (Russo-Vallois) insider: a = ``indicator_threshold(p)``.
+    - Skorokhod (Wick) insider: the same a, with the stock event shifted by
+      sigma T.
     """
-    return _kernel_mean(p, *Trader.HONEST_OPTIMAL.reading(p))
-
-
-def skorokhod_expected_wealth(p: MarketParams) -> float:
-    """Insider expectation under the Skorokhod (Wick) interpretation."""
-    return _kernel_mean(p, *Trader.SKOROKHOD_UNBIASED.reading(p))
-
-
-def forward_expected_wealth(p: MarketParams) -> float:
-    """Insider expectation under the Russo-Vallois forward interpretation."""
-    return _kernel_mean(p, *Trader.FORWARD_INSIDER.reading(p))
+    return _kernel_mean(p, *trader.reading(p))
 
 
 @dataclass(frozen=True)
@@ -129,7 +122,7 @@ def compare_closed_form(p: MarketParams) -> ClosedFormReport:
     return ClosedFormReport(
         params=p,
         regime=classify_regime(p),
-        honest_optimal=honest_expected_wealth(p),
-        skorokhod=skorokhod_expected_wealth(p),
-        forward=forward_expected_wealth(p),
+        honest_optimal=expected_wealth(Trader.HONEST_OPTIMAL, p),
+        skorokhod=expected_wealth(Trader.SKOROKHOD_UNBIASED, p),
+        forward=expected_wealth(Trader.FORWARD_INSIDER, p),
     )

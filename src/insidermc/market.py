@@ -13,8 +13,8 @@ threshold on the Brownian terminal value::
     {S1_bar(T) > S0_bar(T)}  =  {B_T > a},   a = (rho - mu + sigma^2/2) * T / sigma
 
 The honest optimum, all-in on the asset with the larger rate, is the same
-bet at a = -inf (stock) or +inf (bond): :func:`honest_threshold`.  Every
-module takes a trader's reading of the bet, (a, wick), from :meth:`Trader.reading`.
+bet at a = -inf (stock) or +inf (bond).  Every module takes a trader's
+reading of the bet, (a, wick), from :meth:`Trader.reading`.
 
 Everything here is immutable after construction and safe to share across
 concurrent workers.
@@ -34,7 +34,6 @@ __all__ = [
     "Trader",
     "validate_params",
     "indicator_threshold",
-    "honest_threshold",
     "classify_regime",
 ]
 
@@ -129,12 +128,6 @@ def indicator_threshold(p: MarketParams) -> float:
     return (p.rho - p.mu + 0.5 * p.sigma * p.sigma) * p.T / p.sigma
 
 
-def honest_threshold(p: MarketParams) -> float:
-    """The honest bet level, blind to B_T: -inf in a bull market (all-in on
-    the stock), +inf otherwise (all-in on the bond)."""
-    return -math.inf if classify_regime(p) is Regime.BULL else math.inf
-
-
 class Trader(enum.Enum):
     """Which wealth model an estimator samples."""
 
@@ -144,9 +137,12 @@ class Trader(enum.Enum):
 
     def reading(self, p: MarketParams) -> tuple[float, bool]:
         """(a, wick): the level at which this trader bets on B_T, and whether
-        its stock event is shifted by sigma T (the Skorokhod reading)."""
+        its stock event is shifted by sigma T (the Skorokhod reading).
+
+        The honest level is blind to B_T: -inf in a bull market (all-in on
+        the stock), +inf otherwise (all-in on the bond)."""
         if self is Trader.HONEST_OPTIMAL:
-            return honest_threshold(p), False
+            return (-math.inf if classify_regime(p) is Regime.BULL else math.inf), False
         return indicator_threshold(p), self is Trader.SKOROKHOD_UNBIASED
 
 

@@ -62,12 +62,15 @@ __all__ = [
 GRANULE = 4096
 # Draws per generated block (see _stats_over_blocks): 2^16 keeps each
 # workspace array at 512 KiB, within L2, and splits n = 10^6 into 16 tasks.
-# Smaller blocks would not pay: with one reused workspace per slab nothing
-# faults at 2^16, and the stats take a fixed handful of numpy calls per
-# task.  Larger ones lose too: on a 2-core Xeon, with blocks of 2^17,
-# perfbench's euler-levels wall_s median rose from 0.164 to 0.185 s, slower
-# in 4 of 5 alternating pairs (--seconds 30 --trace 0, seeds 951-955), and
-# peak_rss_mb by 2.6 MB on mc-terminal and 1.8 MB on euler-levels.
+# Smaller blocks lose: on a 2-core Xeon, blocks of 2^15 (special._PIECE
+# matched) made a one-worker mc-terminal pass (the ten grid points' compare
+# and factorized estimates, 10^6 draws each) 5-7% slower than the 0.84 s
+# at 2^16, and blocks of 2^14 17-19% slower, with the same bits (medians of
+# 9 in-process passes, 3 alternating rounds).  Larger ones lose too: with
+# blocks of 2^17, perfbench's euler-levels wall_s median rose from 0.164 to
+# 0.185 s, slower in 4 of 5 alternating pairs (--seconds 30 --trace 0, seeds
+# 951-955), and peak_rss_mb by 2.6 MB on mc-terminal and 1.8 MB on
+# euler-levels.
 _TASK_TARGET = 1 << 16
 # The process-wide worker pool and its process count (see _pool), or None
 # before the first call that runs two or more workers.

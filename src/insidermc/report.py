@@ -25,7 +25,7 @@ from collections.abc import Iterable
 from dataclasses import asdict, dataclass, fields
 
 from . import __version__
-from .closedform import ClosedFormReport, compare_closed_form, forward_expected_wealth
+from .closedform import ClosedFormReport, compare_closed_form, expected_wealth
 from .errors import DegenerateEstimateError, OutOfDomainError, WealthOverflowError
 from .market import MarketParams, Trader, validate_params
 
@@ -202,7 +202,7 @@ def run_convergence(
         estimate_euler_mean(p, n_steps, n, derive_seed(seed, j), chunks)
         for j, n_steps in enumerate(steps)
     ]
-    reference = forward_expected_wealth(p)
+    reference = expected_wealth(Trader.FORWARD_INSIDER, p)
     for est in ests:
         z_score(est, reference)  # the exact-match rule of a zero-spread level
     return [

@@ -2,19 +2,19 @@ import dataclasses
 import math
 import random
 import sys
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from insidermc import (
     Regime,
+    Trader,
     WealthOverflowError,
     compare_closed_form,
-    forward_expected_wealth,
-    honest_expected_wealth,
+    expected_wealth,
     indicator_threshold,
     normal_cdf,
-    skorokhod_expected_wealth,
     validate_params,
     verify,
 )
@@ -33,15 +33,16 @@ SHOWCASE = validate_params(1, 0, 0.5, 1, 1)
 class TestHonest:
     def test_t_to_zero_limit(self):
         p = validate_params(5, 0.05, 0.1, 0.2, 1e-300)
-        assert honest_expected_wealth(p) == pytest.approx(5.0, abs=1e-12)
+        assert expected_wealth(Trader.HONEST_OPTIMAL, p) == pytest.approx(5.0, abs=1e-12)
 
     def test_stock_only(self):
-        assert honest_expected_wealth(SHOWCASE) == pytest.approx(EXP_HALF, abs=1e-9)
+        honest = expected_wealth(Trader.HONEST_OPTIMAL, SHOWCASE)
+        assert honest == pytest.approx(EXP_HALF, abs=1e-9)
 
     def test_overflow_error(self):
         p = validate_params(1, 0.05, 800, 0.2, 1)
         with pytest.raises(WealthOverflowError):
-            honest_expected_wealth(p)
+            expected_wealth(Trader.HONEST_OPTIMAL, p)
 
 
 class TestOptimalAllocation:
@@ -49,41 +50,45 @@ class TestOptimalAllocation:
 
     def test_bull_all_stock(self):
         p = validate_params(2, 0.05, 0.1, 0.2, 3)
-        assert honest_expected_wealth(p) == 2 * math.exp(0.1 * 3)
+        assert expected_wealth(Trader.HONEST_OPTIMAL, p) == 2 * math.exp(0.1 * 3)
 
     def test_bear_all_bond(self):
         p = validate_params(2, 0.1, 0.05, 0.2, 3)
-        assert honest_expected_wealth(p) == 2 * math.exp(0.1 * 3)
+        assert expected_wealth(Trader.HONEST_OPTIMAL, p) == 2 * math.exp(0.1 * 3)
 
     def test_marginal_convention_and_indifference(self):
         # Every split has the same expectation; the bond and the stock agree.
         p = validate_params(1, 0.07, 0.07, 0.2, 1)
-        assert honest_expected_wealth(p) == math.exp(p.rho * p.T) == math.exp(p.mu * p.T)
+        honest = expected_wealth(Trader.HONEST_OPTIMAL, p)
+        assert honest == math.exp(p.rho * p.T) == math.exp(p.mu * p.T)
 
 
 class TestInsiderExpectations:
     def test_skorokhod_collapses_at_marginal(self):
         p = validate_params(2, 0.05, 0.05, 0.3, 2)
-        assert skorokhod_expected_wealth(p) == pytest.approx(
+        assert expected_wealth(Trader.SKOROKHOD_UNBIASED, p) == pytest.approx(
             2 * math.exp(0.1), rel=1e-12
         )
 
     def test_skorokhod_at_zero_threshold(self):
         # mu = rho + sigma^2/2 makes erf argument vanish: (M/2)(e^{rho T} + e^{mu T})
         p = validate_params(1, 0, 0.5, 1, 1)
-        assert skorokhod_expected_wealth(p) == pytest.approx(
+        assert expected_wealth(Trader.SKOROKHOD_UNBIASED, p) == pytest.approx(
             0.5 * (1 + EXP_HALF), abs=1e-12
         )
 
     def test_skorokhod_showcase_value(self):
-        assert skorokhod_expected_wealth(SHOWCASE) == pytest.approx(SK_SHOWCASE, abs=1e-9)
+        skorokhod = expected_wealth(Trader.SKOROKHOD_UNBIASED, SHOWCASE)
+        assert skorokhod == pytest.approx(SK_SHOWCASE, abs=1e-9)
 
     def test_forward_showcase_value(self):
-        assert forward_expected_wealth(SHOWCASE) == pytest.approx(RS_SHOWCASE, abs=1e-9)
+        forward = expected_wealth(Trader.FORWARD_INSIDER, SHOWCASE)
+        assert forward == pytest.approx(RS_SHOWCASE, abs=1e-9)
 
     def test_forward_marginal_form(self):
         p = validate_params(1, 0, 0, 1, 1)
-        assert forward_expected_wealth(p) == pytest.approx(RS_MARGINAL_UNIT, abs=1e-9)
+        forward = expected_wealth(Trader.FORWARD_INSIDER, p)
+        assert forward == pytest.approx(RS_MARGINAL_UNIT, abs=1e-9)
 
     def test_forward_dominates_by_gaussian_shift_mass(self):
         # rs - sk = M e^{mu T} (Phi(s - a/sqrt T) - Phi(-a/sqrt T))
@@ -92,9 +97,10 @@ class TestInsiderExpectations:
             at = indicator_threshold(p) / math.sqrt(p.T)
             s = p.sigma * math.sqrt(p.T)
             rhs = p.M * math.exp(p.mu * p.T) * (normal_cdf(s - at) - normal_cdf(-at))
-            lhs = forward_expected_wealth(p) - skorokhod_expected_wealth(p)
+            forward = expected_wealth(Trader.FORWARD_INSIDER, p)
+            lhs = forward - expected_wealth(Trader.SKOROKHOD_UNBIASED, p)
             assert rhs > 0
-            assert lhs == pytest.approx(rhs, abs=1e-12 * forward_expected_wealth(p))
+            assert lhs == pytest.approx(rhs, abs=1e-12 * forward)
 
 
 def _random_params(seed, n, regime):
@@ -210,12 +216,7 @@ class TestWealthRange:
     HUGE = validate_params(1e308, 0, 1, 1, 1)
 
     def test_infinite_wealth_raises(self):
-        for closed_form in (
-            honest_expected_wealth,
-            skorokhod_expected_wealth,
-            forward_expected_wealth,
-            compare_closed_form,
-        ):
+        for closed_form in (*(partial(expected_wealth, t) for t in Trader), compare_closed_form):
             with pytest.raises(WealthOverflowError, match="double range"):
                 closed_form(self.HUGE)
 
@@ -223,9 +224,9 @@ class TestWealthRange:
         # Marginal: both legs are 1e308 e^{0.1} < 1.797e308 each, but the
         # forward expectation of nearly twice that is not a double.
         p = validate_params(1e308, 0.1, 0.1, 50, 1)
-        assert math.isfinite(honest_expected_wealth(p))
+        assert math.isfinite(expected_wealth(Trader.HONEST_OPTIMAL, p))
         with pytest.raises(WealthOverflowError, match="expected wealth"):
-            forward_expected_wealth(p)
+            expected_wealth(Trader.FORWARD_INSIDER, p)
         with pytest.raises(WealthOverflowError):
             compare_closed_form(p)
 
@@ -284,15 +285,16 @@ def test_one_kernel_mean_is_bitwise_the_three_formulas():
     ]
     assert len(points) > 3000
     pinned = [
-        (honest_expected_wealth, reference_honest),
-        (skorokhod_expected_wealth, reference_skorokhod),
-        (forward_expected_wealth, reference_forward),
+        (Trader.HONEST_OPTIMAL, reference_honest),
+        (Trader.SKOROKHOD_UNBIASED, reference_skorokhod),
+        (Trader.FORWARD_INSIDER, reference_forward),
     ]
     for p in points:
-        for closed_form, reference in pinned:
-            assert outcome(closed_form, p) == outcome(reference, p), p
+        for trader, reference in pinned:
+            assert outcome(partial(expected_wealth, trader), p) == outcome(reference, p), p
+    forward = partial(expected_wealth, Trader.FORWARD_INSIDER)
     for raw in OVERFLOW_POINTS:
-        assert outcome(forward_expected_wealth, validate_params(*raw)).startswith("overflow")
+        assert outcome(forward, validate_params(*raw)).startswith("overflow")
 
 
 @settings(max_examples=200)
@@ -303,4 +305,5 @@ def test_one_kernel_mean_is_bitwise_the_three_formulas():
 def test_forward_nondecreasing_in_sigma_at_marginal(sigma, scale):
     p_lo = validate_params(1, 0.05, 0.05, sigma, 1)
     p_hi = validate_params(1, 0.05, 0.05, min(sigma * scale, 4.0), 1)
-    assert forward_expected_wealth(p_hi) >= forward_expected_wealth(p_lo)
+    forward = partial(expected_wealth, Trader.FORWARD_INSIDER)
+    assert forward(p_hi) >= forward(p_lo)

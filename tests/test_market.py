@@ -13,7 +13,7 @@ from insidermc import (
     indicator_threshold,
     validate_params,
 )
-from insidermc.market import classify_regime, honest_threshold
+from insidermc.market import classify_regime
 
 NAN = float("nan")
 
@@ -68,9 +68,10 @@ def test_regime_classification():
 
 def test_honest_threshold_ignores_the_draw():
     # Bull: every B_T is above it (all stock); otherwise none is (all bond).
-    assert honest_threshold(validate_params(1, 0.05, 0.1, 0.2, 1)) == -math.inf
-    assert honest_threshold(validate_params(1, 0.1, 0.05, 0.2, 1)) == math.inf
-    assert honest_threshold(validate_params(1, 0.07, 0.07, 0.2, 1)) == math.inf
+    honest = Trader.HONEST_OPTIMAL
+    assert honest.reading(validate_params(1, 0.05, 0.1, 0.2, 1))[0] == -math.inf
+    assert honest.reading(validate_params(1, 0.1, 0.05, 0.2, 1))[0] == math.inf
+    assert honest.reading(validate_params(1, 0.07, 0.07, 0.2, 1))[0] == math.inf
 
 
 @pytest.mark.parametrize(

@@ -26,12 +26,10 @@ from insidermc import (
     WealthOverflowError,
     estimate_euler_mean,
     estimate_mean,
-    forward_expected_wealth,
-    honest_expected_wealth,
+    expected_wealth,
     indicator_threshold,
     normal_cdf,
     run_compare,
-    skorokhod_expected_wealth,
     skorokhod_factorized_estimate,
     validate_params,
     z_score,
@@ -107,7 +105,7 @@ def test_deterministic_honest_bond():
     assert est.stderr == 0.0
     assert est.mean == BEAR.M * math.exp(BEAR.rho * BEAR.T)
     # exact-match branch of the z-score
-    assert z_score(est, honest_expected_wealth(BEAR)) == 0.0
+    assert z_score(est, expected_wealth(Trader.HONEST_OPTIMAL, BEAR)) == 0.0
     with pytest.raises(DegenerateEstimateError):
         z_score(est, est.mean + 1e-9)
 
@@ -310,24 +308,20 @@ def test_zero_fraction_diagnostics():
 def test_estimators_agree_with_closed_forms_smoke():
     n = 100_000
     checks = [
-        (estimate_mean(Trader.HONEST_OPTIMAL, SHOWCASE, n, seed=31),
-         honest_expected_wealth(SHOWCASE)),
-        (estimate_mean(Trader.SKOROKHOD_UNBIASED, SHOWCASE, n, seed=32),
-         skorokhod_expected_wealth(SHOWCASE)),
-        (estimate_mean(Trader.FORWARD_INSIDER, SHOWCASE, n, seed=33),
-         forward_expected_wealth(SHOWCASE)),
-        (estimate_mean(Trader.FORWARD_INSIDER, BEAR, n, seed=34),
-         forward_expected_wealth(BEAR)),
-        (estimate_mean(Trader.SKOROKHOD_UNBIASED, BEAR, n, seed=35),
-         skorokhod_expected_wealth(BEAR)),
+        (Trader.HONEST_OPTIMAL, SHOWCASE, 31),
+        (Trader.SKOROKHOD_UNBIASED, SHOWCASE, 32),
+        (Trader.FORWARD_INSIDER, SHOWCASE, 33),
+        (Trader.FORWARD_INSIDER, BEAR, 34),
+        (Trader.SKOROKHOD_UNBIASED, BEAR, 35),
     ]
-    for est, reference in checks:
-        assert abs(z_score(est, reference)) <= 3.5
+    for trader, p, seed in checks:
+        est = estimate_mean(trader, p, n, seed=seed)
+        assert abs(z_score(est, expected_wealth(trader, p))) <= 3.5
 
 
 def test_factorized_estimator_agrees_with_closed_form():
     est = skorokhod_factorized_estimate(SHOWCASE, RngStream(41), 200_000)
-    assert abs(z_score(est, skorokhod_expected_wealth(SHOWCASE))) <= 3.5
+    assert abs(z_score(est, expected_wealth(Trader.SKOROKHOD_UNBIASED, SHOWCASE))) <= 3.5
     assert est.zero_fraction == 0.0
 
 
@@ -451,8 +445,8 @@ def test_factorized_certain_bet_has_zero_variance(rho):
     p = validate_params(1, rho, 0.5, 1, 1)
     est = skorokhod_factorized_estimate(p, RngStream(3), 8192)
     assert est.stderr == 0.0
-    assert est.mean == skorokhod_expected_wealth(p)
-    assert z_score(est, skorokhod_expected_wealth(p)) == 0.0
+    assert est.mean == expected_wealth(Trader.SKOROKHOD_UNBIASED, p)
+    assert z_score(est, expected_wealth(Trader.SKOROKHOD_UNBIASED, p)) == 0.0
 
 
 def test_factorized_infinite_mean_still_raises():

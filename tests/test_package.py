@@ -28,14 +28,15 @@ MODULES = [insidermc] + [
 
 # The honest trader is the insider kernel at an infinite threshold; the
 # wealth split that once parametrized it is gone, and its threshold lives in
-# market.honest_threshold.  A sweep takes plain arguments, like the other
-# report runs.  Every estimate covers draws 0..n-1, so none is merged.  The
-# erf forms restated the Phi forms, which the 50-digit oracles check.  An
-# Euler path's first bad product decides overflow against clamp in place.
-# The inverse CDF is the package's own, so no scipy ufunc is loaded or bound,
-# and its tails run in the central piece's size.  The factorized bet is
-# counted beside its GBM leg, in the same harness pass.  The ordering flag is
-# the paper's theorem, decided from the regime, so no log Phi compares sides.
+# Trader.reading.  A sweep takes plain arguments, like the other report runs.
+# Every estimate covers draws 0..n-1, so none is merged.  The erf forms
+# restated the Phi forms, which the 50-digit oracles check.  An Euler path's
+# first bad product decides overflow against clamp in place.  The inverse CDF
+# is the package's own, so no scipy ufunc is loaded or bound, and its tails
+# run in the central piece's size.  The factorized bet is counted beside its
+# GBM leg, in the same harness pass.  The ordering flag is the paper's
+# theorem, decided from the regime, so no log Phi compares sides.  One closed
+# form takes the trader, so no wrapper names a trader of its own.
 REMOVED = (
     "Allocation", "AllocationMismatchError", "honest_optimal_allocation", "SweepSpec",
     "honest_ignores_draws", "merge_estimates",
@@ -43,6 +44,8 @@ REMOVED = (
     "_overflow_precedes_clamp",
     "_ndtri", "_NDTRI_LOCK", "_load_ndtri", "_ufuncs_ndtri", "_TAIL_PIECE",
     "_bet", "_log_normal_cdf",
+    "honest_expected_wealth", "skorokhod_expected_wealth", "forward_expected_wealth",
+    "honest_threshold",
 )
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -145,9 +148,10 @@ def _callers(module, name: str) -> list[str]:
 def test_one_reading_per_trader():
     # A trader becomes a kernel level in Trader.reading alone, so the
     # closed forms, the samplers and the estimators cannot drift apart on
-    # it; the estimator branches on the level, never on the trader.
-    callers = [(m.__name__, c) for m in MODULES for c in _callers(m, "honest_threshold")]
-    assert callers == [("insidermc.market", "Trader.reading")]
+    # it; the one closed form takes the trader, and the estimator branches
+    # on the level, never on the trader.
+    callers = [(m.__name__, c) for m in MODULES for c in _callers(m, "_kernel_mean")]
+    assert callers == [("insidermc.closedform", "expected_wealth")]
     montecarlo = insidermc.montecarlo
     tree = ast.parse(Path(montecarlo.__file__).read_text(encoding="utf-8"))
     members = [

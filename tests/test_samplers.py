@@ -358,11 +358,11 @@ class TestForwardEuler:
         assert not clamped.any()
 
     def test_weak_agreement_with_closed_form(self):
-        from insidermc import forward_expected_wealth
+        from insidermc import Trader, expected_wealth
         from insidermc.montecarlo import estimate_euler_mean
 
         euler = estimate_euler_mean(SHOWCASE, 256, 100_000, seed=2024_08)
-        reference = forward_expected_wealth(SHOWCASE)
+        reference = expected_wealth(Trader.FORWARD_INSIDER, SHOWCASE)
         tol = max(3 * euler.stderr, 0.02 * reference)
         assert abs(euler.mean - reference) <= tol
         assert euler.clamp_count == 0
