@@ -23,6 +23,7 @@ from functools import partial
 
 import numpy as np
 
+from . import _native
 from .errors import (
     BadSampleCountError,
     DegenerateEstimateError,
@@ -189,6 +190,8 @@ def _pool(workers: int):
     leave no helper process behind.  A fork of a process that runs other
     threads may copy a lock that one of them holds, so there, and where the
     platform cannot fork, they are spawned.  The pool is shut down at exit.
+    The compiled Gaussian core is loaded first, so forked processes inherit
+    it and spawned ones find it built: no process builds it again.
     """
     global _POOL
     if _POOL is None or _POOL[1] < workers:
@@ -197,6 +200,7 @@ def _pool(workers: int):
         from concurrent.futures import ProcessPoolExecutor
 
         _shutdown_pool()
+        _native.kernels()
         fork = "fork" in multiprocessing.get_all_start_methods()
         method = "fork" if fork and threading.active_count() == 1 else "spawn"
         _POOL = (ProcessPoolExecutor(workers, multiprocessing.get_context(method)), workers)

@@ -12,7 +12,10 @@ inverse_normal_cdf`.  One word per normal keeps the (seed, index) -> value
 map stateless and platform-stable.
 
 Every step (words, uniforms, normals, Brownian scaling) runs in place in one
-:class:`Workspace`, and a block function returns a view of its memory.  A
+:class:`Workspace`, and a block function returns a view of its memory.  The
+words and uniforms are one pass of ``_native``'s compiled ``uniforms``
+kernel where it loaded, and otherwise the numpy core's dozen numpy calls
+(:func:`_uniforms_numpy`, the kernel's reference); the bits are the same.  A
 caller that generates many blocks passes its own workspace as ``out`` and
 reuses it; without ``out`` each call makes a fresh one, so the result is a
 new array.  Either way the bits are the same.
@@ -26,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _native
 from .errors import IndexOverflowError, NonPositiveError, NotFiniteError, OutOfDomainError
 from .special import _inverse_normal_cdf_array, normal_cdf
 
@@ -70,11 +74,12 @@ class Workspace:
     """Reusable memory for blocks of up to ``size`` draws.
 
     ``words`` holds a block's words and then, in place, its uniforms,
-    normals and Brownian values.  ``scratch`` takes the shifted terms of the
-    splitmix64 rounds, then ``uniform_block``'s shifted words, and, viewed
+    normals and Brownian values.  ``scratch`` takes the numpy core's
+    shifted terms of the splitmix64 rounds and shifted words, and, viewed
     as float64, the draws :func:`_brownian_at` gathers once the uniforms
     are formed.  ``ramp`` is the constant k * GOLDEN (mod 2^64),
-    k = 0..size-1, the Weyl steps of a block, computed once per workspace.
+    k = 0..size-1, the Weyl steps of a block, computed once per workspace
+    for the numpy core; the compiled kernel forms them itself.
     The inverse CDF owns its temporaries, so none live here.  One workspace
     serves one thread at a time, and each block overwrites the last.
     """
@@ -88,14 +93,17 @@ class Workspace:
         self.ramp *= np.uint64(_GOLDEN)
 
 
+def _weyl_base(seed: int, start: int) -> int:
+    """The Weyl sequence at counter ``start``, seed + (start+1)*GOLDEN mod 2^64."""
+    return (seed + (start + 1) * _GOLDEN) & _MASK64
+
+
 def _words(seed: int, start: int, count: int, out: Workspace) -> np.ndarray:
     """splitmix64 finalizer over the Weyl sequence seed + (k+1)*GOLDEN,
     computed in ``out.words``."""
-    if count > out.words.size:
-        raise OutOfDomainError(f"block of {count} draws exceeds the workspace ({out.words.size})")
     # uint64 arithmetic wraps mod 2^64 exactly, so any grouping gives the same words.
     z, t = out.words[:count], out.scratch[:count]
-    np.add(out.ramp[:count], np.uint64((seed + (start + 1) * _GOLDEN) & _MASK64), out=z)
+    np.add(out.ramp[:count], np.uint64(_weyl_base(seed, start)), out=z)
     for shift, mix in ((30, _MIX1), (27, _MIX2), (31, None)):
         np.right_shift(z, np.uint64(shift), out=t)
         z ^= t
@@ -125,7 +133,20 @@ def uniform_block(
     start, count = _check_range(start, count)
     if out is None:
         out = Workspace(count)
-    w = _words(stream.seed, start, count, out)
+    if count > out.words.size:
+        raise OutOfDomainError(f"block of {count} draws exceeds the workspace ({out.words.size})")
+    lib = _native.kernels()
+    if lib is None:
+        return _uniforms_numpy(stream.seed, start, count, out)
+    u = out.words[:count].view(np.float64)
+    lib.uniforms(_weyl_base(stream.seed, start), u.ctypes.data, count)
+    return u
+
+
+def _uniforms_numpy(seed: int, start: int, count: int, out: Workspace) -> np.ndarray:
+    """The numpy core of :func:`uniform_block`, in ``out.words``: the
+    compiled kernel's reference, and its fallback."""
+    w = _words(seed, start, count, out)
     # Shift into the scratch: a float64 result cast over its own uint64
     # input would make numpy copy the input first.  The shifted words are
     # below 2^53, so read as int64 they convert exactly, and faster than

@@ -21,18 +21,22 @@ them to ``_inverse_normal_coefficients``.  Against that script's frozen
 table of 2320 50-digit quantiles over u in [1e-300, 1 - 2^-53], the
 relative error stays within 2.8e-16 (2.3 ulp); the values are exactly
 antisymmetric about 0.5 wherever 1 - u is exact, and non-decreasing across
-every piece edge.  A block takes about a hundred numpy calls where scipy's
-``ndtri`` took one; the Monte Carlo workers are processes, so none of those
-calls waits for another worker's GIL, but threads of a caller's own that
-run the core at once still do (ROADMAP item 19).
+every piece edge.
+
+The core runs compiled where it can: ``_native``'s ``inverse_cdf`` kernel
+performs the same IEEE operations in the same order, in one pass over the
+vector, and is kept only if it matches the numpy core bit for bit.  The
+numpy core, about a hundred numpy calls a block, is its reference and its
+fallback where no C compiler is found.  Either way the bits are the same.
 
 numpy is imported on the first inverse CDF call, so ``import insidermc``
-and the closed forms do not load it, and nothing here loads scipy.  Scalar
-calls and the vectorized helpers used by the sampling pipeline share one
-array core, so a scalar result is bit-identical to the matching entry of a
-block evaluation.  The core takes the vector alone and transforms it in
-place; it owns its scratch, one spare array of central temporaries per call
-that runs at once, kept between calls.
+and the closed forms do not load it, nor the compiled core, and nothing
+here loads scipy.  Scalar calls and the vectorized helpers used by the
+sampling pipeline share one array core, so a scalar result is
+bit-identical to the matching entry of a block evaluation.  The core takes
+the vector alone and transforms it in place; the numpy core owns its
+scratch, one spare array of central temporaries per call that runs at
+once, kept between calls.
 """
 
 from __future__ import annotations
@@ -196,7 +200,21 @@ def _tail_magnitude(p: np.ndarray) -> np.ndarray:
 
 def _inverse_normal_cdf_array(x: np.ndarray) -> np.ndarray:
     """Vectorized inverse CDF of a float64 vector strictly inside (0, 1),
-    in place: ``x`` is transformed and returned.  The central piece's
+    in place: ``x`` is transformed and returned.  A contiguous, writable
+    float64 vector goes to the compiled kernel where it loaded, any other
+    to the numpy core; both give the same bits."""
+    from . import _native
+
+    lib = _native.kernels()
+    if lib is None or not x.flags.carray or x.dtype.char != "d":
+        return _inverse_normal_cdf_numpy(x)
+    lib.inverse_cdf(x.ctypes.data, x.size)
+    return x
+
+
+def _inverse_normal_cdf_numpy(x: np.ndarray) -> np.ndarray:
+    """The numpy core of :func:`_inverse_normal_cdf_array`, in place: the
+    compiled kernel's reference, and its fallback.  The central piece's
     temporaries come from the module's spare list, and a call allocates
     them only when every spare is in use, so calls made one after another
     allocate them once.

@@ -193,33 +193,43 @@ def test_the_trader_kernel_takes_no_callback():
 
 # Each module's imports from inside the package.  Only sampling turns
 # uniforms into normals: a sampler or the harness that reached past it to
-# special would break the fronts' bitwise contract unseen.
+# special would break the fronts' bitwise contract unseen.  The compiled
+# core is run from special and sampling alone, and reads its constants and
+# its reference cores back from them when it is built; montecarlo only
+# loads it before starting the pool.
 PACKAGE_IMPORTS = {
     "insidermc": {"closedform", "errors", "market", "special"},
     "insidermc.cli": {"insidermc", "closedform", "errors", "market", "report", "verify"},
     "insidermc.closedform": {"errors", "market", "special"},
     "insidermc.errors": set(),
     "insidermc.market": {"errors"},
-    "insidermc.montecarlo": {"errors", "market", "samplers", "sampling"},
+    "insidermc.montecarlo": {"_native", "errors", "market", "samplers", "sampling"},
     "insidermc.report": {"insidermc", "closedform", "errors", "market", "montecarlo", "sampling"},
     "insidermc.samplers": {"errors", "market", "sampling"},
-    "insidermc.sampling": {"errors", "special"},
-    "insidermc.special": {"_inverse_normal_coefficients", "errors"},
+    "insidermc.sampling": {"_native", "errors", "special"},
+    "insidermc.special": {"_inverse_normal_coefficients", "_native", "errors"},
     "insidermc._inverse_normal_coefficients": set(),
+    "insidermc._native": {"_inverse_normal_coefficients", "sampling", "special"},
     "insidermc.verify": {
         "insidermc", "closedform", "market", "montecarlo", "report", "sampling", "special",
     },
 }
 
 
+SUBMODULES = {info.name for info in pkgutil.iter_modules(insidermc.__path__)}
+
+
 def _package_imports(module) -> set[str]:
     """The package modules a module's source imports from, ``from . import``
-    read as the package itself."""
-    return {
-        node.module or "insidermc"
-        for node in ast.walk(ast.parse(Path(module.__file__).read_text(encoding="utf-8")))
-        if isinstance(node, ast.ImportFrom) and node.level
-    }
+    read as the submodule it names, or else as the package itself."""
+    imported = set()
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                imported.add(node.module)
+            else:
+                imported |= {a.name if a.name in SUBMODULES else "insidermc" for a in node.names}
+    return imported
 
 
 def test_each_module_imports_only_its_layers():
@@ -231,15 +241,28 @@ def test_only_sampling_turns_uniforms_into_normals():
     assert callers == {"insidermc.special", "insidermc.sampling"}
 
 
-def test_sampling_takes_only_the_core_and_phi_from_special():
-    # The core owns its scratch, so sampling sizes nothing after special.
-    tree = ast.parse(Path(insidermc.sampling.__file__).read_text(encoding="utf-8"))
+def _names_read(module, home: str) -> set[str]:
+    """The names a module's source imports from the package module ``home``,
+    and the attributes it reads off ``home`` imported whole."""
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
     names = {
         alias.name for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and node.module == "special"
+        if isinstance(node, ast.ImportFrom) and node.level and node.module == home
         for alias in node.names
     }
-    assert names == {"_inverse_normal_cdf_array", "normal_cdf"}
+    return names | {
+        node.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id == home
+    }
+
+
+def test_sampling_takes_only_the_core_and_phi_from_special():
+    # The core owns its scratch, so sampling sizes nothing after special;
+    # of the compiled core each module asks only the loader.
+    assert _names_read(insidermc.sampling, "special") == {"_inverse_normal_cdf_array", "normal_cdf"}
+    for module in (insidermc.sampling, insidermc.special, insidermc.montecarlo):
+        assert _names_read(module, "_native") == {"kernels"}
 
 
 def test_the_harness_reads_no_workspace_memory():
@@ -296,6 +319,15 @@ def test_pyproject_version_is_package_version():
 def test_numpy_is_the_only_runtime_dependency():
     dependencies = _pyproject_project().split("dependencies = [", 1)[1].split("]", 1)[0]
     assert re.findall(r'"([^"]*)"', dependencies) == ["numpy>=1.24"]
+
+
+def test_the_package_data_carries_the_compiled_cores_source():
+    # A wheel holds only .py files unless told otherwise, and the compiled
+    # core is built from its source at the first kernel call.
+    text = (Path(SRC).parent / "pyproject.toml").read_text(encoding="utf-8")
+    section = text.split("\n[tool.setuptools.package-data]\n", 1)[1].split("\n[", 1)[0]
+    assert re.findall(r'^insidermc = \[(.*)\]$', section, re.M) == ['"_native.c"']
+    assert (Path(SRC) / "insidermc" / "_native.c").is_file()
 
 
 def _child_stdout(code: str) -> str:
@@ -423,6 +455,11 @@ def test_a_not_finite_error_pickles_its_nan():
     assert math.isnan(copy.value)
 
 
+# What the compiled core's loader brings in; it loads at the first kernel
+# call, never at import.
+NATIVE_LOADER_MODULES = ("ctypes", "subprocess", "insidermc._native")
+
+
 @pytest.mark.parametrize("args", [["closed-form"], ["--help"]], ids=" ".join)
 def test_cli_cold_paths_import_no_scipy(args):
     # Nor numpy: only the commands that draw load it.
@@ -437,3 +474,14 @@ def test_cli_cold_paths_import_no_scipy(args):
     ]
     assert "insidermc.closedform" in imported
     assert [name for name in imported if name.split(".")[0] in ("scipy", "numpy")] == []
+    assert [name for name in imported if name in NATIVE_LOADER_MODULES] == []
+
+
+def test_a_bare_import_loads_no_compiled_core():
+    stdout = _child_stdout(
+        "import sys\n"
+        "import insidermc\n"
+        "insidermc.compare_closed_form(insidermc.validate_params(1, 0, 0.5, 1, 1))\n"
+        f"print([name for name in {NATIVE_LOADER_MODULES!r} if name in sys.modules])\n"
+    )
+    assert stdout.splitlines() == ["[]"]

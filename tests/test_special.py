@@ -18,7 +18,7 @@ from scipy import integrate
 from insidermc import NotFiniteError, OutOfDomainError, erf, inverse_normal_cdf, normal_cdf
 from insidermc import special
 from insidermc.sampling import RngStream, standard_normal_block, uniform_block
-from insidermc.special import _PIECE, _inverse_normal_cdf_array
+from insidermc.special import _PIECE, _inverse_normal_cdf_array, _inverse_normal_cdf_numpy
 from insidermc.verify import ERF_ORACLE_POINTS
 
 # mpmath (50 digits) oracle constants, frozen before the implementation:
@@ -370,16 +370,16 @@ def test_core_takes_the_vector_alone_and_transforms_it_in_place():
 
 
 def test_a_second_call_on_one_thread_allocates_no_central_scratch():
-    # The central temporaries, (3, _PIECE) doubles on a 64-byte boundary,
-    # come from the spare list the first call filled; the second call's
-    # whole peak stays below them.
+    # The numpy core's central temporaries, (3, _PIECE) doubles on a
+    # 64-byte boundary, come from the spare list the first call filled; the
+    # second call's whole peak stays below them.
     u = uniform_block(RngStream(4), 0, _PIECE)
-    _inverse_normal_cdf_array(u.copy())
+    _inverse_normal_cdf_numpy(u.copy())
     spares = [id(work) for work in special._SPARE_WORK]
     x = u.copy()
     tracemalloc.start()
     try:
-        _inverse_normal_cdf_array(x)
+        _inverse_normal_cdf_numpy(x)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -389,17 +389,17 @@ def test_a_second_call_on_one_thread_allocates_no_central_scratch():
 
 
 def test_concurrent_calls_never_share_a_central_scratch(monkeypatch):
-    # Switching threads every microsecond interleaves the calls' numpy
+    # Switching threads every microsecond interleaves the numpy core's
     # passes; a shared scratch would mix their temporaries.  Each call
     # spans several central pieces.
     monkeypatch.setattr(special, "_SPARE_WORK", [])
     u = uniform_block(RngStream(8), 0, 3 * _PIECE + 123)
-    serial = _inverse_normal_cdf_array(u.copy())
+    serial = _inverse_normal_cdf_numpy(u.copy())
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=4) as pool:
-            results = list(pool.map(lambda _: _inverse_normal_cdf_array(u.copy()), range(16),
+            results = list(pool.map(lambda _: _inverse_normal_cdf_numpy(u.copy()), range(16),
                                     timeout=120))
     finally:
         sys.setswitchinterval(interval)
@@ -414,18 +414,20 @@ def test_concurrent_calls_never_share_a_central_scratch(monkeypatch):
 # only on the process that sets it.
 AVX2_DISPATCH = "AVX512_SPR AVX512_ICL X86_V4"
 # Stream ranges whose draws reach the central piece and both tails, and the
-# oracle points' quantiles, as digests.
+# oracle points' quantiles, as digests, from the numpy core's words,
+# uniforms and inverse CDF: numpy's dispatch reaches no compiled kernel.
 DISPATCH_DIGESTS = (
     "import hashlib, sys\n"
     "import numpy as np\n"
-    "from insidermc import inverse_normal_cdf\n"
-    "from insidermc.sampling import RngStream, standard_normal_block\n"
+    "from insidermc.sampling import Workspace, _uniforms_numpy\n"
+    "from insidermc.special import _inverse_normal_cdf_numpy\n"
     "sys.path.insert(0, {tests!r})\n"
     "from test_special import INVERSE_ORACLE_POINTS\n"
     "for seed, start in ((42, 0), (7, 2**40)):\n"
-    "    z = standard_normal_block(RngStream(seed), start, 1 << 16)\n"
+    "    u = _uniforms_numpy(seed, start, 1 << 16, Workspace(1 << 16))\n"
+    "    z = _inverse_normal_cdf_numpy(u)\n"
     "    print(hashlib.sha256(z.tobytes()).hexdigest(), z.min() < -3, z.max() > 3)\n"
-    "x = np.array([inverse_normal_cdf(u) for u, _ in INVERSE_ORACLE_POINTS])\n"
+    "x = _inverse_normal_cdf_numpy(np.array([u for u, _ in INVERSE_ORACLE_POINTS]))\n"
     "print(hashlib.sha256(x.tobytes()).hexdigest())\n"
 )
 
@@ -443,9 +445,10 @@ def test_normals_hold_on_another_cpu_dispatch():
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env={**env, **dispatch}, timeout=60, check=True)
         outputs.append(proc.stdout)
-    native, avx2 = outputs
-    lines = native.splitlines()
+    host, avx2 = outputs
+    lines = host.splitlines()
     assert [line.split()[1:] for line in lines[:2]] == [["True", "True"]] * 2
+    # The blocks this process draws, through whichever core loaded, too.
     z = standard_normal_block(RngStream(42), 0, 1 << 16)
     assert lines[0].split()[0] == hashlib.sha256(z.tobytes()).hexdigest()
-    assert avx2 == native
+    assert avx2 == host
